@@ -38,6 +38,7 @@ from .data import (
     IngestError,
     feature_matrix,
     ingest,
+    read_columns,
     split,
     write_records,
 )
@@ -58,7 +59,8 @@ from .hybrid import (
     build_residual_dataset,
     predict,
 )
-from .validity import classify_batch, fit_pca, write_projection_csv, write_verdicts_csv
+from .validity import (_standardizer, classify_batch, fit_pca, write_projection_csv,
+                       write_verdicts_csv)
 from .mlp import (
     ACTIVATIONS,
     ModelFormatError,
@@ -301,14 +303,6 @@ _FEATURE_HEADER = ("diameter_m,heated_length_m,pressure_Pa,"
                    "mass_flux_kg_m2s,inlet_subcooling_J_kg")
 
 
-def _ingest_with_lines(path: str, envelope, strict: bool):
-    """Ingest plus the original file line number of every kept record."""
-    records, report = ingest(path, envelope=envelope, strict=strict)
-    dropped = {line for line, _ in report.rejected}
-    kept_lines = [ln for ln in range(2, report.n_rows + 2) if ln not in dropped]
-    return records, report, kept_lines
-
-
 def _write_feature_csv(path: str, feature_rows, extra_header: str,
                        extra_rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -323,46 +317,11 @@ def _csv_safe(message: str) -> str:
     return str(message).replace(",", ";").replace("\n", " ")
 
 
-def _read_columns(path: str, columns: tuple[str, ...]) -> list[list[float | None]]:
-    """Read named float columns from a CSV; blank cells become None."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as e:
-        raise ConfigError(f"cannot read {path!r}: {e}") from None
-    if not lines:
-        raise ConfigError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ConfigError(f"{path}: missing column(s) {missing}")
-    idx = [header.index(c) for c in columns]
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{path} line {i}: expected {len(header)} fields, "
-                              f"got {len(cells)}")
-        row = []
-        for c, j in zip(columns, idx):
-            text = cells[j].strip()
-            if not text:
-                row.append(None)
-                continue
-            try:
-                row.append(float(text))
-            except ValueError:
-                raise ConfigError(f"{path} line {i}: column {c!r} is not "
-                                  f"numeric: {text!r}") from None
-        rows.append(row)
-    return rows
-
-
 def _training_matrices(path: str, mode: str,
                        min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
     target = "residual_W_m2" if mode == "residual" else "target_W_m2"
     cols = tuple(_FEATURE_HEADER.split(",")) + (target,)
-    rows = _read_columns(path, cols)
+    rows = [row for _, row in read_columns(path, cols)]
     if any(None in row for row in rows):
         raise ConfigError(f"{path}: blank cells are not allowed in training data")
     arr = np.array(rows, dtype=float)
@@ -385,10 +344,6 @@ def _load_predictor(cfg: _Config) -> tuple[ChfPredictor, list[str]]:
         raise ConfigError(f"predictor/model mismatch: {e}") from None
 
 
-def _fit_scalers(x: np.ndarray, y: np.ndarray) -> tuple[Scaler, Scaler]:
-    return Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -401,7 +356,7 @@ def cmd_prepare(cfg: _Config) -> None:
     base = cfg.choice("base", ("none", "biasi", "bowring"), "none")
     envelope = cfg.envelope()
 
-    records, report, _ = _ingest_with_lines(data_path, envelope, strict)
+    records, report = ingest(data_path, envelope=envelope, strict=strict)
     if not records:
         raise ConfigError(f"{data_path}: no usable rows after ingestion")
     parts = split(records, seed)
@@ -427,14 +382,6 @@ def cmd_prepare(cfg: _Config) -> None:
               r.inlet_subcooling) for r in recs],
             "target_W_m2", [(r.measured_chf,) for r in recs])
         outputs.append(pure)
-
-    scaler = Scaler.fit(feature_matrix(parts.train, MODEL_FEATURES))
-    scaler_path = _out(outdir, "scaler.csv")
-    with open(scaler_path, "w", encoding="utf-8") as fh:
-        fh.write("feature,mean,std\n")
-        for name, mu, sd in zip(MODEL_FEATURES, scaler.mean, scaler.std):
-            fh.write(f"{name},{mu!r},{sd!r}\n")
-    outputs.append(scaler_path)
 
     if base != "none":
         failures = []
@@ -482,7 +429,7 @@ def cmd_train(cfg: _Config) -> None:
     )
 
     x, y = _training_matrices(train_path, mode)
-    in_scaler, out_scaler = _fit_scalers(x, y)
+    in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
     net = init_mlp(x.shape[1], hidden, activation, seed=seed,
                    input_scaler=in_scaler, output_scaler=out_scaler,
                    mode=mode, base_model=base, feature_names=MODEL_FEATURES)
@@ -530,7 +477,7 @@ def cmd_tune(cfg: _Config) -> None:
         if act not in ACTIVATIONS:
             raise ConfigError(f"config key 'tune_activations': unknown activation {act!r}")
     x, y = _training_matrices(train_path, mode)
-    in_scaler, out_scaler = _fit_scalers(x, y)
+    in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
     x_std = in_scaler.transform(x)
     y_std = out_scaler.transform(y.reshape(-1, 1))[:, 0]
     try:
@@ -565,14 +512,14 @@ def cmd_predict(cfg: _Config) -> None:
     data_path = cfg.path_in("data")
     strict = cfg.bool_("strict", "false")
     predictor, extra_inputs = _load_predictor(cfg)
-    records, report, lines = _ingest_with_lines(data_path, cfg.envelope(), strict)
+    records, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
     out_path = _out(outdir, "predictions.csv")
     n_failed = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
                  "measured_chf_kW_m2,status\n")
-        for rec, line_no in zip(records, lines):
+        for rec, line_no in zip(records, report.lines):
             c = InletConditions(
                 diameter=rec.diameter, heated_length=rec.heated_length,
                 pressure=rec.pressure, mass_flux=rec.mass_flux,
@@ -601,12 +548,15 @@ def cmd_predict(cfg: _Config) -> None:
 
 def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
     """Channel cases from the batch file; bad rows come back as messages."""
-    rows = _read_columns(path, tuple(CASE_HEADER.split(",")))
+    rows = read_columns(path, tuple(CASE_HEADER.split(",")))
     out: list[tuple[int, ChannelCase | str]] = []
-    for i, row in enumerate(rows):
+    for i, (_, row) in enumerate(rows):
         d, length, p_kpa, g, dh, q, n_axial = row
         if None in (d, length, p_kpa, g, dh, q):
             out.append((i, "blank cell in required column"))
+            continue
+        if n_axial is not None and not n_axial.is_integer():
+            out.append((i, f"n_axial must be a whole number, got {n_axial!r}"))
             continue
         try:
             out.append((i, ChannelCase(
@@ -690,8 +640,8 @@ def cmd_evaluate(cfg: _Config) -> None:
     truth_col = cfg.str_("truth_col", "measured_chf_kW_m2")
     trim = cfg.float_("trim_quantile", "0.995")
 
-    preds = [r[0] for r in _read_columns(pred_path, (pred_col,))]
-    truths = [r[0] for r in _read_columns(truth_path, (truth_col,))]
+    preds = [r[0] for _, r in read_columns(pred_path, (pred_col,))]
+    truths = [r[0] for _, r in read_columns(truth_path, (truth_col,))]
     if len(preds) != len(truths):
         raise ConfigError(
             f"prediction and truth files disagree on length: "
@@ -747,8 +697,8 @@ def cmd_hullcheck(cfg: _Config) -> None:
             raise ConfigError(f"config key 'hull_features': unknown field {f!r}")
 
     envelope = cfg.envelope()
-    train_recs, _, _ = _ingest_with_lines(train_path, envelope, strict)
-    query_recs, _, _ = _ingest_with_lines(query_path, envelope, strict)
+    train_recs, _ = ingest(train_path, envelope=envelope, strict=strict)
+    query_recs, _ = ingest(query_path, envelope=envelope, strict=strict)
     if not train_recs or not query_recs:
         raise ConfigError("hullcheck needs nonempty train and query sets")
     if "inlet_temperature" in features:
@@ -765,12 +715,10 @@ def cmd_hullcheck(cfg: _Config) -> None:
     write_verdicts_csv(verdicts, verdict_path)
 
     # projection of standardized features onto the two leading components
-    mean = x_train.mean(axis=0)
-    std = x_train.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    pca = fit_pca((x_train - mean) / std)
+    mean, std = _standardizer(x_train)
+    stacked = (np.vstack([x_train, x_query]) - mean) / std
+    pca = fit_pca(stacked[:len(train_recs)])
     proj_path = _out(outdir, "projection.csv")
-    stacked = np.vstack([(x_train - mean) / std, (x_query - mean) / std])
     labels = ["train"] * len(train_recs) + ["query"] * len(query_recs)
     write_projection_csv(pca, stacked, labels, proj_path)
 

@@ -82,6 +82,14 @@ QUALITY_MIN = -0.5
 QUALITY_MAX = 1.0
 
 
+def _require_finite(conditions) -> None:
+    # getattr, not vars(): a materialised __dict__ slows later attribute reads
+    for name in conditions.__dataclass_fields__:
+        v = getattr(conditions, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class InletConditions:
     """Channel geometry and inlet state for heat-balance evaluations.
@@ -108,6 +116,7 @@ class InletConditions:
     inlet_subcooling: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.diameter <= 0.0:
             raise ValueError(f"diameter must be positive, got {self.diameter}")
         if self.heated_length <= 0.0:
@@ -131,6 +140,7 @@ class LocalConditions:
     quality: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.diameter <= 0.0:
             raise ValueError(f"diameter must be positive, got {self.diameter}")
         if self.mass_flux <= 0.0:
@@ -323,7 +333,8 @@ def solve_hbm(
     NoCriticalConditionError
         If the residual does not change sign over the bracket, i.e. the
         correlation never intersects the heat-balance line (no burnout
-        is predicted inside the search range).
+        is predicted inside the search range), or if it is not finite
+        at any evaluated flux.
     """
     h_fg = fluid.saturation_state(c.pressure).h_fg
     gd = c.mass_flux * c.diameter
@@ -343,7 +354,11 @@ def solve_hbm(
         return 4.0 * q * c.heated_length / (gd * h_fg) - c.inlet_subcooling / h_fg
 
     def residual(q: float) -> float:
-        return q - flux_at(quality(q))
+        r = q - flux_at(quality(q))
+        if not math.isfinite(r):
+            raise NoCriticalConditionError(f"non-finite residual at {q!r} W/m2",
+                                           HBM_FLUX_BRACKET, (r, r))
+        return r
 
     q_lo, q_hi = HBM_FLUX_BRACKET
     r_lo, r_hi = residual(q_lo), residual(q_hi)

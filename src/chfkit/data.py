@@ -25,8 +25,8 @@ the report carries the file line number and a reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "MODEL_FEATURES",
     "CSV_HEADER",
     "ingest",
+    "read_columns",
     "write_records",
     "shuffle",
     "split",
@@ -110,12 +111,14 @@ class IngestReport:
     """Per-row outcomes of an ingest pass.
 
     Row numbers are file line numbers (the header is line 1, so the
-    first data row is line 2).
+    first data row is line 2; blank lines count).  ``lines`` holds the
+    line number of each accepted record, in record order.
     """
 
     n_rows: int
     rejected: tuple[tuple[int, str], ...] = ()
     flagged: tuple[tuple[int, str], ...] = ()
+    lines: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -142,19 +145,45 @@ def envelope_violations(
     return out
 
 
-def _parse_cell(text: str, column: str, line_no: int) -> float | None:
+def _parse_cell(text: str, column: str, path: str, line_no: int) -> float | None:
     text = text.strip()
     if not text:
         return None
     try:
-        return float(text)
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise IngestError(
-            f"line {line_no}: unparseable numeric {text!r} in column {column!r}"
-        ) from None
+        pass
+    raise IngestError(f"{path} line {line_no}: unparseable numeric {text!r} in column {column!r}")
 
 
-def _build_record(values: dict[str, float | None], line_no: int) -> ChfRecord:
+def read_columns(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[float | None]]]:
+    """Stream the named numeric columns of a comma-delimited table.
+
+    Yields ``(file line number, cells)`` per data row, blank cells as
+    None.  Blank lines are skipped but counted.  A missing column, a wrong
+    field count or a cell that is not a finite number raises IngestError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ((n, ln.rstrip("\n").split(",")) for n, ln in enumerate(fh, start=1) if ln.strip())
+        _, header = next(rows, (0, None))
+        if header is None:
+            raise IngestError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing column(s) {missing}")
+        col_pos = [header.index(c) for c in columns]
+        for line_no, cells in rows:
+            if len(cells) != len(header):
+                raise IngestError(f"{path} line {line_no}: expected {len(header)} fields, "
+                                  f"got {len(cells)}")
+            yield line_no, [_parse_cell(cells[j], c, path, line_no)
+                            for c, j in zip(columns, col_pos)]
+
+
+def _build_record(values: dict[str, float | None]) -> ChfRecord:
     """SI conversion plus derivation of blank derivable fields.
 
     Raises ValueError with a human-readable reason when the row is
@@ -208,36 +237,15 @@ def ingest(
     violating the envelope are rejected when ``strict`` and flagged
     (kept) otherwise.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise IngestError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    missing = [c for c in _COLUMNS if c not in header]
-    if missing:
-        raise IngestError(f"{path}: missing column(s) {missing}")
-    if len(lines) < 2:
-        raise IngestError(f"{path}: no data rows")
-    col_pos = {c: header.index(c) for c in _COLUMNS}
-
     records: list[ChfRecord] = []
+    kept_lines: list[int] = []
     rejected: list[tuple[int, str]] = []
     flagged: list[tuple[int, str]] = []
     n_rows = 0
-    for i, line in enumerate(lines[1:]):
-        line_no = i + 2
+    for line_no, cells in read_columns(path, _COLUMNS):
         n_rows += 1
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise IngestError(
-                f"line {line_no}: expected {len(header)} fields, got {len(cells)}"
-            )
-        values = {
-            c: _parse_cell(cells[col_pos[c]], c, line_no) for c in _COLUMNS
-        }
         try:
-            rec = _build_record(values, line_no)
+            rec = _build_record(dict(zip(_COLUMNS, cells)))
         except (ValueError, fluid.FluidRangeError) as e:
             rejected.append((line_no, str(e)))
             continue
@@ -248,8 +256,12 @@ def ingest(
                 continue
             flagged.append((line_no, "; ".join(problems)))
         records.append(rec)
+        kept_lines.append(line_no)
+    if not n_rows:
+        raise IngestError(f"{path}: no data rows")
     return records, IngestReport(
-        n_rows=n_rows, rejected=tuple(rejected), flagged=tuple(flagged)
+        n_rows=n_rows, rejected=tuple(rejected), flagged=tuple(flagged),
+        lines=tuple(kept_lines),
     )
 
 

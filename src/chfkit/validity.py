@@ -18,15 +18,14 @@ positive rescaling and shifts, so the verdict is identical either way;
 standardizing just keeps the 1e-9 feasibility tolerance meaningful
 across features with very different units.
 
-The module also provides a small PCA built on cyclic Jacobi rotations
-(Golub & Van Loan, ch. 8) with a deterministic sign convention, used to
-project data onto its two leading components for plotting alongside the
-hull verdicts.
+The module also provides a small PCA with a deterministic sign
+convention, used to project data onto its two leading components for
+plotting alongside the hull verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,7 @@ _ORTHONORMAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# PCA via cyclic Jacobi rotations
+# PCA
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -92,47 +91,11 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def _jacobi_eigh(a: np.ndarray, sweep_tol: float = 1e-14,
-                 max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Each sweep
-    rotates away every off-diagonal pair in row-major order; convergence
-    is quadratic once the off-diagonal mass is small.
-    """
-    a = np.array(a, dtype=float)
-    d = a.shape[0]
-    v = np.eye(d)
-    scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= sweep_tol * scale:
-            return np.diag(a).copy(), v
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= sweep_tol * scale * 1e-2:
-                    continue
-                # stable rotation angle (Rutishauser's formulas)
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    raise ArithmeticError("Jacobi eigensolver failed to converge")
-
-
 def fit_pca(x: np.ndarray) -> PcaModel:
     """Fit all-component PCA to an n x d data matrix.
 
     Uses the population covariance (divide by n) and diagonalizes it
-    with cyclic Jacobi rotations.  Rank deficiency is not an error: the
+    with ``np.linalg.eigh``.  Rank deficiency is not an error: the
     trailing variances simply come out zero.
     """
     x = np.asarray(x, dtype=float)
@@ -144,7 +107,7 @@ def fit_pca(x: np.ndarray) -> PcaModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = (centered.T @ centered) / n
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     # covariance is positive semidefinite; negatives are rounding noise
     eigvals = np.maximum(eigvals, 0.0)
     order = np.argsort(-eigvals, kind="stable")

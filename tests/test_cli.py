@@ -112,6 +112,7 @@ def test_prepare_splits_ten_rows(tmp_path):
     assert main(["prepare", f"data={data}", f"outdir={out}", "seed=0"]) == 0
     sizes = _manifest(out)["counts"]["split_sizes"]
     assert sizes == {"train": 8, "val": 1, "test": 1}
+    assert "scaler.csv" not in _manifest(out)["outputs"]
     for name, n in (("train", 8), ("val", 1), ("test", 1)):
         _, rows = _read_csv(out / f"{name}.csv")
         assert len(rows) == n
@@ -314,6 +315,22 @@ def test_predict_rows_carry_file_line_numbers(tmp_path):
     assert [r[0] for r in out_rows] == ["2", "3", "5", "6"]
 
 
+def test_predict_rows_count_blank_lines(tmp_path):
+    rows = _solvable_rows(3, seed=21)
+    data = tmp_path / "data.csv"
+    # line 3 blank, line 5 underdetermined, good rows on lines 2, 4 and 6
+    data.write_text("\n".join([
+        "D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2",
+        rows[0], "", rows[1], "10.0,3.0,7000,1500,0.2,,,1000", rows[2],
+    ]) + "\n")
+    out = tmp_path / "pred"
+    assert main(["predict", f"data={data}", "kind=base_biasi",
+                 f"outdir={out}"]) == 0
+    _, out_rows = _read_csv(out / "predictions.csv")
+    assert [r[0] for r in out_rows] == ["2", "4", "6"]
+    assert _manifest(out)["counts"]["rows_rejected"] == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -360,6 +377,39 @@ def test_simulate_bad_case_logged_exit_zero(tmp_path):
     assert srows[1][-1].startswith("failed:")
     assert _manifest(out)["counts"]["failed"] == 1
     assert not (out / "profile_1.csv").exists()
+
+
+def test_simulate_fractional_n_axial_is_failed_row(tmp_path):
+    cases = _case_file(tmp_path, [
+        "12.62,5.56,6895,1000,100,500,60.9",
+        "12.62,5.56,6895,1000,100,500,40.0",
+    ])
+    out = tmp_path / "sim"
+    assert main(["simulate", f"cases={cases}", "kind=base_bowring",
+                 f"outdir={out}"]) == 0
+    _, srows = _read_csv(out / "summary.csv")
+    assert srows[0][-1].startswith("failed:") and "n_axial" in srows[0][-1]
+    assert srows[1][-1] == "ok"
+    assert not (out / "profile_0.csv").exists()
+    assert len(_read_csv(out / "profile_1.csv")[1]) == 40
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_simulate_nonfinite_cell_is_error_naming_line(tmp_path, capsys, cell):
+    cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,60",
+                                  f"12.62,5.56,6895,1000,100,500,{cell}"])
+    assert main(["simulate", f"cases={cases}", "kind=base_bowring",
+                 f"outdir={tmp_path / 'sim'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and "n_axial" in err
+
+
+def test_simulate_field_count_error_names_real_line(tmp_path, capsys):
+    cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,60", "",
+                                  "12.62,5.56,6895"])
+    assert main(["simulate", f"cases={cases}", "kind=base_bowring",
+                 f"outdir={tmp_path / 'sim'}"]) == 1
+    assert "line 4: expected 7 fields" in capsys.readouterr().err
 
 
 def test_simulate_critical_power_constant_predictor(tmp_path):
@@ -428,6 +478,27 @@ def test_evaluate_length_mismatch_is_error(tmp_path, capsys):
     assert main(["evaluate", f"pred_csv={pred}", f"truth_csv={truth}",
                  f"outdir={tmp_path / 'x'}"]) == 1
     assert "disagree on length" in capsys.readouterr().err
+
+
+def test_evaluate_nonfinite_prediction_is_error_naming_line(tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text(
+        "chf_pred_kW_m2,measured_chf_kW_m2\n110.0,100.0\nnan,100.0\n"
+    )
+    out = tmp_path / "eval"
+    assert main(["evaluate", f"pred_csv={pred}", f"outdir={out}"]) == 1
+    assert "line 3" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_evaluate_field_count_error_names_real_line(tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text(
+        "chf_pred_kW_m2,measured_chf_kW_m2\n110.0,100.0\n\n120.0\n"
+    )
+    assert main(["evaluate", f"pred_csv={pred}",
+                 f"outdir={tmp_path / 'eval'}"]) == 1
+    assert "line 4: expected 2 fields" in capsys.readouterr().err
 
 
 def test_evaluate_degenerate_kde_noted_not_fatal(tmp_path):

@@ -268,6 +268,25 @@ def test_solve_hbm_no_critical_condition():
     assert len(err.value.residuals) == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_hbm_nonfinite_correlation_raises(bad):
+    with pytest.raises(NoCriticalConditionError, match="non-finite"):
+        solve_hbm(lambda _c, _x: bad, _inlet())
+
+
+def test_solve_hbm_nonfinite_mid_bracket_raises():
+    # finite at both bracket ends, NaN once the bisection moves inward
+    calls = []
+
+    def corr(_c, _x):
+        calls.append(_x)
+        return 5.0e6 if len(calls) <= 2 else math.nan
+
+    with pytest.raises(NoCriticalConditionError, match="non-finite"):
+        solve_hbm(corr, _inlet())
+    assert len(calls) == 3
+
+
 def test_solve_hbm_unknown_name():
     with pytest.raises(ValueError):
         solve_hbm("groeneveld", _inlet())
@@ -293,6 +312,25 @@ def test_biasi_low_flow_constant_exported():
 def test_inlet_conditions_validation(kwargs):
     with pytest.raises(ValueError):
         InletConditions(**kwargs)
+
+
+_INLET_KWARGS = dict(diameter=0.01, heated_length=1.0, pressure=7e6,
+                    mass_flux=1e3, inlet_subcooling=1e5)
+_LOCAL_KWARGS = dict(diameter=0.01, pressure=7e6, mass_flux=1e3, quality=0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_INLET_KWARGS))
+def test_inlet_conditions_reject_nonfinite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        InletConditions(**dict(_INLET_KWARGS, **{name: bad}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_LOCAL_KWARGS))
+def test_local_conditions_reject_nonfinite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        LocalConditions(**dict(_LOCAL_KWARGS, **{name: bad}))
 
 
 def test_inlet_conditions_negative_subcooling_allowed():

@@ -19,6 +19,7 @@ from chfkit.data import (
     feature_matrix,
     fit_scaler,
     ingest,
+    read_columns,
     shuffle,
     split,
     write_records,
@@ -187,6 +188,63 @@ def test_ingest_reordered_columns(tmp_path):
     assert not report.rejected
     assert records[0].diameter == pytest.approx(0.01262, rel=1e-15)
     assert records[0].measured_chf == pytest.approx(1.5e6, rel=1e-15)
+
+
+def test_ingest_line_numbers_count_blank_lines(tmp_path):
+    # line 3 is blank; line 5 is underdetermined (no quality, no
+    # subcooling, no temperature)
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join([
+        CSV_HEADER, EXAMPLE_ROW, "", EXAMPLE_ROW,
+        "10.0,3.0,7000,1500,,,,1000", EXAMPLE_ROW,
+    ]) + "\n")
+    records, report = ingest(str(path))
+    assert len(records) == 3
+    assert [line for line, _ in report.rejected] == [5]
+    assert report.lines == (2, 4, 6)
+    assert report.n_rows == 4
+
+
+def test_ingest_lines_skip_rejected_and_keep_flagged(tmp_path):
+    bad = "50.0,5.56,6895,1000,0.3,100,,1500"  # diameter outside envelope
+    path = _write(tmp_path, [EXAMPLE_ROW, bad, EXAMPLE_ROW])
+    assert ingest(path, strict=True)[1].lines == (2, 4)
+    assert ingest(path, strict=False)[1].lines == (2, 3, 4)
+
+
+def test_ingest_field_count_error_names_real_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(CSV_HEADER + "\n" + EXAMPLE_ROW + "\n\n\n1,2,3\n")
+    with pytest.raises(IngestError, match="line 5: expected 8 fields"):
+        ingest(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_ingest_nonfinite_cell_is_unparseable(tmp_path, cell):
+    path = _write(tmp_path, [EXAMPLE_ROW, f"12.62,5.56,6895,{cell},0.3,100,,1500"])
+    with pytest.raises(IngestError, match=f"line 3: unparseable.*{cell!r}.*G_kg_m2s"):
+        ingest(path)
+
+
+def test_read_columns_streams_named_cells_with_line_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n1,2,3\n\n  \n4,,6\n")
+    rows = read_columns(str(path), ("c", "b"))
+    assert next(rows) == (2, [3.0, 2.0])
+    assert list(rows) == [(5, [6.0, None])]
+
+
+def test_read_columns_header_only_yields_nothing(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\na,b\n\n")
+    assert list(read_columns(str(path), ("a",))) == []
+
+
+def test_read_columns_missing_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(IngestError, match=r"missing column\(s\) \['z'\]"):
+        list(read_columns(str(path), ("a", "z")))
 
 
 def test_record_rejects_nonfinite():
