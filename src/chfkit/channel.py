@@ -21,6 +21,7 @@ bisection on a user bracket).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from . import fluid
@@ -59,6 +60,8 @@ class ChannelCase:
             raise ValueError(f"inlet_subcooling must be finite, got {self.inlet_subcooling!r}")
         if not self.wall_heat_flux >= 0.0:
             raise ValueError(f"wall_heat_flux must be >= 0, got {self.wall_heat_flux!r}")
+        if not isinstance(self.n_axial, numbers.Integral):
+            raise ValueError(f"n_axial must be an integer, got {self.n_axial!r}")
         if self.n_axial < 2:
             raise ValueError(f"n_axial must be >= 2, got {self.n_axial}")
 

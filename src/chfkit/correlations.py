@@ -14,10 +14,10 @@ length L, mass flux G and inlet subcooling dh_sub is
 
     x(q'') = 4 q'' L / (G D h_fg) - dh_sub / h_fg
 
-with h_fg evaluated at the system pressure.  The HBM solves
-q'' = corr(x(q'')) by bracketed bisection; because both correlations
-decrease with quality while x increases with q'', the root is unique
-when it exists.
+with h_fg evaluated at the system pressure.  Every branch of both
+correlations is linear in quality, q'' = alpha (beta - x), and each
+correlation is the largest of its branches, so the HBM root
+q'' = corr(x(q'')) has a closed form (see ``solve_hbm``).
 
 Both correlations are dimensional fits.  Out-of-validity inputs are
 evaluated anyway (screening use); the published validity envelopes are
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 from . import fluid
 
@@ -167,11 +166,12 @@ class HbmSolution:
     critical_quality : float
         Heat-balance quality at the critical flux.
     iterations : int
-        Bisection iterations used.
+        Always 0: the solve is closed-form.  Kept so that readers of the
+        field, such as the benchmark's iteration counters, keep working.
     residual : float
         chf - corr(critical_quality), W/m2.
     quality_excursion : bool
-        True when the converged critical quality lies outside the
+        True when the critical quality lies outside the
         database window [-0.5, 1.0], i.e. the correlation had to be
         evaluated beyond its quality envelope at the solution.
     """
@@ -215,21 +215,6 @@ def _biasi_pressure_h(p_bar: float) -> float:
     return -1.159 + 0.149 * p_bar * math.exp(-0.019 * p_bar) + 9.0 * p_bar / (10.0 + p_bar * p_bar)
 
 
-def _biasi_flux(d: float, g: float, p_pa: float, x: float) -> float:
-    # diameter enters in cm, pressure in bar; result in W/m2
-    p_bar = p_pa / 1e5
-    d_cm = 100.0 * d
-    n = 0.4 if d >= 0.01 else 0.6
-    scale = d_cm ** (-n)
-    q_high = 15.048e7 * scale * g ** (-0.6) * _biasi_pressure_h(p_bar) * (1.0 - x)
-    if g <= BIASI_LOW_FLOW_LIMIT:
-        return q_high
-    q_low = 2.764e7 * scale * g ** (-1.0 / 6.0) * (
-        1.468 * _biasi_pressure_f(p_bar) * g ** (-1.0 / 6.0) - x
-    )
-    return max(q_low, q_high)
-
-
 def biasi_dsm(c: LocalConditions) -> float:
     """Biasi CHF at a known local quality, W/m2.
 
@@ -238,7 +223,7 @@ def biasi_dsm(c: LocalConditions) -> float:
     applies.  The raw value is returned even when nonpositive (the
     correlation predicts no burnout margin there); callers clamp.
     """
-    return _biasi_flux(c.diameter, c.mass_flux, c.pressure, c.quality)
+    return _flux(_branches("biasi", c.diameter, c.mass_flux, c.pressure), c.quality)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +265,6 @@ def bowring_inlet(c: InletConditions) -> float:
     return (a + 0.25 * c.diameter * c.mass_flux * c.inlet_subcooling) / (cc + c.heated_length)
 
 
-def _bowring_flux_local(d: float, g: float, p_pa: float, x: float, h_fg: float) -> float:
-    a, cc = _bowring_ac(d, g, p_pa, h_fg)
-    return (a - 0.25 * d * g * h_fg * x) / cc
-
-
 def bowring_dsm(c: LocalConditions) -> float:
     """Bowring CHF at a known local quality, W/m2.
 
@@ -293,40 +273,52 @@ def bowring_dsm(c: LocalConditions) -> float:
     balance.  Raw value returned even when nonpositive.
     """
     h_fg = fluid.saturation_state(c.pressure).h_fg
-    return _bowring_flux_local(c.diameter, c.mass_flux, c.pressure, c.quality, h_fg)
+    return _flux(_branches("bowring", c.diameter, c.mass_flux, c.pressure, h_fg), c.quality)
 
 
 # ---------------------------------------------------------------------------
-# Heat-balance solver
+# Branch form and heat-balance solver
 # ---------------------------------------------------------------------------
 
-_RAW_FLUX = {
-    "biasi": lambda d, g, p, x, h_fg: _biasi_flux(d, g, p, x),
-    "bowring": lambda d, g, p, x, h_fg: _bowring_flux_local(d, g, p, x, h_fg),
-}
+def _branches(correlation: str, d: float, g: float, p_pa: float, h_fg: float = 0.0) -> tuple:
+    """Coefficients (alpha, beta) of each branch q'' = alpha (beta - x), W/m2.
 
-CorrelationArg = Union[str, Callable[[InletConditions, float], float]]
+    The correlation is the largest branch.  Biasi's low-quality branch
+    applies above ``BIASI_LOW_FLOW_LIMIT`` only; Bowring needs h_fg, J/kg.
+    """
+    if correlation == "bowring":
+        a, cc = _bowring_ac(d, g, p_pa, h_fg)
+        gdh = 0.25 * d * g * h_fg
+        return ((gdh / cc, a / gdh),)
+    if correlation != "biasi":
+        raise ValueError(f"unknown correlation {correlation!r}; expected 'biasi' or 'bowring'")
+    # diameter enters in cm, pressure in bar; result in W/m2
+    p_bar = p_pa / 1e5
+    scale = (100.0 * d) ** (-0.4 if d >= 0.01 else -0.6)
+    high = (15.048e7 * scale * g ** (-0.6) * _biasi_pressure_h(p_bar), 1.0)
+    if g <= BIASI_LOW_FLOW_LIMIT:
+        return (high,)
+    g6 = g ** (-1.0 / 6.0)
+    return (2.764e7 * scale * g6, 1.468 * _biasi_pressure_f(p_bar) * g6), high
 
 
-def solve_hbm(
-    correlation: CorrelationArg,
-    c: InletConditions,
-    tol: float = 1.0,
-    max_iter: int = 200,
-) -> HbmSolution:
-    """Critical heat flux by the heat-balance method.
+def _flux(branches: tuple, x: float) -> float:
+    return max(alpha * (beta - x) for alpha, beta in branches)
 
-    Finds q'' with corr(x(q'')) = q'' by bisection over the bracket
-    ``HBM_FLUX_BRACKET``, where x(q'') is the heat-balance quality at
-    the full heated length.  ``correlation`` is "biasi", "bowring", or
-    a callable f(c, x) -> W/m2 for custom monotone-decreasing fits.
 
-    Parameters
-    ----------
-    tol : float
-        Absolute residual tolerance, W/m2.
-    max_iter : int
-        Bisection iteration cap.
+def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
+    """Critical heat flux by the heat-balance method, in closed form.
+
+    ``correlation`` is "biasi" or "bowring".  With k = 4 L / (G D h_fg)
+    and s = dh_sub / h_fg the heat-balance quality is x = k q'' - s, so
+    the residual r = q'' - corr(x) is the minimum over the branches of
+    r_i = (1 + alpha_i k) q'' - alpha_i (beta_i + s): affine, so r is
+    concave.  Once r < 0 < r at the ends of ``HBM_FLUX_BRACKET`` it has
+    one root there, the largest alpha_i (beta_i + s) / (1 + alpha_i k)
+    over the branches with slope 1 + alpha_i k > 0 (any other branch is
+    positive at the high end, hence below it too).  The filter
+    matters below about 1.5 bar, where Biasi's H(p), and with it the
+    high-quality alpha, is negative.
 
     Raises
     ------
@@ -334,34 +326,21 @@ def solve_hbm(
         If the residual does not change sign over the bracket, i.e. the
         correlation never intersects the heat-balance line (no burnout
         is predicted inside the search range), or if it is not finite
-        at any evaluated flux.
+        at either end of the bracket.
     """
     h_fg = fluid.saturation_state(c.pressure).h_fg
     gd = c.mass_flux * c.diameter
-
-    if isinstance(correlation, str):
-        try:
-            raw = _RAW_FLUX[correlation]
-        except KeyError:
-            raise ValueError(
-                f"unknown correlation {correlation!r}; expected one of {sorted(_RAW_FLUX)}"
-            ) from None
-        flux_at = lambda x: raw(c.diameter, c.mass_flux, c.pressure, x, h_fg)
-    else:
-        flux_at = lambda x: correlation(c, x)
+    branches = _branches(correlation, c.diameter, c.mass_flux, c.pressure, h_fg)
 
     def quality(q: float) -> float:
+        # the heat_balance_quality expression, so x_cr matches it bit for bit
         return 4.0 * q * c.heated_length / (gd * h_fg) - c.inlet_subcooling / h_fg
 
-    def residual(q: float) -> float:
-        r = q - flux_at(quality(q))
-        if not math.isfinite(r):
-            raise NoCriticalConditionError(f"non-finite residual at {q!r} W/m2",
-                                           HBM_FLUX_BRACKET, (r, r))
-        return r
-
     q_lo, q_hi = HBM_FLUX_BRACKET
-    r_lo, r_hi = residual(q_lo), residual(q_hi)
+    r_lo = q_lo - _flux(branches, quality(q_lo))
+    r_hi = q_hi - _flux(branches, quality(q_hi))
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
+        raise NoCriticalConditionError("non-finite residual", HBM_FLUX_BRACKET, (r_lo, r_hi))
     if r_lo >= 0.0 or r_hi <= 0.0:
         raise NoCriticalConditionError(
             "correlation does not cross the heat-balance line",
@@ -369,28 +348,15 @@ def solve_hbm(
             residuals=(r_lo, r_hi),
         )
 
-    q_mid = 0.5 * (q_lo + q_hi)
-    r_mid = residual(q_mid)
-    iterations = 1
-    while abs(r_mid) > tol and iterations < max_iter:
-        if r_mid > 0.0:
-            q_hi = q_mid
-        else:
-            q_lo = q_mid
-        q_mid = 0.5 * (q_lo + q_hi)
-        r_mid = residual(q_mid)
-        iterations += 1
-    if abs(r_mid) > tol:
-        raise NoCriticalConditionError(
-            f"bisection did not reach |residual| <= {tol} W/m2 in {max_iter} iterations",
-            bracket=(q_lo, q_hi),
-            residuals=(r_mid, r_mid),
-        )
-    x_cr = quality(q_mid)
+    k = 4.0 * c.heated_length / (gd * h_fg)
+    s = c.inlet_subcooling / h_fg
+    chf = max(alpha * (beta + s) / (1.0 + alpha * k)
+              for alpha, beta in branches if 1.0 + alpha * k > 0.0)
+    x_cr = quality(chf)
     return HbmSolution(
-        chf=q_mid,
+        chf=chf,
         critical_quality=x_cr,
-        iterations=iterations,
-        residual=r_mid,
+        iterations=0,
+        residual=chf - _flux(branches, x_cr),
         quality_excursion=not QUALITY_MIN <= x_cr <= QUALITY_MAX,
     )

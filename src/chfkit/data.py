@@ -3,8 +3,8 @@
 Reads delimited text tables of critical-heat-flux measurements (one row
 per experiment), canonicalizes units to SI, derives missing fields where
 physics allows, screens rows against a configurable parameter envelope,
-and provides the seeded shuffle / z-score / 80-10-10 split machinery for
-model training.
+and provides the seeded shuffle, the 80-10-10 split and the feature
+matrices for model training.
 
 The file schema is a comma-delimited header
 ``D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2`` with ``.``
@@ -32,7 +32,6 @@ import numpy as np
 
 from . import fluid
 from .correlations import InletConditions, heat_balance_quality
-from .mlp import Scaler
 
 __all__ = [
     "ChfRecord",
@@ -48,7 +47,6 @@ __all__ = [
     "shuffle",
     "split",
     "feature_matrix",
-    "fit_scaler",
     "envelope_violations",
 ]
 
@@ -331,16 +329,3 @@ def feature_matrix(
             out[i, j] = v
     return out
 
-
-def fit_scaler(
-    records: Sequence[ChfRecord], features: Sequence[str] = MODEL_FEATURES
-) -> Scaler:
-    """Z-score scaler over the named features (population convention).
-
-    Fit this on the training partition only: statistics taken from rows
-    later used for validation or testing leak target-adjacent
-    information into the model.
-    """
-    if len(records) < 2:
-        raise ValueError(f"need at least 2 records to fit a scaler, got {len(records)}")
-    return Scaler.fit(feature_matrix(records, features))

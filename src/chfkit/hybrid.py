@@ -33,6 +33,7 @@ from .correlations import (
     HbmSolution,
     InletConditions,
     LocalConditions,
+    NoCriticalConditionError,
     biasi_dsm,
     bowring_dsm,
     solve_hbm,
@@ -168,7 +169,7 @@ def build_residual_dataset(
         )
         try:
             sol = solve_hbm(base, c)
-        except Exception as e:  # no critical condition, range faults
+        except NoCriticalConditionError as e:
             failures.append((i, str(e)))
             continue
         out.append(ResidualRecord(

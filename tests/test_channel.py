@@ -237,5 +237,9 @@ def test_case_validation():
         replace(BENNETT_CASE, wall_heat_flux=-1.0)
     with pytest.raises(ValueError, match="n_axial"):
         replace(BENNETT_CASE, n_axial=1)
+    for bad in (60.9, 60.0, math.inf, math.nan, "60"):
+        with pytest.raises(ValueError, match="n_axial must be an integer"):
+            replace(BENNETT_CASE, n_axial=bad)
+    assert replace(BENNETT_CASE, n_axial=np.int64(20)).n_axial == 20
     with pytest.raises(ValueError, match="finite"):
         replace(BENNETT_CASE, inlet_subcooling=math.nan)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chfkit import fluid
+from chfkit import correlations, fluid
 from chfkit.correlations import (
     BIASI_LOW_FLOW_LIMIT,
     HBM_FLUX_BRACKET,
@@ -19,6 +21,7 @@ from chfkit.correlations import (
     heat_balance_quality,
     solve_hbm,
 )
+from chfkit.data import TABLE1_ENVELOPE
 
 # Hand-evaluated anchors, frozen.  Each was computed by spelling out the
 # published closed forms in plain arithmetic, independent of the module.
@@ -199,7 +202,7 @@ def test_solve_hbm_biasi_round_trip():
     sol = solve_hbm("biasi", c)
     assert isinstance(sol, HbmSolution)
     assert abs(sol.residual) <= 1.0
-    assert sol.iterations <= 200
+    assert sol.iterations == 0
     # critical quality is the heat balance evaluated at the answer
     assert sol.critical_quality == heat_balance_quality(sol.chf, c)
     # pushing x_cr back through the direct form reproduces the flux
@@ -243,19 +246,27 @@ def test_solve_hbm_biasi_dsm_consistency_sampled():
         assert abs(biasi_dsm(local) - sol.chf) <= max(1.0, 1e-6 * sol.chf)
 
 
-def test_solve_hbm_custom_constant_correlation():
-    c = _inlet()
-    sol = solve_hbm(lambda _c, _x: 5.0e6, c)
-    assert sol.chf == pytest.approx(5.0e6, abs=1.0)
-    assert abs(sol.residual) <= 1.0
-
-
 def test_solve_hbm_quality_excursion_flagged():
-    # long, low-flow channel: bisection iterates put the heat-balance
-    # quality far above 1 before settling
-    c = _inlet(d=0.005, l=10.0, g=500.0, p=7.0e6, dh=1.0e4)
-    sol = solve_hbm(lambda _c, _x: 5.0e6, c)
+    # two-phase inlet at 190 bar: the heat balance meets Biasi past x = 1
+    c = _inlet(d=0.01, l=3.0, p=19.0e6, g=3000.0, dh=-9.0e5)
+    sol = solve_hbm("biasi", c)
+    assert sol.critical_quality > 1.0
     assert sol.quality_excursion
+    assert _bisection_hbm("biasi", c).quality_excursion
+
+
+def test_solve_hbm_skips_negative_slope_branch():
+    # at 1 bar Biasi's H(p) < 0, and at this length the high-quality
+    # branch's residual falls with the flux while the bracket test passes:
+    # its own root lies above the bracket and must not be taken
+    c = _inlet(d=0.01, l=2.83, p=1.0e5, g=400.0, dh=1.0e5)
+    h_fg = fluid.saturation_state(c.pressure).h_fg
+    k = 4.0 * c.heated_length / (c.mass_flux * c.diameter * h_fg)
+    alpha_high = correlations._branches("biasi", c.diameter, c.mass_flux, c.pressure)[1][0]
+    assert 1.0 + alpha_high * k < 0.0
+    sol = solve_hbm("biasi", c)
+    assert abs(sol.residual) <= 1e-3
+    assert sol.chf == pytest.approx(_bisection_hbm("biasi", c).chf, abs=1.0)
 
 
 def test_solve_hbm_no_critical_condition():
@@ -269,22 +280,11 @@ def test_solve_hbm_no_critical_condition():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_solve_hbm_nonfinite_correlation_raises(bad):
+def test_solve_hbm_nonfinite_correlation_raises(monkeypatch, bad):
+    # no valid InletConditions gives a non-finite branch coefficient
+    monkeypatch.setattr(correlations, "_branches", lambda *_args: ((bad, 1.0),))
     with pytest.raises(NoCriticalConditionError, match="non-finite"):
-        solve_hbm(lambda _c, _x: bad, _inlet())
-
-
-def test_solve_hbm_nonfinite_mid_bracket_raises():
-    # finite at both bracket ends, NaN once the bisection moves inward
-    calls = []
-
-    def corr(_c, _x):
-        calls.append(_x)
-        return 5.0e6 if len(calls) <= 2 else math.nan
-
-    with pytest.raises(NoCriticalConditionError, match="non-finite"):
-        solve_hbm(corr, _inlet())
-    assert len(calls) == 3
+        solve_hbm("biasi", _inlet())
 
 
 def test_solve_hbm_unknown_name():
@@ -294,6 +294,95 @@ def test_solve_hbm_unknown_name():
 
 def test_biasi_low_flow_constant_exported():
     assert BIASI_LOW_FLOW_LIMIT == 300.0
+
+
+# The bisection that solve_hbm used before its closed form, on the raw
+# correlation formulas: the reference oracle for the property test.
+
+def _oracle_flux(name: str, c: InletConditions, x: float, h_fg: float) -> float:
+    d, g, p_pa = c.diameter, c.mass_flux, c.pressure
+    if name == "bowring":
+        a, cc = correlations._bowring_ac(d, g, p_pa, h_fg)
+        return (a - 0.25 * d * g * h_fg * x) / cc
+    p_bar = p_pa / 1e5
+    scale = (100.0 * d) ** (-(0.4 if d >= 0.01 else 0.6))
+    q_high = 15.048e7 * scale * g ** (-0.6) * correlations._biasi_pressure_h(p_bar) * (1.0 - x)
+    if g <= BIASI_LOW_FLOW_LIMIT:
+        return q_high
+    q_low = 2.764e7 * scale * g ** (-1.0 / 6.0) * (
+        1.468 * correlations._biasi_pressure_f(p_bar) * g ** (-1.0 / 6.0) - x
+    )
+    return max(q_low, q_high)
+
+
+def _bisection_hbm(name: str, c: InletConditions) -> HbmSolution:
+    h_fg = fluid.saturation_state(c.pressure).h_fg
+    gd = c.mass_flux * c.diameter
+
+    def quality(q: float) -> float:
+        return 4.0 * q * c.heated_length / (gd * h_fg) - c.inlet_subcooling / h_fg
+
+    def residual(q: float) -> float:
+        r = q - _oracle_flux(name, c, quality(q), h_fg)
+        if not math.isfinite(r):
+            raise NoCriticalConditionError(f"non-finite residual at {q!r} W/m2",
+                                           HBM_FLUX_BRACKET, (r, r))
+        return r
+
+    q_lo, q_hi = HBM_FLUX_BRACKET
+    r_lo, r_hi = residual(q_lo), residual(q_hi)
+    if r_lo >= 0.0 or r_hi <= 0.0:
+        raise NoCriticalConditionError("correlation does not cross the heat-balance line",
+                                       (q_lo, q_hi), (r_lo, r_hi))
+    q_mid = 0.5 * (q_lo + q_hi)
+    r_mid = residual(q_mid)
+    iterations = 1
+    while abs(r_mid) > 1.0 and iterations < 200:
+        if r_mid > 0.0:
+            q_hi = q_mid
+        else:
+            q_lo = q_mid
+        q_mid = 0.5 * (q_lo + q_hi)
+        r_mid = residual(q_mid)
+        iterations += 1
+    if abs(r_mid) > 1.0:
+        raise NoCriticalConditionError("bisection did not converge", (q_lo, q_hi),
+                                       (r_mid, r_mid))
+    x_cr = quality(q_mid)
+    return HbmSolution(chf=q_mid, critical_quality=x_cr, iterations=iterations,
+                       residual=r_mid,
+                       quality_excursion=not -0.5 <= x_cr <= 1.0)
+
+
+def _envelope_floats(name: str):
+    lo, hi = TABLE1_ENVELOPE[name]
+    return st.floats(lo, hi)
+
+
+@settings(max_examples=1000)
+@given(
+    name=st.sampled_from(["biasi", "bowring"]),
+    d=_envelope_floats("diameter"),
+    length=_envelope_floats("heated_length"),
+    p=st.floats(fluid.P_SAT_MIN, fluid.P_CRITICAL),
+    g=_envelope_floats("mass_flux"),
+    dh=_envelope_floats("inlet_subcooling"),
+)
+def test_solve_hbm_closed_form_matches_bisection(name, d, length, p, g, dh):
+    c = _inlet(d=d, l=length, p=p, g=g, dh=dh)
+    try:
+        ref = _bisection_hbm(name, c)
+    except NoCriticalConditionError:
+        with pytest.raises(NoCriticalConditionError):
+            solve_hbm(name, c)
+        return
+    sol = solve_hbm(name, c)
+    assert abs(sol.residual) <= 1e-3
+    assert sol.critical_quality == heat_balance_quality(sol.chf, c)
+    # with x_cr far past 1 the residual's slope is small, so the
+    # bisection's |r| <= 1 stop leaves the flux looser than 1 W/m2
+    if not (sol.quality_excursion or ref.quality_excursion):
+        assert abs(sol.chf - ref.chf) <= 1.0
 
 
 # ---------------------------------------------------------------------------

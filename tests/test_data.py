@@ -17,13 +17,13 @@ from chfkit.data import (
     TABLE1_ENVELOPE,
     envelope_violations,
     feature_matrix,
-    fit_scaler,
     ingest,
     read_columns,
     shuffle,
     split,
     write_records,
 )
+from chfkit.mlp import Scaler
 
 # Reference row: 12.62 mm tube, 5.56 m, 6.895 MPa, 1000 kg/m2s,
 # x_e = 0.3, 100 kJ/kg subcooling, inlet temperature left blank,
@@ -356,14 +356,14 @@ def test_feature_matrix_rejects_missing_temperature():
 
 def test_fit_scaler_two_point_feature():
     records = [_rec(0, exit_quality=0.0), _rec(1, exit_quality=2.0)]
-    sc = fit_scaler(records, ("exit_quality",))
+    sc = Scaler.fit(feature_matrix(records, ("exit_quality",)))
     assert sc.mean[0] == pytest.approx(1.0, rel=1e-15)
     assert sc.std[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_fit_scaler_standardizes_training_features():
     records = [_rec(i) for i in range(200)]
-    sc = fit_scaler(records)
+    sc = Scaler.fit(feature_matrix(records))
     z = sc.transform(feature_matrix(records))
     assert np.abs(z.mean(axis=0)).max() < 1e-12
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-12
@@ -373,13 +373,8 @@ def test_fit_scaler_standardizes_training_features():
 def test_fit_scaler_constant_feature_warns():
     records = [_rec(i, inlet_subcooling=5.0e4) for i in range(5)]
     with pytest.warns(UserWarning, match="constant"):
-        sc = fit_scaler(records)
+        sc = Scaler.fit(feature_matrix(records))
     assert sc.std[MODEL_FEATURES.index("inlet_subcooling")] == 1.0
-
-
-def test_fit_scaler_needs_two_records():
-    with pytest.raises(ValueError, match="at least 2"):
-        fit_scaler([_rec(0)])
 
 
 def test_scaler_ignores_validation_and_test_rows():
@@ -387,7 +382,7 @@ def test_scaler_ignores_validation_and_test_rows():
     # change the fitted statistics at all
     records = [_rec(i) for i in range(50)]
     s = split(records, seed=4)
-    baseline = fit_scaler(s.train)
+    baseline = Scaler.fit(feature_matrix(s.train))
 
     train_ids = set(map(id, s.train))
     mutated = [
@@ -396,6 +391,6 @@ def test_scaler_ignores_validation_and_test_rows():
     ]
     s2 = split(mutated, seed=4)
     assert [id(r) for r in s2.train] == [id(r) for r in s.train]
-    again = fit_scaler(s2.train)
+    again = Scaler.fit(feature_matrix(s2.train))
     assert np.array_equal(baseline.mean, again.mean)
     assert np.array_equal(baseline.std, again.std)

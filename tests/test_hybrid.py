@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chfkit import hybrid
 from chfkit.correlations import (
     InletConditions,
     LocalConditions,
@@ -150,6 +151,17 @@ def test_residual_failures_excluded_and_counted():
     ((idx, reason),) = report.failures
     assert idx == 4
     assert "critical" in reason.lower() or "bracket" in reason.lower()
+
+
+def test_residual_build_propagates_unexpected_errors(monkeypatch):
+    # only "no critical condition" becomes a failure row; a fault in the
+    # solve itself must not be counted as one
+    def broken(_base, _c):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(hybrid, "solve_hbm", broken)
+    with pytest.raises(ZeroDivisionError):
+        build_residual_dataset([_rec(BENNETT_LIKE, 2.0e6)], "bowring")
 
 
 def test_residual_record_rejects_inconsistent_fields():
