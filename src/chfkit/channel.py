@@ -15,18 +15,22 @@ node count.
 
 The critical-power search mirrors a power-escalation experiment: walk
 the wall heat flux up until the minimum DNBR crosses 1 (here by
-bisection on a user bracket).
+bisection on a user bracket).  In "hbm" solve mode a node's CHF does
+not depend on the wall flux (node z is rated as the exit of a tube of
+length z with the case's inlet state), so the search computes the node
+CHF vector once and each bisection step only rates it at the trial
+flux.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import fluid
-from .correlations import InletConditions, NoCriticalConditionError
-from .hybrid import ChfPredictor, predict, predict_at_quality
+from .correlations import InletConditions
+from .hybrid import ChfPredictor, node_chf
 
 __all__ = [
     "ChannelCase",
@@ -105,10 +109,20 @@ class AxialProfile:
 
 @dataclass(frozen=True)
 class CriticalPowerResult:
+    """Outcome of a critical-power search.
+
+    ``converged`` is False when ``max_iter`` bisection steps ended with
+    |min DNBR - 1| still at or above the tolerance; the other fields
+    then describe the last step.  ``bracket`` is the final (q_lo, q_hi),
+    W/m^2.
+    """
+
     wall_heat_flux: float     # W/m^2 at min-DNBR = 1
     limiting_node: int
     min_dnbr: float
     iterations: int
+    converged: bool
+    bracket: tuple[float, float]
 
 
 class BracketError(ValueError):
@@ -127,6 +141,43 @@ def _node_heights(length: float, n: int) -> tuple[float, ...]:
     )
 
 
+def _march(case: ChannelCase, sat: fluid.SaturationState, q: float
+           ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Node heights, enthalpies and equilibrium qualities at wall flux q."""
+    h_in = sat.h_f - case.inlet_subcooling
+    g, d = case.mass_flux, case.diameter
+    heights = _node_heights(case.heated_length, case.n_axial)
+    enthalpies = tuple(h_in + 4.0 * q * z / (g * d) for z in heights)
+    qualities = tuple((h - sat.h_f) / sat.h_fg for h in enthalpies)
+    return heights, enthalpies, qualities
+
+
+def _rate(chf: list[float | None], q: float) -> tuple[list[float], list[float], list[int]]:
+    """Node DNBR, chf_local and flagged nodes for raw node CHF at wall flux q."""
+    dnbr: list[float] = []
+    chf_local: list[float] = []
+    flagged: list[int] = []
+    for i, c in enumerate(chf):
+        if c is None:
+            flagged.append(i)
+            dnbr.append(0.0)
+            chf_local.append(0.0)
+            continue
+        if q == 0.0:
+            dnbr.append(math.inf)
+            chf_local.append(c)
+            continue
+        if c <= 0.0:
+            flagged.append(i)
+            dnbr.append(0.0)
+            chf_local.append(0.0)
+            continue
+        ratio = c / q
+        dnbr.append(ratio)
+        chf_local.append(ratio * q)  # extraction identity, bit-exact
+    return dnbr, chf_local, flagged
+
+
 def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     """March the channel and rate every node against the predictor.
 
@@ -137,39 +188,10 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     the predictor is evaluated at the node's local equilibrium quality.
     """
     sat = fluid.saturation_state(case.pressure)
-    h_in = sat.h_f - case.inlet_subcooling
-    g, d, q = case.mass_flux, case.diameter, case.wall_heat_flux
-    heights = _node_heights(case.heated_length, case.n_axial)
-
-    enthalpies = tuple(h_in + 4.0 * q * z / (g * d) for z in heights)
-    qualities = tuple((h - sat.h_f) / sat.h_fg for h in enthalpies)
-
-    dnbr: list[float] = []
-    chf_local: list[float] = []
-    flagged: list[int] = []
-    for i, z in enumerate(heights):
-        try:
-            if pred.solve_mode == "dsm":
-                chf = predict_at_quality(pred, case.inlet_conditions(), qualities[i]).value
-            else:
-                chf = predict(pred, case.inlet_conditions(heated_length=z)).value
-        except NoCriticalConditionError:
-            flagged.append(i)
-            dnbr.append(0.0)
-            chf_local.append(0.0)
-            continue
-        if q == 0.0:
-            dnbr.append(math.inf)
-            chf_local.append(chf)
-            continue
-        if chf <= 0.0:
-            flagged.append(i)
-            dnbr.append(0.0)
-            chf_local.append(0.0)
-            continue
-        ratio = chf / q
-        dnbr.append(ratio)
-        chf_local.append(ratio * q)  # extraction identity, bit-exact
+    q = case.wall_heat_flux
+    heights, enthalpies, qualities = _march(case, sat, q)
+    chf = node_chf(pred, case.inlet_conditions(), sat.h_fg, heights, qualities)
+    dnbr, chf_local, flagged = _rate(chf, q)
     return AxialProfile(
         case=case, heights=heights, enthalpies=enthalpies, qualities=qualities,
         dnbr=tuple(dnbr), chf_local=tuple(chf_local), flagged_nodes=tuple(flagged),
@@ -202,37 +224,49 @@ def find_critical_power(
 
     ``case.wall_heat_flux`` is ignored; the bracket (q_lo, q_hi) must
     satisfy min-DNBR(q_lo) > 1 > min-DNBR(q_hi).  Bisection to
-    |min DNBR - 1| < tol, at most ``max_iter`` iterations.
+    |min DNBR - 1| < tol, at most ``max_iter`` iterations; a search that
+    runs out of iterations returns ``converged=False``.
     """
     q_lo, q_hi = bracket
     if not 0.0 < q_lo < q_hi:
         raise ValueError(f"bracket must satisfy 0 < q_lo < q_hi, got {bracket}")
 
-    def min_dnbr_at(q: float) -> AxialProfile:
-        return solve_channel(replace(case, wall_heat_flux=q), pred)
+    sat = fluid.saturation_state(case.pressure)
+    inlet = case.inlet_conditions()
+    if pred.solve_mode == "hbm":
+        hbm_chf = node_chf(pred, inlet, sat.h_fg,
+                           _node_heights(case.heated_length, case.n_axial), ())
 
-    lo_prof = min_dnbr_at(q_lo)
-    hi_prof = min_dnbr_at(q_hi)
-    if not (lo_prof.min_dnbr > 1.0 > hi_prof.min_dnbr):
+    def min_dnbr_at(q: float) -> tuple[float, int]:
+        if pred.solve_mode == "hbm":
+            chf = hbm_chf
+        else:
+            heights, _, qualities = _march(case, sat, q)
+            chf = node_chf(pred, inlet, sat.h_fg, heights, qualities)
+        dnbr = _rate(chf, q)[0]
+        low = min(dnbr)
+        return low, dnbr.index(low)  # the first node at the minimum
+
+    min_dnbr, node = min_dnbr_at(q_lo)
+    min_dnbr_hi, _ = min_dnbr_at(q_hi)
+    if not (min_dnbr > 1.0 > min_dnbr_hi):
         raise BracketError("bracket does not straddle the critical condition",
-                           lo_prof.min_dnbr, hi_prof.min_dnbr)
+                           min_dnbr, min_dnbr_hi)
 
-    best = lo_prof
     q_mid = q_lo
     for it in range(1, max_iter + 1):
         q_mid = 0.5 * (q_lo + q_hi)
-        prof = min_dnbr_at(q_mid)
-        best = prof
-        if abs(prof.min_dnbr - 1.0) < tol:
+        min_dnbr, node = min_dnbr_at(q_mid)
+        if abs(min_dnbr - 1.0) < tol:
             return CriticalPowerResult(
-                wall_heat_flux=q_mid, limiting_node=prof.min_dnbr_node,
-                min_dnbr=prof.min_dnbr, iterations=it,
+                wall_heat_flux=q_mid, limiting_node=node, min_dnbr=min_dnbr,
+                iterations=it, converged=True, bracket=(q_lo, q_hi),
             )
-        if prof.min_dnbr > 1.0:
+        if min_dnbr > 1.0:
             q_lo = q_mid
         else:
             q_hi = q_mid
     return CriticalPowerResult(
-        wall_heat_flux=q_mid, limiting_node=best.min_dnbr_node,
-        min_dnbr=best.min_dnbr, iterations=max_iter,
+        wall_heat_flux=q_mid, limiting_node=node, min_dnbr=min_dnbr,
+        iterations=max_iter, converged=False, bracket=(q_lo, q_hi),
     )

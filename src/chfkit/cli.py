@@ -59,8 +59,7 @@ from .hybrid import (
     build_residual_dataset,
     predict,
 )
-from .validity import (_standardizer, classify_batch, fit_pca, write_projection_csv,
-                       write_verdicts_csv)
+from .validity import classify_batch, fit_pca, write_projection_csv, write_verdicts_csv
 from .mlp import (
     ACTIVATIONS,
     ModelFormatError,
@@ -581,6 +580,7 @@ def cmd_simulate(cfg: _Config) -> None:
 
     outputs = []
     n_failed = 0
+    n_not_converged = 0
     summary_path = _out(outdir, "summary.csv")
     cp_rows = []
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -610,13 +610,22 @@ def cmd_simulate(cfg: _Config) -> None:
             if critical:
                 try:
                     r = find_critical_power(case, predictor, bracket)
-                    cp_rows.append(f"{i},{r.wall_heat_flux / 1e3!r},"
-                                   f"{r.limiting_node},{r.min_dnbr!r},"
-                                   f"{r.iterations},ok")
                 except (BracketError, NoCriticalConditionError,
                         FluidRangeError) as e:
                     n_failed += 1
                     cp_rows.append(f"{i},,,,,failed: {_csv_safe(e)}")
+                    continue
+                if not r.converged:
+                    n_failed += 1
+                    n_not_converged += 1
+                    lo, hi = (q / 1e3 for q in r.bracket)
+                    reason = (f"no convergence after {r.iterations} iterations; "
+                              f"bracket=({lo!r}, {hi!r}) kW/m2")
+                    cp_rows.append(f"{i},,,,,failed: {_csv_safe(reason)}")
+                    continue
+                cp_rows.append(f"{i},{r.wall_heat_flux / 1e3!r},"
+                               f"{r.limiting_node},{r.min_dnbr!r},"
+                               f"{r.iterations},ok")
     outputs.append(summary_path)
 
     if critical:
@@ -628,8 +637,11 @@ def cmd_simulate(cfg: _Config) -> None:
                 fh.write(row + "\n")
         outputs.append(cp_path)
 
+    counts = {"failed": n_failed}
+    if critical:
+        counts["cp_not_converged"] = n_not_converged
     _write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs],
-                    outputs, {"failed": n_failed})
+                    outputs, counts)
 
 
 def cmd_evaluate(cfg: _Config) -> None:
@@ -640,8 +652,12 @@ def cmd_evaluate(cfg: _Config) -> None:
     truth_col = cfg.str_("truth_col", "measured_chf_kW_m2")
     trim = cfg.float_("trim_quantile", "0.995")
 
-    preds = [r[0] for _, r in read_columns(pred_path, (pred_col,))]
-    truths = [r[0] for _, r in read_columns(truth_path, (truth_col,))]
+    if truth_path == pred_path:
+        rows = [r for _, r in read_columns(pred_path, (pred_col, truth_col))]
+        preds, truths = [r[0] for r in rows], [r[1] for r in rows]
+    else:
+        preds = [r[0] for _, r in read_columns(pred_path, (pred_col,))]
+        truths = [r[0] for _, r in read_columns(truth_path, (truth_col,))]
     if len(preds) != len(truths):
         raise ConfigError(
             f"prediction and truth files disagree on length: "
@@ -715,8 +731,7 @@ def cmd_hullcheck(cfg: _Config) -> None:
     write_verdicts_csv(verdicts, verdict_path)
 
     # projection of standardized features onto the two leading components
-    mean, std = _standardizer(x_train)
-    stacked = (np.vstack([x_train, x_query]) - mean) / std
+    stacked = Scaler.fit(x_train).transform(np.vstack([x_train, x_query]))
     pca = fit_pca(stacked[:len(train_recs)])
     proj_path = _out(outdir, "projection.csv")
     labels = ["train"] * len(train_recs) + ["query"] * len(query_recs)

@@ -328,7 +328,11 @@ def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
         is predicted inside the search range), or if it is not finite
         at either end of the bracket.
     """
-    h_fg = fluid.saturation_state(c.pressure).h_fg
+    return _solve_hbm(correlation, c, fluid.saturation_state(c.pressure).h_fg)
+
+
+def _solve_hbm(correlation: str, c: InletConditions, h_fg: float) -> HbmSolution:
+    """``solve_hbm`` with h_fg, J/kg, at ``c.pressure`` already known."""
     gd = c.mass_flux * c.diameter
     branches = _branches(correlation, c.diameter, c.mass_flux, c.pressure, h_fg)
 

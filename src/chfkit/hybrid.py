@@ -15,15 +15,16 @@ Two evaluation surfaces:
   the heated length).  With nothing but inlet conditions there is no
   operating heat flux to define local conditions, so this surface is
   the same for both solve modes.
-* ``predict_at_quality`` is the local-conditions surface: the base
-  correlation is evaluated directly at an externally supplied local
-  quality (a channel simulation's enthalpy march, say), which is what
-  the "dsm" solve mode means in practice.
+* ``node_chf`` rates every node of a channel march at once.  In "hbm"
+  solve mode node z is the exit of a tube of length z; in "dsm" mode
+  the base correlation is evaluated directly at the node's local
+  quality.  The network runs as one batch over the nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +33,13 @@ from .correlations import (
     QUALITY_MIN,
     HbmSolution,
     InletConditions,
-    LocalConditions,
     NoCriticalConditionError,
-    biasi_dsm,
-    bowring_dsm,
+    _branches,
+    _flux,
+    _solve_hbm,
     solve_hbm,
 )
-from .mlp import Mlp, forward
+from .mlp import Mlp, forward, forward_batch
 
 __all__ = [
     "PREDICTOR_KINDS",
@@ -51,7 +52,7 @@ __all__ = [
     "residual_features",
     "residual_targets",
     "predict",
-    "predict_at_quality",
+    "node_chf",
 ]
 
 PREDICTOR_KINDS = ("base_biasi", "base_bowring", "pure_ml", "hybrid_biasi", "hybrid_bowring")
@@ -63,7 +64,6 @@ _BASE_OF_KIND = {
     "hybrid_biasi": "biasi",
     "hybrid_bowring": "bowring",
 }
-_DSM_OF_BASE = {"biasi": biasi_dsm, "bowring": bowring_dsm}
 
 
 @dataclass(frozen=True)
@@ -210,23 +210,44 @@ def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
                       base_solution=sol)
 
 
-def predict_at_quality(p: ChfPredictor, c: InletConditions, quality: float) -> Prediction:
-    """CHF at externally supplied local quality (the direct route).
+def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
+             heights: Sequence[float], qualities: Sequence[float]) -> list[float | None]:
+    """Raw CHF, W/m2, at every node of a channel march.
 
-    The base correlation is evaluated at the given quality, clipped to
-    its validity window [-0.5, 1.0]; the returned raw value may be
-    nonpositive (callers clamp and flag).  Network features still come
-    from the full inlet conditions ``c`` — the training distribution —
-    so pure-ML output does not depend on ``quality`` at all.
+    ``c`` holds the channel's inlet conditions and ``h_fg`` the latent
+    heat at its pressure, J/kg.  In "hbm" mode node i is the exit of a
+    tube of length ``heights[i]`` (the critical-length convention), so
+    its value does not depend on the wall flux; the heat-balance solve
+    gives None where it finds no critical condition, and the network
+    features carry the node's length.  In "dsm" mode the base
+    correlation is evaluated at ``qualities[i]`` clipped to its validity
+    window [-0.5, 1.0]; the network features are the inlet conditions,
+    so the network runs on one row.  Each mode reads only its own node
+    sequence.  Values may be nonpositive (callers clamp and flag); for
+    hybrid kinds each is base + residual, as in ``predict``.
     """
-    feats = _features_of(c)
-    if p.kind == "pure_ml":
-        return Prediction(value=forward(p.model, feats), base_chf=None, ml_residual=None)
-    x = min(max(quality, QUALITY_MIN), QUALITY_MAX)
-    local = LocalConditions(diameter=c.diameter, pressure=c.pressure,
-                            mass_flux=c.mass_flux, quality=x)
-    base = _DSM_OF_BASE[_BASE_OF_KIND[p.kind]](local)
-    if p.kind.startswith("base_"):
-        return Prediction(value=base, base_chf=base, ml_residual=0.0)
-    r = forward(p.model, feats)
-    return Prediction(value=base + r, base_chf=base, ml_residual=r)
+    hbm = p.solve_mode == "hbm"
+    nodes = [replace(c, heated_length=z) for z in heights] if hbm else [c]
+    net = None
+    if p.model is not None:
+        # one batch (the forward pass is bit-stable across batch sizes);
+        # tolist gives Python floats, whose repr the CSV writers print
+        net = forward_batch(p.model, np.array([_features_of(n) for n in nodes])).tolist()
+        if not hbm:
+            net *= len(qualities)
+        if p.kind == "pure_ml":
+            return net
+    base = _BASE_OF_KIND[p.kind]
+    values: list[float | None] = []
+    if hbm:
+        for n in nodes:
+            try:
+                values.append(_solve_hbm(base, n, h_fg).chf)
+            except NoCriticalConditionError:
+                values.append(None)
+    else:
+        branches = _branches(base, c.diameter, c.mass_flux, c.pressure, h_fg)
+        values = [_flux(branches, min(max(x, QUALITY_MIN), QUALITY_MAX)) for x in qualities]
+    if net is None:
+        return values
+    return [None if v is None else v + r for v, r in zip(values, net)]

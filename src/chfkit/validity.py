@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import Scaler
+
 __all__ = [
     "FEASIBILITY_TOL",
     "PcaModel",
@@ -258,13 +260,6 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray,
     return obj, x, y * sign
 
 
-def _standardizer(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    return mean, std
-
-
 def _hull_verdict(train_std: np.ndarray, q_std: np.ndarray,
                   tol: float) -> HullVerdict:
     n, d = train_std.shape
@@ -285,8 +280,8 @@ def hull_contains(train: np.ndarray, query: np.ndarray,
     query = np.asarray(query, dtype=float).reshape(-1)
     if query.shape[0] != train.shape[1]:
         raise ValueError("query dimension does not match the training matrix")
-    mean, std = _standardizer(train)
-    return _hull_verdict((train - mean) / std, (query - mean) / std, tol)
+    scaler = Scaler.fit(train)
+    return _hull_verdict(scaler.transform(train), scaler.transform(query), tol)
 
 
 def classify_batch(train: np.ndarray, queries: np.ndarray,
@@ -297,9 +292,9 @@ def classify_batch(train: np.ndarray, queries: np.ndarray,
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != train.shape[1]:
         raise ValueError("query dimension does not match the training matrix")
-    mean, std = _standardizer(train)
-    train_std = (train - mean) / std
-    verdicts = tuple(_hull_verdict(train_std, (q - mean) / std, tol)
+    scaler = Scaler.fit(train)
+    train_std = scaler.transform(train)
+    verdicts = tuple(_hull_verdict(train_std, scaler.transform(q), tol)
                      for q in queries)
     n_in = sum(1 for v in verdicts if v.inside)
     return verdicts, ClassificationSummary(n_inside=n_in,

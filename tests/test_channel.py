@@ -202,6 +202,26 @@ def test_critical_power_matches_fine_grid_scan():
     assert res.limiting_node == BENNETT_CASE.n_axial - 1
 
 
+def test_critical_power_reports_no_convergence():
+    pred = ChfPredictor(kind="base_bowring")
+    lo, hi = 4.0e5, 4.0e6
+    done = find_critical_power(BENNETT_CASE, pred, (lo, hi))
+    assert done.converged
+    assert done.wall_heat_flux == 0.5 * (done.bracket[0] + done.bracket[1])
+
+    res = find_critical_power(BENNETT_CASE, pred, (lo, hi), max_iter=3)
+    assert not res.converged
+    assert res.iterations == 3
+    assert abs(res.min_dnbr - 1.0) >= 1e-6
+    q_lo, q_hi = res.bracket
+    assert q_hi - q_lo == (hi - lo) / 8
+    assert res.wall_heat_flux in res.bracket
+    # the final bracket still straddles the critical condition
+    at = [solve_channel(replace(BENNETT_CASE, wall_heat_flux=q), pred).min_dnbr
+          for q in res.bracket]
+    assert at[0] > 1.0 > at[1]
+
+
 def test_critical_power_bad_bracket_reports_endpoint_dnbrs():
     pred = _const_predictor(3.0e6)
     with pytest.raises(BracketError) as exc:

@@ -432,6 +432,26 @@ def test_simulate_critical_power_constant_predictor(tmp_path):
     _, rows = _read_csv(out / "critical_power.csv")
     assert rows[0][-1] == "ok"
     assert float(rows[0][1]) == pytest.approx(3000.0, rel=1e-5)
+    assert _manifest(out)["counts"] == {"failed": 0, "cp_not_converged": 0}
+
+
+def test_simulate_unconverged_critical_power_is_failed_row(tmp_path, monkeypatch):
+    from chfkit import cli
+    from chfkit.channel import find_critical_power
+
+    monkeypatch.setattr(cli, "find_critical_power",
+                        lambda *a: find_critical_power(*a, max_iter=3))
+    cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,40"])
+    out = tmp_path / "sim"
+    assert main(["simulate", f"cases={cases}", "kind=base_bowring",
+                 f"outdir={out}", "critical_power=true",
+                 "bracket_lo_kW_m2=400", "bracket_hi_kW_m2=4000"]) == 0
+    _, rows = _read_csv(out / "critical_power.csv")
+    assert rows == [["0", "", "", "", "", "failed: no convergence after 3 iterations; "
+                     "bracket=(400.0; 850.0) kW/m2"]]
+    _, srows = _read_csv(out / "summary.csv")
+    assert srows[0][-1] == "ok"
+    assert _manifest(out)["counts"] == {"failed": 1, "cp_not_converged": 1}
 
 
 def test_simulate_unbracketed_critical_power_logged(tmp_path):
@@ -468,6 +488,23 @@ def test_evaluate_hand_metrics(tmp_path):
     assert [float(r[1]) for r in prows] == pytest.approx([110.0, 120.0, 130.0])
     kheader, krows = _read_csv(out / "kde.csv")
     assert kheader == ["x_pct", "density"] and len(krows) == 512
+
+
+def test_evaluate_reads_shared_file_once(tmp_path, monkeypatch):
+    from chfkit import cli
+
+    passes = []
+    real = cli.read_columns
+
+    def counting(path, columns):
+        passes.append(tuple(columns))
+        return real(path, columns)
+
+    monkeypatch.setattr(cli, "read_columns", counting)
+    pred = tmp_path / "p.csv"
+    pred.write_text("chf_pred_kW_m2,measured_chf_kW_m2\n110.0,100.0\n120.0,100.0\n")
+    assert main(["evaluate", f"pred_csv={pred}", f"outdir={tmp_path / 'eval'}"]) == 0
+    assert passes == [("chf_pred_kW_m2", "measured_chf_kW_m2")]
 
 
 def test_evaluate_length_mismatch_is_error(tmp_path, capsys):

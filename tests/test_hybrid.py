@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chfkit import hybrid
+from chfkit import fluid, hybrid
 from chfkit.correlations import (
     InletConditions,
     LocalConditions,
@@ -18,8 +18,8 @@ from chfkit.hybrid import (
     Prediction,
     ResidualRecord,
     build_residual_dataset,
+    node_chf,
     predict,
-    predict_at_quality,
     residual_features,
     residual_targets,
 )
@@ -240,44 +240,44 @@ def test_hbm_failure_propagates_for_base_and_hybrid_only():
 
 
 # ---------------------------------------------------------------------------
-# predict_at_quality: local-conditions surface
+# node_chf in dsm mode: local-conditions surface
 # ---------------------------------------------------------------------------
+
+def _at_quality(p: ChfPredictor, quality: float) -> float:
+    """node_chf of one node at the given local quality."""
+    h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
+    return node_chf(p, BENNETT_LIKE, h_fg, (BENNETT_LIKE.heated_length,), (quality,))[0]
+
 
 def test_local_base_matches_dsm_functions_bitwise():
     for kind, fn in (("base_biasi", biasi_dsm), ("base_bowring", bowring_dsm)):
         p = ChfPredictor(kind=kind, solve_mode="dsm")
         for x in (-0.1, 0.0, 0.25, 0.7):
-            got = predict_at_quality(p, BENNETT_LIKE, x)
             want = fn(LocalConditions(diameter=BENNETT_LIKE.diameter,
                                       pressure=BENNETT_LIKE.pressure,
                                       mass_flux=BENNETT_LIKE.mass_flux,
                                       quality=x))
-            assert got.value == want
-            assert got.ml_residual == 0.0
+            assert _at_quality(p, x) == want
 
 
 def test_local_quality_clipped_to_validity_window():
     p = ChfPredictor(kind="base_bowring", solve_mode="dsm")
-    assert predict_at_quality(p, BENNETT_LIKE, -0.9).value == \
-        predict_at_quality(p, BENNETT_LIKE, -0.5).value
-    assert predict_at_quality(p, BENNETT_LIKE, 1.3).value == \
-        predict_at_quality(p, BENNETT_LIKE, 1.0).value
+    assert _at_quality(p, -0.9) == _at_quality(p, -0.5)
+    assert _at_quality(p, 1.3) == _at_quality(p, 1.0)
 
 
 def test_local_hybrid_decomposition():
     p = ChfPredictor(kind="hybrid_bowring", model=_const_model(2.0e5), solve_mode="dsm")
-    pred = predict_at_quality(p, BENNETT_LIKE, 0.4)
     local = LocalConditions(diameter=BENNETT_LIKE.diameter, pressure=BENNETT_LIKE.pressure,
                             mass_flux=BENNETT_LIKE.mass_flux, quality=0.4)
-    assert pred.base_chf == bowring_dsm(local)
-    assert pred.value == pred.base_chf + 2.0e5
+    assert _at_quality(p, 0.4) == bowring_dsm(local) + 2.0e5
 
 
 def test_local_pure_ml_ignores_quality():
     p = ChfPredictor(kind="pure_ml",
-                     model=_const_model(3.0e6, mode="direct", base_model="none"))
-    assert predict_at_quality(p, BENNETT_LIKE, 0.1).value == \
-        predict_at_quality(p, BENNETT_LIKE, 0.9).value == 3.0e6
+                     model=_const_model(3.0e6, mode="direct", base_model="none"),
+                     solve_mode="dsm")
+    assert _at_quality(p, 0.1) == _at_quality(p, 0.9) == 3.0e6
 
 
 def test_trained_residual_model_roundtrip():

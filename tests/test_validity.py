@@ -213,14 +213,16 @@ def test_hull_affine_invariance():
 
 
 def test_hull_single_training_point():
-    assert hull_contains([[3.0, 4.0]], [3.0, 4.0]).inside
-    assert not hull_contains([[3.0, 4.0]], [3.0, 5.0]).inside
+    with pytest.warns(UserWarning, match=r"constant feature column\(s\) \[0, 1\]"):
+        assert hull_contains([[3.0, 4.0]], [3.0, 4.0]).inside
+        assert not hull_contains([[3.0, 4.0]], [3.0, 5.0]).inside
 
 
 def test_hull_constant_feature_column():
     train = np.array([[0.0, 2.0], [1.0, 2.0], [0.5, 2.0]])
-    assert hull_contains(train, [0.5, 2.0]).inside
-    assert not hull_contains(train, [0.5, 2.5]).inside
+    with pytest.warns(UserWarning, match=r"constant feature column\(s\) \[1\]"):
+        assert hull_contains(train, [0.5, 2.0]).inside
+        assert not hull_contains(train, [0.5, 2.5]).inside
 
 
 def test_hull_matches_reference_lp_solver():
