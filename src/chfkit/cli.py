@@ -57,7 +57,7 @@ from .hybrid import (
     PREDICTOR_KINDS,
     ChfPredictor,
     build_residual_dataset,
-    predict,
+    predict_batch,
 )
 from .validity import classify_batch, fit_pca, write_projection_csv, write_verdicts_csv
 from .mlp import (
@@ -191,6 +191,12 @@ class _Config:
 
     def has(self, key: str) -> bool:
         return key in self._raw
+
+    def check(self, key: str, ok: bool, want: str) -> None:
+        """Raise ConfigError naming ``key`` unless ``ok``; ``want`` says what
+        its value must be."""
+        if not ok:
+            raise ConfigError(f"config key {key!r}: must be {want}, got {self.resolved[key]!r}")
 
     def str_(self, key: str, default=_REQUIRED) -> str:
         return self._text(key, default)
@@ -356,8 +362,8 @@ def cmd_prepare(cfg: _Config) -> None:
     envelope = cfg.envelope()
 
     records, report = ingest(data_path, envelope=envelope, strict=strict)
-    if not records:
-        raise ConfigError(f"{data_path}: no usable rows after ingestion")
+    cfg.check("data", len(records) >= 10,
+              f"a table with at least 10 usable rows ({len(records)} after ingestion)")
     parts = split(records, seed)
     splits = (("train", parts.train), ("val", parts.validation),
               ("test", parts.test))
@@ -375,11 +381,8 @@ def cmd_prepare(cfg: _Config) -> None:
         write_records(recs, path)
         outputs.append(path)
         pure = _out(outdir, f"pure_{name}.csv")
-        _write_feature_csv(
-            pure,
-            [(r.diameter, r.heated_length, r.pressure, r.mass_flux,
-              r.inlet_subcooling) for r in recs],
-            "target_W_m2", [(r.measured_chf,) for r in recs])
+        _write_feature_csv(pure, feature_matrix(recs).tolist(), "target_W_m2",
+                           [(r.measured_chf,) for r in recs])
         outputs.append(pure)
 
     if base != "none":
@@ -388,7 +391,8 @@ def cmd_prepare(cfg: _Config) -> None:
         for name, recs in splits:
             rr, rep = build_residual_dataset(recs, base)
             n_failed += rep.n_failed
-            failures.extend((name, i, msg) for i, msg in rep.failures)
+            # the record's line in {name}.csv: one header line, no blank lines
+            failures.extend((name, i + 2, msg) for i, msg in rep.failures)
             path = _out(outdir, f"residual_{name}.csv")
             _write_feature_csv(
                 path, [r.features for r in rr],
@@ -399,8 +403,8 @@ def cmd_prepare(cfg: _Config) -> None:
         fail_path = _out(outdir, "hbm_failures.csv")
         with open(fail_path, "w", encoding="utf-8") as fh:
             fh.write("split,row,reason\n")
-            for name, i, msg in failures:
-                fh.write(f"{name},{i},{_csv_safe(msg)}\n")
+            for name, line_no, msg in failures:
+                fh.write(f"{name},{line_no},{_csv_safe(msg)}\n")
         outputs.append(fail_path)
         counts["hbm_failures"] = n_failed
 
@@ -418,14 +422,16 @@ def cmd_train(cfg: _Config) -> None:
     train_path = cfg.path_in("train_csv")
     seed = cfg.int_("seed", "0")
     hidden = cfg.ints("hidden", DEFAULT_HIDDEN)
+    cfg.check("hidden", min(hidden) >= 1, "a comma list of widths >= 1")
     activation = cfg.choice("activation", tuple(ACTIVATIONS), "tanh")
-    schedule = TrainConfig(
-        epochs=cfg.int_("epochs", "500"),
-        batch_size=cfg.int_("batch_size", "32"),
-        lr0=cfg.float_("lr0", "0.001"),
-        decay_rate=cfg.float_("decay", "0.99"),
-        seed=seed,
-    )
+    epochs, batch_size = cfg.int_("epochs", "500"), cfg.int_("batch_size", "32")
+    lr0, decay = cfg.float_("lr0", "0.001"), cfg.float_("decay", "0.99")
+    cfg.check("epochs", 1 <= epochs <= 100_000, "in [1, 100000]")
+    cfg.check("batch_size", batch_size >= 1, ">= 1")
+    cfg.check("lr0", lr0 > 0.0, "positive")
+    cfg.check("decay", 0.0 < decay <= 1.0, "in (0, 1]")
+    schedule = TrainConfig(epochs=epochs, batch_size=batch_size, lr0=lr0,
+                           decay_rate=decay, seed=seed)
 
     x, y = _training_matrices(train_path, mode)
     in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
@@ -513,28 +519,32 @@ def cmd_predict(cfg: _Config) -> None:
     predictor, extra_inputs = _load_predictor(cfg)
     records, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
+    conds: list[InletConditions | ValueError] = []
+    for row in feature_matrix(records).tolist():  # the InletConditions fields, in order
+        try:
+            conds.append(InletConditions(*row))
+        except ValueError as e:
+            conds.append(e)
+    batch = iter(predict_batch(predictor, [c for c in conds if isinstance(c, InletConditions)]))
+    outcomes = [next(batch) if isinstance(c, InletConditions) else c for c in conds]
+
     out_path = _out(outdir, "predictions.csv")
-    n_failed = 0
+    n_failed = n_excursions = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
-                 "measured_chf_kW_m2,status\n")
-        for rec, line_no in zip(records, report.lines):
-            c = InletConditions(
-                diameter=rec.diameter, heated_length=rec.heated_length,
-                pressure=rec.pressure, mass_flux=rec.mass_flux,
-                inlet_subcooling=rec.inlet_subcooling,
-            )
-            try:
-                p = predict(predictor, c)
-            except (NoCriticalConditionError, FluidRangeError, ValueError) as e:
+                 "measured_chf_kW_m2,quality_excursion,status\n")
+        for rec, line_no, p in zip(records, report.lines, outcomes):
+            if isinstance(p, Exception):
                 n_failed += 1
-                fh.write(f"{line_no},,,,{rec.measured_chf / 1e3!r},"
-                         f"failed: {_csv_safe(e)}\n")
+                fh.write(f"{line_no},,,,{rec.measured_chf / 1e3!r},,"
+                         f"failed: {_csv_safe(p)}\n")
                 continue
             base = "" if p.base_chf is None else repr(p.base_chf / 1e3)
             resid = "" if p.ml_residual is None else repr(p.ml_residual / 1e3)
+            excursion = "" if p.base_solution is None else int(p.base_solution.quality_excursion)
+            n_excursions += excursion == 1
             fh.write(f"{line_no},{p.value / 1e3!r},{base},{resid},"
-                     f"{rec.measured_chf / 1e3!r},ok\n")
+                     f"{rec.measured_chf / 1e3!r},{excursion},ok\n")
 
     _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs],
                     [out_path],
@@ -542,7 +552,8 @@ def cmd_predict(cfg: _Config) -> None:
                      "rows_rejected": len(report.rejected),
                      "rows_flagged": len(report.flagged),
                      "predicted": len(records) - n_failed,
-                     "failed": n_failed})
+                     "failed": n_failed,
+                     "quality_excursions": n_excursions})
 
 
 def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
@@ -577,6 +588,9 @@ def cmd_simulate(cfg: _Config) -> None:
     if critical:
         bracket = (cfg.float_("bracket_lo_kW_m2") * 1e3,
                    cfg.float_("bracket_hi_kW_m2") * 1e3)
+        cfg.check("bracket_lo_kW_m2", bracket[0] > 0.0, "positive")
+        cfg.check("bracket_hi_kW_m2", bracket[1] > bracket[0],
+                  f"above bracket_lo_kW_m2 ({cfg.resolved['bracket_lo_kW_m2']})")
 
     outputs = []
     n_failed = 0

@@ -8,26 +8,28 @@ input vector (diameter, heated length, pressure, mass flux, inlet
 subcooling) — never the base model's output — so the corrector stays
 independent of the base model's scale.
 
-Two evaluation surfaces:
+Two evaluation surfaces share one core:
 
-* ``predict`` works from inlet conditions and resolves the base
+* ``predict_batch`` works from inlet conditions and resolves the base
   correlation with the heat-balance solve (the critical length equals
-  the heated length).  With nothing but inlet conditions there is no
-  operating heat flux to define local conditions, so this surface is
-  the same for both solve modes.
+  the heated length), one outcome per row.  With nothing but inlet
+  conditions there is no operating heat flux to define local
+  conditions, so this surface is the same for both solve modes.
 * ``node_chf`` rates every node of a channel march at once.  In "hbm"
   solve mode node z is the exit of a tube of length z; in "dsm" mode
   the base correlation is evaluated directly at the node's local
-  quality.  The network runs as one batch over the nodes.
+  quality.  The network runs as one batch over the rows or nodes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from . import fluid
 from .correlations import (
     QUALITY_MAX,
     QUALITY_MIN,
@@ -37,9 +39,9 @@ from .correlations import (
     _branches,
     _flux,
     _solve_hbm,
-    solve_hbm,
 )
-from .mlp import Mlp, forward, forward_batch
+from .data import MODEL_FEATURES
+from .mlp import Mlp, forward_batch
 
 __all__ = [
     "PREDICTOR_KINDS",
@@ -52,6 +54,7 @@ __all__ = [
     "residual_features",
     "residual_targets",
     "predict",
+    "predict_batch",
     "node_chf",
 ]
 
@@ -144,8 +147,8 @@ class ResidualBuildReport:
     failures: tuple[tuple[int, str], ...] = ()  # (record index, reason)
 
 
-def _features_of(c: InletConditions) -> tuple[float, float, float, float, float]:
-    return (c.diameter, c.heated_length, c.pressure, c.mass_flux, c.inlet_subcooling)
+# model features of a ChfRecord or InletConditions (whose fields they are, in order)
+_features_of = operator.attrgetter(*MODEL_FEATURES)
 
 
 def build_residual_dataset(
@@ -155,28 +158,25 @@ def build_residual_dataset(
 
     The base value comes from the heat-balance solve.  Records where the
     solve finds no critical condition are excluded and counted in the
-    report with their index and the failure reason.
+    report with their index and the failure reason; other errors raise.
     """
     if base not in ("biasi", "bowring"):
         raise ValueError(f"base must be 'biasi' or 'bowring', got {base!r}")
+    conds = [InletConditions(*_features_of(rec)) for rec in records]
+    outcomes = predict_batch(ChfPredictor(kind=f"base_{base}"), conds)
     out: list[ResidualRecord] = []
     failures: list[tuple[int, str]] = []
-    for i, rec in enumerate(records):
-        c = InletConditions(
-            diameter=rec.diameter, heated_length=rec.heated_length,
-            pressure=rec.pressure, mass_flux=rec.mass_flux,
-            inlet_subcooling=rec.inlet_subcooling,
-        )
-        try:
-            sol = solve_hbm(base, c)
-        except NoCriticalConditionError as e:
-            failures.append((i, str(e)))
+    for i, (rec, c, o) in enumerate(zip(records, conds, outcomes)):
+        if isinstance(o, NoCriticalConditionError):
+            failures.append((i, str(o)))
             continue
+        if isinstance(o, Exception):
+            raise o
         out.append(ResidualRecord(
             features=_features_of(c),
-            base_chf=sol.chf,
+            base_chf=o.base_chf,
             measured_chf=rec.measured_chf,
-            residual=rec.measured_chf - sol.chf,
+            residual=rec.measured_chf - o.base_chf,
         ))
     return out, ResidualBuildReport(
         n_records=len(records), n_failed=len(failures), failures=tuple(failures)
@@ -191,23 +191,52 @@ def residual_targets(records: list[ResidualRecord]) -> np.ndarray:
     return np.array([r.residual for r in records], dtype=np.float64)
 
 
-def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
-    """CHF from inlet conditions.
+def _network(p: ChfPredictor, conds: Sequence[InletConditions]) -> list[float]:
+    """The network's output for each row, zeros for base kinds, as Python
+    floats (whose repr the CSV writers print)."""
+    if p.model is None or not conds:
+        return [0.0] * len(conds)
+    # one batch: the forward pass is bit-stable across batch sizes
+    x = np.array([_features_of(c) for c in conds], dtype=np.float64)
+    return forward_batch(p.model, x).tolist()
 
-    Base and hybrid kinds solve the heat balance for the base value
-    (propagating its no-critical-condition failure); pure-ML kinds
-    evaluate the network alone and cannot fail that way.
-    """
-    feats = _features_of(c)
+
+def _solve_rows(p: ChfPredictor, conds: Sequence[InletConditions],
+                h_fg: dict[float, float]) -> list[HbmSolution | Exception]:
+    """Base heat-balance solve of each row, or the error it raised; ``h_fg``
+    maps pressure to latent heat, J/kg, and gains the pressures it lacks."""
+    base = _BASE_OF_KIND[p.kind]
+    out: list[HbmSolution | Exception] = []
+    for c in conds:
+        try:
+            if c.pressure not in h_fg:
+                h_fg[c.pressure] = fluid.saturation_state(c.pressure).h_fg
+            out.append(_solve_hbm(base, c, h_fg[c.pressure]))
+        except (NoCriticalConditionError, fluid.FluidRangeError) as e:
+            out.append(e)
+    return out
+
+
+def predict_batch(p: ChfPredictor,
+                  conds: Sequence[InletConditions]) -> list[Prediction | Exception]:
+    """CHF from inlet conditions: per row, in order, a Prediction or the
+    NoCriticalConditionError or FluidRangeError its heat-balance solve
+    raised.  One saturation state per distinct pressure, one network batch."""
+    net = _network(p, conds)
     if p.kind == "pure_ml":
-        return Prediction(value=forward(p.model, feats), base_chf=None, ml_residual=None)
-    sol = solve_hbm(_BASE_OF_KIND[p.kind], c)
-    if p.kind.startswith("base_"):
-        return Prediction(value=sol.chf, base_chf=sol.chf, ml_residual=0.0,
-                          base_solution=sol)
-    r = forward(p.model, feats)
-    return Prediction(value=sol.chf + r, base_chf=sol.chf, ml_residual=r,
-                      base_solution=sol)
+        return [Prediction(value=r, base_chf=None, ml_residual=None) for r in net]
+    # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
+    return [s if isinstance(s, Exception) else
+            Prediction(value=s.chf + r, base_chf=s.chf, ml_residual=r, base_solution=s)
+            for s, r in zip(_solve_rows(p, conds, {}), net)]
+
+
+def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
+    """``predict_batch`` on one row, raising the row's error."""
+    (out,) = predict_batch(p, [c])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
@@ -217,37 +246,25 @@ def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
     ``c`` holds the channel's inlet conditions and ``h_fg`` the latent
     heat at its pressure, J/kg.  In "hbm" mode node i is the exit of a
     tube of length ``heights[i]`` (the critical-length convention), so
-    its value does not depend on the wall flux; the heat-balance solve
-    gives None where it finds no critical condition, and the network
-    features carry the node's length.  In "dsm" mode the base
-    correlation is evaluated at ``qualities[i]`` clipped to its validity
-    window [-0.5, 1.0]; the network features are the inlet conditions,
-    so the network runs on one row.  Each mode reads only its own node
+    its value does not depend on the wall flux; it is that tube's
+    ``predict_batch`` value, or None where the heat-balance solve finds
+    no critical condition.  In "dsm" mode the base correlation is
+    evaluated at ``qualities[i]`` clipped to its validity window
+    [-0.5, 1.0]; the network features are the inlet conditions, so the
+    network runs on one row.  Each mode reads only its own node
     sequence.  Values may be nonpositive (callers clamp and flag); for
-    hybrid kinds each is base + residual, as in ``predict``.
+    hybrid kinds each is base + residual.
     """
-    hbm = p.solve_mode == "hbm"
-    nodes = [replace(c, heated_length=z) for z in heights] if hbm else [c]
-    net = None
-    if p.model is not None:
-        # one batch (the forward pass is bit-stable across batch sizes);
-        # tolist gives Python floats, whose repr the CSV writers print
-        net = forward_batch(p.model, np.array([_features_of(n) for n in nodes])).tolist()
-        if not hbm:
-            net *= len(qualities)
+    if p.solve_mode == "hbm":
+        nodes = [replace(c, heated_length=z) for z in heights]
+        net = _network(p, nodes)
         if p.kind == "pure_ml":
             return net
-    base = _BASE_OF_KIND[p.kind]
-    values: list[float | None] = []
-    if hbm:
-        for n in nodes:
-            try:
-                values.append(_solve_hbm(base, n, h_fg).chf)
-            except NoCriticalConditionError:
-                values.append(None)
-    else:
-        branches = _branches(base, c.diameter, c.mass_flux, c.pressure, h_fg)
-        values = [_flux(branches, min(max(x, QUALITY_MIN), QUALITY_MAX)) for x in qualities]
-    if net is None:
-        return values
-    return [None if v is None else v + r for v, r in zip(values, net)]
+        return [None if isinstance(s, Exception) else s.chf + r
+                for s, r in zip(_solve_rows(p, nodes, {c.pressure: h_fg}), net)]
+    r = _network(p, [c])[0]
+    if p.kind == "pure_ml":
+        return [r] * len(qualities)
+    branches = _branches(_BASE_OF_KIND[p.kind], c.diameter, c.mass_flux, c.pressure, h_fg)
+    values = [_flux(branches, min(max(x, QUALITY_MIN), QUALITY_MAX)) for x in qualities]
+    return values if p.model is None else [v + r for v in values]

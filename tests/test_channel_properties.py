@@ -2,10 +2,10 @@
 search against the per-node reference loop.
 
 The reference below is the earlier implementation, kept as the oracle:
-every node is rated by its own ``predict`` call (hbm) or by the
-correlation's direct-substitution function plus a single-row network
-call (dsm), and the critical-power search re-solves the whole channel at
-every bisection step.  The fast path must reproduce it to the bit.
+every node is rated by its own heat-balance solve (hbm) or by the
+correlation's direct-substitution function (dsm), plus a single-row
+network call, and the critical-power search re-solves the whole channel
+at every bisection step.  The fast path must reproduce it to the bit.
 """
 
 import math
@@ -32,13 +32,14 @@ from chfkit.correlations import (
     NoCriticalConditionError,
     biasi_dsm,
     bowring_dsm,
+    solve_hbm,
 )
 from chfkit.data import TABLE1_ENVELOPE
-from chfkit.hybrid import PREDICTOR_KINDS, SOLVE_MODES, ChfPredictor, predict
+from chfkit.hybrid import PREDICTOR_KINDS, SOLVE_MODES, ChfPredictor
 from chfkit.mlp import Scaler, forward, init_mlp
 
 # ---------------------------------------------------------------------------
-# Reference: one predictor call per node, one channel solve per step
+# Reference: one solve and one network row per node, one channel solve per step
 # ---------------------------------------------------------------------------
 
 
@@ -53,6 +54,17 @@ def _ref_at_quality(p: ChfPredictor, c: InletConditions, quality: float) -> floa
     if p.kind.startswith("base_"):
         return base
     return base + forward(p.model, feats)
+
+
+def _ref_exit_chf(p: ChfPredictor, c: InletConditions) -> float:
+    """CHF of a tube whose exit is the node: its own solve, its own network row."""
+    feats = (c.diameter, c.heated_length, c.pressure, c.mass_flux, c.inlet_subcooling)
+    if p.kind == "pure_ml":
+        return forward(p.model, feats)
+    chf = solve_hbm("biasi" if p.kind.endswith("biasi") else "bowring", c).chf
+    if p.kind.startswith("base_"):
+        return chf
+    return chf + forward(p.model, feats)
 
 
 def _ref_solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
@@ -70,7 +82,7 @@ def _ref_solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
             if pred.solve_mode == "dsm":
                 chf = _ref_at_quality(pred, case.inlet_conditions(), qualities[i])
             else:
-                chf = predict(pred, case.inlet_conditions(heated_length=z)).value
+                chf = _ref_exit_chf(pred, case.inlet_conditions(heated_length=z))
         except NoCriticalConditionError:
             flagged.append(i)
             dnbr.append(0.0)

@@ -256,19 +256,21 @@ def test_predict_base_kind_without_model(tmp_path):
                  f"outdir={out}"]) == 0
     header, rows = _read_csv(out / "predictions.csv")
     assert header == ["row", "chf_pred_kW_m2", "base_chf_kW_m2",
-                      "ml_residual_kW_m2", "measured_chf_kW_m2", "status"]
+                      "ml_residual_kW_m2", "measured_chf_kW_m2",
+                      "quality_excursion", "status"]
     for row in rows:
         assert row[-1] == "ok"
+        assert row[-2] == "0"
         assert float(row[1]) == float(row[2])  # base kind: pred == base
         assert float(row[3]) == 0.0
 
 
-def _save_const_residual_model(path, residual_w_m2):
+def _save_const_residual_model(path, residual_w_m2, mode="residual", base_model="bowring"):
     from chfkit.mlp import DenseLayer, Mlp, Scaler, save_model
     net = Mlp(
         layers=[DenseLayer(np.zeros((1, 5)), np.array([residual_w_m2]), "identity")],
         input_scaler=Scaler.identity(5), output_scaler=Scaler.identity(1),
-        mode="residual", base_model="bowring",
+        mode=mode, base_model=base_model,
         feature_names=("diameter", "heated_length", "pressure", "mass_flux",
                        "inlet_subcooling"),
     )
@@ -329,6 +331,92 @@ def test_predict_rows_count_blank_lines(tmp_path):
     _, out_rows = _read_csv(out / "predictions.csv")
     assert [r[0] for r in out_rows] == ["2", "4", "6"]
     assert _manifest(out)["counts"]["rows_rejected"] == 1
+
+
+_HEADER = "D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2"
+
+
+def test_predict_reports_quality_excursion(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([
+        _HEADER,
+        _solvable_rows(1, seed=21)[0],
+        # two-phase inlet at 190 bar: Biasi meets the heat balance at x_cr 1.395
+        "10.0,3.0,19000,3000,,-900,,3000",
+        # two-phase inlet at 1 bar: Biasi never meets the heat balance
+        "10.0,3.0,100,1000,,-1000,,3000",
+    ]) + "\n")
+    out = tmp_path / "pred"
+    assert main(["predict", f"data={data}", "kind=base_biasi", f"outdir={out}"]) == 0
+    header, rows = _read_csv(out / "predictions.csv")
+    col = header.index("quality_excursion")
+    assert [r[col] for r in rows] == ["0", "1", ""]
+    assert [r[-1][:7] for r in rows] == ["ok", "ok", "failed:"]
+    assert _manifest(out)["counts"]["quality_excursions"] == 1
+
+    model = tmp_path / "direct.chfmlp"
+    _save_const_residual_model(model, 2.0e6, mode="direct", base_model="none")
+    out = tmp_path / "pure"
+    assert main(["predict", f"data={data}", "kind=pure_ml", f"model={model}",
+                 f"outdir={out}"]) == 0
+    header, rows = _read_csv(out / "predictions.csv")
+    assert [r[header.index("quality_excursion")] for r in rows] == ["", "", ""]
+    assert _manifest(out)["counts"]["quality_excursions"] == 0
+
+
+def test_predict_invalid_inlet_conditions_is_failed_row(tmp_path):
+    data = tmp_path / "data.csv"
+    # with x_e given, ingest builds no InletConditions, so a pressure above
+    # the critical point reaches predict
+    data.write_text("\n".join([
+        _HEADER, "10.0,3.0,25000,3000,0.5,-900,,3000", _solvable_rows(1, seed=21)[0],
+    ]) + "\n")
+    out = tmp_path / "pred"
+    assert main(["predict", f"data={data}", "kind=base_bowring", f"outdir={out}"]) == 0
+    _, rows = _read_csv(out / "predictions.csv")
+    assert rows[0][-1].startswith("failed: pressure 25000000.0 Pa outside")
+    assert rows[1][-1] == "ok"
+    assert _manifest(out)["counts"]["failed"] == 1
+
+
+def test_hbm_failure_row_is_line_of_split_file(tmp_path):
+    data = tmp_path / "data.csv"
+    rows = _solvable_rows(12, seed=5)
+    # inlet quality above 1 at 200 bar: Bowring finds no critical condition
+    rows.insert(5, "8.0,2.0,20000,2000,,-1200,,3000")
+    data.write_text(_HEADER + "\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "prep"
+    assert main(["prepare", f"data={data}", f"outdir={out}", "base=bowring",
+                 "strict=false"]) == 0
+    _, fails = _read_csv(out / "hbm_failures.csv")
+    ((split, line_no, _reason),) = fails
+    lines = (out / f"{split}.csv").read_text().split("\n")
+    assert lines[int(line_no) - 1].split(",")[:4] == ["8.0", "2.0", "20000.0", "2000.0"]
+
+
+@pytest.mark.parametrize("command,overrides,key", [
+    ("prepare", (), "data"),
+    ("train", ("epochs=0",), "epochs"),
+    ("train", ("batch_size=0",), "batch_size"),
+    ("train", ("lr0=-1",), "lr0"),
+    ("train", ("decay=2",), "decay"),
+    ("train", ("hidden=0",), "hidden"),
+    ("simulate", ("bracket_lo_kW_m2=0", "bracket_hi_kW_m2=100"), "bracket_lo_kW_m2"),
+    ("simulate", ("bracket_lo_kW_m2=5000", "bracket_hi_kW_m2=100"), "bracket_hi_kW_m2"),
+])
+def test_config_mistake_is_error_naming_key(tmp_path, capsys, command, overrides, key):
+    if command == "prepare":
+        data = tmp_path / "data.csv"
+        write_dataset(data, n=3)
+        argv = ["prepare", f"data={data}"]
+    elif command == "train":
+        argv = ["train", f"train_csv={_prepared(tmp_path) / 'pure_train.csv'}",
+                "hidden=4", "epochs=2"]  # a later override wins
+    else:
+        cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,20"])
+        argv = ["simulate", f"cases={cases}", "kind=base_bowring", "critical_power=true"]
+    assert main([*argv, *overrides, f"outdir={tmp_path / 'out'}"]) == 1
+    assert f"error: config key {key!r}: must be" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -156,10 +156,10 @@ def test_residual_failures_excluded_and_counted():
 def test_residual_build_propagates_unexpected_errors(monkeypatch):
     # only "no critical condition" becomes a failure row; a fault in the
     # solve itself must not be counted as one
-    def broken(_base, _c):
+    def broken(_base, _c, _h_fg):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(hybrid, "solve_hbm", broken)
+    monkeypatch.setattr(hybrid, "_solve_hbm", broken)
     with pytest.raises(ZeroDivisionError):
         build_residual_dataset([_rec(BENNETT_LIKE, 2.0e6)], "bowring")
 

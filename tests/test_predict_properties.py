@@ -1,0 +1,125 @@
+"""Property tests: the batched inlet-conditions predictor against the
+per-row reference.
+
+The reference below is the earlier implementation, kept as the oracle:
+every row makes its own heat-balance solve (with its own saturation
+state) and its own single-row network call.  ``predict_batch`` must
+reproduce it to the bit, failures included.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chfkit import fluid
+from chfkit.correlations import InletConditions, solve_hbm
+from chfkit.data import MODEL_FEATURES, TABLE1_ENVELOPE
+from chfkit.hybrid import PREDICTOR_KINDS, ChfPredictor, Prediction, predict, predict_batch
+from chfkit.mlp import Scaler, forward, init_mlp
+
+# ---------------------------------------------------------------------------
+# Reference: one solve and one network call per row
+# ---------------------------------------------------------------------------
+
+
+def _ref_predict(p: ChfPredictor, c: InletConditions) -> Prediction:
+    feats = (c.diameter, c.heated_length, c.pressure, c.mass_flux, c.inlet_subcooling)
+    if p.kind == "pure_ml":
+        return Prediction(value=forward(p.model, feats), base_chf=None, ml_residual=None)
+    sol = solve_hbm("biasi" if p.kind.endswith("biasi") else "bowring", c)
+    if p.kind.startswith("base_"):
+        return Prediction(value=sol.chf, base_chf=sol.chf, ml_residual=0.0,
+                          base_solution=sol)
+    r = forward(p.model, feats)
+    return Prediction(value=sol.chf + r, base_chf=sol.chf, ml_residual=r,
+                      base_solution=sol)
+
+
+def _outcome(result) -> str:
+    """repr of a Prediction (every field to the bit), or an error's type
+    and message."""
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    return repr(result)
+
+
+def _ref_outcome(p: ChfPredictor, c: InletConditions) -> str:
+    try:
+        return _outcome(_ref_predict(p, c))
+    except Exception as e:  # noqa: BLE001 - the outcome records any error
+        return _outcome(e)
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+# input scaler that maps the envelope to roughly unit range, so the
+# small networks below give residuals that vary from row to row
+_ENVELOPE_SCALER = Scaler(
+    mean=np.array([np.mean(TABLE1_ENVELOPE[k]) for k in MODEL_FEATURES]),
+    std=np.array([np.ptp(TABLE1_ENVELOPE[k]) for k in MODEL_FEATURES]),
+)
+
+
+def _predictor(kind: str, seed: int) -> ChfPredictor:
+    if kind.startswith("base_"):
+        return ChfPredictor(kind=kind)
+    if kind == "pure_ml":
+        mode, base, out = "direct", "none", Scaler(np.array([3.0e6]), np.array([2.0e6]))
+    else:
+        mode, base, out = "residual", kind.split("_")[1], Scaler(np.array([0.0]),
+                                                                 np.array([5.0e5]))
+    model = init_mlp(5, (4,), "tanh", seed=seed, input_scaler=_ENVELOPE_SCALER,
+                     output_scaler=out, mode=mode, base_model=base)
+    return ChfPredictor(kind=kind, model=model)
+
+
+def _envelope(name: str):
+    return st.floats(*TABLE1_ENVELOPE[name])
+
+
+# a few fixed pressures make repeats within a batch likely; 1 bar with a
+# two-phase inlet leaves Biasi unsolvable, 200 bar leaves Bowring so
+_ROWS = st.builds(
+    InletConditions,
+    diameter=_envelope("diameter"),
+    heated_length=_envelope("heated_length"),
+    pressure=st.one_of(st.sampled_from([1.0e5, 7.0e6, 1.9e7, 2.0e7]),
+                       st.floats(fluid.P_SAT_MIN, fluid.P_CRITICAL)),
+    mass_flux=_envelope("mass_flux"),
+    inlet_subcooling=st.floats(-2.0e6, 1.0e6),
+)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+def test_model_features_are_the_inlet_condition_fields():
+    # predict_batch builds its network input from these, in this order
+    assert tuple(InletConditions.__dataclass_fields__) == MODEL_FEATURES
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+@settings(max_examples=25)
+@given(batch=st.lists(_ROWS, max_size=24), seed=st.integers(0, 2**16))
+def test_predict_batch_matches_per_row_reference(kind, batch, seed):
+    pred = _predictor(kind, seed)
+    with mock.patch.object(fluid, "saturation_state",
+                           wraps=fluid.saturation_state) as sat:
+        fast = predict_batch(pred, batch)
+    want = 0 if kind == "pure_ml" else len({c.pressure for c in batch})
+    assert sat.call_count == want
+    assert [_outcome(o) for o in fast] == [_ref_outcome(pred, c) for c in batch]
+
+    # the one-row form returns the outcome or raises it
+    for c in batch[:3]:
+        try:
+            one = _outcome(predict(pred, c))
+        except Exception as e:  # noqa: BLE001
+            one = _outcome(e)
+        assert one == _ref_outcome(pred, c)
