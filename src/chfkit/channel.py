@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import fluid
 from .correlations import InletConditions
@@ -68,6 +69,12 @@ class ChannelCase:
             raise ValueError(f"n_axial must be an integer, got {self.n_axial!r}")
         if self.n_axial < 2:
             raise ValueError(f"n_axial must be >= 2, got {self.n_axial}")
+
+    @cached_property
+    def saturation(self) -> fluid.SaturationState:
+        """Saturation state at the case pressure, computed once per case
+        (the channel march and the critical-power search both need it)."""
+        return fluid.saturation_state(self.pressure)
 
     def inlet_conditions(self, heated_length: float | None = None) -> InletConditions:
         return InletConditions(
@@ -187,7 +194,7 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     a tube of length z (the critical-length convention); in "dsm" mode
     the predictor is evaluated at the node's local equilibrium quality.
     """
-    sat = fluid.saturation_state(case.pressure)
+    sat = case.saturation
     q = case.wall_heat_flux
     heights, enthalpies, qualities = _march(case, sat, q)
     chf = node_chf(pred, case.inlet_conditions(), sat.h_fg, heights, qualities)
@@ -231,7 +238,7 @@ def find_critical_power(
     if not 0.0 < q_lo < q_hi:
         raise ValueError(f"bracket must satisfy 0 < q_lo < q_hi, got {bracket}")
 
-    sat = fluid.saturation_state(case.pressure)
+    sat = case.saturation
     inlet = case.inlet_conditions()
     if pred.solve_mode == "hbm":
         hbm_chf = node_chf(pred, inlet, sat.h_fg,

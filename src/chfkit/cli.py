@@ -373,6 +373,7 @@ def cmd_prepare(cfg: _Config) -> None:
         "rows_read": report.n_rows,
         "rows_rejected": len(report.rejected),
         "rows_flagged": len(report.flagged),
+        "derived": report.derived,
         "split_sizes": {name: len(recs) for name, recs in splits},
     }
 
@@ -519,14 +520,9 @@ def cmd_predict(cfg: _Config) -> None:
     predictor, extra_inputs = _load_predictor(cfg)
     records, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
-    conds: list[InletConditions | ValueError] = []
-    for row in feature_matrix(records).tolist():  # the InletConditions fields, in order
-        try:
-            conds.append(InletConditions(*row))
-        except ValueError as e:
-            conds.append(e)
-    batch = iter(predict_batch(predictor, [c for c in conds if isinstance(c, InletConditions)]))
-    outcomes = [next(batch) if isinstance(c, InletConditions) else c for c in conds]
+    # ingest rejects the rows InletConditions would; the fields, in order
+    outcomes = predict_batch(predictor, [InletConditions(*row) for row in
+                                         feature_matrix(records).tolist()])
 
     out_path = _out(outdir, "predictions.csv")
     n_failed = n_excursions = 0
@@ -551,6 +547,7 @@ def cmd_predict(cfg: _Config) -> None:
                     {"rows_read": report.n_rows,
                      "rows_rejected": len(report.rejected),
                      "rows_flagged": len(report.flagged),
+                     "derived": report.derived,
                      "predicted": len(records) - n_failed,
                      "failed": n_failed,
                      "quality_excursions": n_excursions})

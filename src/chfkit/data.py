@@ -17,21 +17,22 @@ Derivations for blank cells:
 * subcooling from pressure and inlet temperature,
 * exit quality from the heat balance using the measured CHF.
 
-A row whose blanks cannot be derived is rejected.  Envelope violations
-reject the row in strict mode and merely flag it otherwise; either way
-the report carries the file line number and a reason.
+A row whose blanks cannot be derived, or whose inlet conditions
+``InletConditions`` rejects, is rejected.  Envelope violations reject the
+row in strict mode and merely flag it otherwise; either way the report
+carries the file line number and a reason.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import fluid
-from .correlations import InletConditions, heat_balance_quality
+from .correlations import InletConditions
 
 __all__ = [
     "ChfRecord",
@@ -110,13 +111,16 @@ class IngestReport:
 
     Row numbers are file line numbers (the header is line 1, so the
     first data row is line 2; blank lines count).  ``lines`` holds the
-    line number of each accepted record, in record order.
+    line number of each accepted record, in record order; ``derived``
+    counts the accepted records whose ``inlet_temperature``,
+    ``inlet_subcooling`` or ``exit_quality`` was derived.
     """
 
     n_rows: int
     rejected: tuple[tuple[int, str], ...] = ()
     flagged: tuple[tuple[int, str], ...] = ()
     lines: tuple[int, ...] = ()
+    derived: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -181,45 +185,12 @@ def read_columns(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[
                             for c, j in zip(columns, col_pos)]
 
 
-def _build_record(values: dict[str, float | None]) -> ChfRecord:
-    """SI conversion plus derivation of blank derivable fields.
-
-    Raises ValueError with a human-readable reason when the row is
-    underdetermined or a derivation fails; the caller turns that into a
-    rejection entry.
-    """
-    required = ("D_mm", "L_m", "P_kPa", "G_kg_m2s", "chf_kW_m2")
-    for col in required:
-        if values[col] is None:
-            raise ValueError(f"column {col!r} is blank and not derivable")
-
-    d = values["D_mm"] * 1e-3
-    length = values["L_m"]
-    p = values["P_kPa"] * 1e3
-    g = values["G_kg_m2s"]
-    chf = values["chf_kW_m2"] * 1e3
-    x_e = values["x_e"]
-    dh = None if values["dh_sub_kJ_kg"] is None else values["dh_sub_kJ_kg"] * 1e3
-    t_in = None if values["T_in_C"] is None else values["T_in_C"] + 273.15
-
-    if dh is None and t_in is None:
-        raise ValueError("both dh_sub_kJ_kg and T_in_C are blank; need one")
-    if dh is None:
-        dh = fluid.subcooling_from_inlet_temp(p, t_in)
-    elif t_in is None:
-        # negative subcooling (two-phase inlet) has no single temperature
-        t_in = fluid.inlet_temp_from_subcooling(p, dh) if dh >= 0.0 else None
-
-    if x_e is None:
-        c = InletConditions(diameter=d, heated_length=length, pressure=p,
-                            mass_flux=g, inlet_subcooling=dh)
-        x_e = heat_balance_quality(chf, c)
-
-    return ChfRecord(
-        diameter=d, heated_length=length, pressure=p, mass_flux=g,
-        exit_quality=x_e, inlet_subcooling=dh, measured_chf=chf,
-        inlet_temperature=t_in,
-    )
+def _reject(reasons: dict[int, str], ok: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """Reject each row still ``ok`` where ``bad``, for ``reason``."""
+    bad &= ok
+    for i in np.flatnonzero(bad).tolist():
+        reasons[i] = reason
+    ok &= ~bad
 
 
 def ingest(
@@ -231,35 +202,100 @@ def ingest(
 
     Structural problems (missing columns, unparseable numbers, empty
     file) raise IngestError.  Rows that cannot be completed (blank
-    underivable fields, failed derivations) are always rejected.  Rows
-    violating the envelope are rejected when ``strict`` and flagged
-    (kept) otherwise.
+    underivable fields, failed derivations, inlet conditions that
+    ``InletConditions`` rejects) are always rejected.  Rows violating
+    the envelope are rejected when ``strict`` and flagged (kept)
+    otherwise.
+
+    Works column-wise: the table is parsed into columns, each missing
+    field is derived by one array call over the rows that need it, and
+    then the records are built.  A row that fails a derivation is
+    rejected alone; each row's reason is the first check it fails, in
+    the order below.
     """
+    # 1. parse: blank cells become NaN (read_columns admits finite numbers only)
+    parsed = list(read_columns(path, _COLUMNS))
+    if not parsed:
+        raise IngestError(f"{path}: no data rows")
+    line_nos = [line_no for line_no, _ in parsed]
+    cols = dict(zip(_COLUMNS, np.array([cells for _, cells in parsed], dtype=np.float64).T))
+    n = len(line_nos)
+    d, length, p = cols["D_mm"] * 1e-3, cols["L_m"], cols["P_kPa"] * 1e3
+    g, chf, x_e = cols["G_kg_m2s"], cols["chf_kW_m2"] * 1e3, cols["x_e"].copy()
+    dh, t_in = cols["dh_sub_kJ_kg"] * 1e3, cols["T_in_C"] + 273.15
+
+    # 2. derive the blank fields, one array call per derivation
+    reasons: dict[int, str] = {}
+    ok = np.ones(n, dtype=bool)
+    for col in ("D_mm", "L_m", "P_kPa", "G_kg_m2s", "chf_kW_m2"):
+        _reject(reasons, ok, np.isnan(cols[col]), f"column {col!r} is blank and not derivable")
+    _reject(reasons, ok, np.isnan(dh) & np.isnan(t_in),
+            "both dh_sub_kJ_kg and T_in_C are blank; need one")
+    derive_dh = ok & np.isnan(dh)
+    # negative subcooling (two-phase inlet) has no single temperature
+    derive_t_in = ok & np.isnan(t_in) & (dh >= 0.0)
+    for derive, out, fn, arg in ((derive_dh, dh, fluid.subcooling_from_inlet_temp, t_in),
+                                 (derive_t_in, t_in, fluid.inlet_temp_from_subcooling, dh)):
+        rows = np.flatnonzero(derive)
+        errors: dict[int, fluid.FluidRangeError] = {}
+        out[rows] = fn(p[rows], arg[rows], errors=errors)
+        for k, e in errors.items():
+            reasons[rows[k].item()] = str(e)
+            ok[rows[k]] = False
+    # a superset of the rows InletConditions rejects; it gives the reason
+    valid = ((d > 0.0) & (length > 0.0) & (g > 0.0) & np.isfinite(dh)
+             & (fluid.P_SAT_MIN <= p) & (p <= fluid.P_CRITICAL))
+    for i in np.flatnonzero(ok & ~valid).tolist():
+        try:
+            InletConditions(d[i].item(), length[i].item(), p[i].item(), g[i].item(),
+                            dh[i].item())
+        except ValueError as e:
+            reasons[i] = str(e)
+            ok[i] = False
+    derive_x = ok & np.isnan(x_e)
+    rows = np.flatnonzero(derive_x)
+    h_fg = fluid.saturation_state(p[rows]).h_fg
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the heat_balance_quality expression at the full heated length
+        x_e[rows] = (4.0 * chf[rows] * length[rows] / (g[rows] * d[rows] * h_fg)
+                     - dh[rows] / h_fg)
+
+    # 3. build the records (Python floats, NaN inlet temperature as None);
+    # envelope_violations words the problems of the rows a column mask finds
+    by_field = dict(zip(ChfRecord.__dataclass_fields__, (d, length, p, g, x_e, dh, chf, t_in)))
+    suspect = np.zeros(n, dtype=bool)
+    for name, (lo, hi) in (TABLE1_ENVELOPE if envelope is None else envelope).items():
+        v = by_field.get(name, np.nan)  # an unknown field fails in envelope_violations
+        suspect |= ~((lo <= v) & (v <= hi))
     records: list[ChfRecord] = []
     kept_lines: list[int] = []
-    rejected: list[tuple[int, str]] = []
     flagged: list[tuple[int, str]] = []
-    n_rows = 0
-    for line_no, cells in read_columns(path, _COLUMNS):
-        n_rows += 1
-        try:
-            rec = _build_record(dict(zip(_COLUMNS, cells)))
-        except (ValueError, fluid.FluidRangeError) as e:
-            rejected.append((line_no, str(e)))
+    derived = dict.fromkeys(("inlet_temperature", "inlet_subcooling", "exit_quality"), 0)
+    fields = zip(d.tolist(), length.tolist(), p.tolist(), g.tolist(), x_e.tolist(),
+                 dh.tolist(), chf.tolist(), t_in.tolist())
+    for i, (row_ok, values) in enumerate(zip(ok.tolist(), fields)):
+        if not row_ok:
             continue
-        problems = envelope_violations(rec, envelope)
+        t = values[7]
+        try:
+            rec = ChfRecord(*values[:7], inlet_temperature=None if math.isnan(t) else t)
+        except ValueError as e:
+            reasons[i] = str(e)
+            continue
+        problems = envelope_violations(rec, envelope) if suspect[i] else None
         if problems:
             if strict:
-                rejected.append((line_no, "; ".join(problems)))
+                reasons[i] = "; ".join(problems)
                 continue
-            flagged.append((line_no, "; ".join(problems)))
+            flagged.append((line_nos[i], "; ".join(problems)))
         records.append(rec)
-        kept_lines.append(line_no)
-    if not n_rows:
-        raise IngestError(f"{path}: no data rows")
+        kept_lines.append(line_nos[i])
+        derived["inlet_temperature"] += bool(derive_t_in[i])
+        derived["inlet_subcooling"] += bool(derive_dh[i])
+        derived["exit_quality"] += bool(derive_x[i])
     return records, IngestReport(
-        n_rows=n_rows, rejected=tuple(rejected), flagged=tuple(flagged),
-        lines=tuple(kept_lines),
+        n_rows=n, rejected=tuple((line_nos[i], reasons[i]) for i in sorted(reasons)),
+        flagged=tuple(flagged), lines=tuple(kept_lines), derived=derived,
     )
 
 

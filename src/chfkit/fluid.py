@@ -12,6 +12,14 @@ there; this is adequate for heat-balance quality bookkeeping but should
 not be mistaken for full IF97 fidelity near the critical point.
 
 All public functions take SI units (Pa, K) and return SI units (J/kg).
+All but ``saturation_pressure`` take floats or 1-D arrays and run one
+numpy core over the rows: floats give a Python float, arrays an array.
+The IF97 sums are (rows x terms) matrices, a bounded number of rows at a
+time, and no row depends on another, so a one-element call gives the
+bits of the same row in a batch.  ``inlet_temp_from_subcooling`` inverts
+the Region 1 enthalpy by Newton steps with cp = -R tau^2 gamma_tautau.
+A bad row raises its FluidRangeError (for arrays, the first bad row's);
+the two inlet-state functions can instead collect the errors per row.
 
 Reference
 ---------
@@ -23,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "FluidRangeError",
@@ -183,12 +193,16 @@ _R4_N = (
 
 
 class FluidRangeError(ValueError):
-    """Input lies outside the validity range of the requested equation."""
+    """Input lies outside the validity range of the requested equation,
+    or the inlet-temperature inversion did not converge."""
 
 
 @dataclass(frozen=True)
 class SaturationState:
     """Saturation properties at a given pressure.
+
+    Each field is a float, or an array with one entry per pressure when
+    ``saturation_state`` was given an array.
 
     Attributes
     ----------
@@ -211,6 +225,128 @@ class SaturationState:
     h_fg: float
 
 
+# A float, or a 1-D array with one value per row.
+_Rows = float | np.ndarray
+
+# Term tables as arrays: exponents, and the coefficients of gamma_tau
+# (n J) and of gamma_tautau times b (n J (J - 1)).
+_R1_IE, _R1_JE = np.array(_R1_I, dtype=float), np.array(_R1_J, dtype=float) - 1.0
+_R1_NJ = np.array(_R1_N) * np.array(_R1_J)
+_R1_NJJ = _R1_NJ * _R1_JE
+_R2_J0E = np.array(_R2_J0, dtype=float) - 1.0
+_R2_N0J0 = np.array(_R2_N0) * np.array(_R2_J0)
+_R2_IE, _R2_JE = np.array(_R2_I, dtype=float), np.array(_R2_J, dtype=float) - 1.0
+_R2_NJ = np.array(_R2_N) * np.array(_R2_J)
+
+# Rows per (rows x terms) matrix: 512 x 43 float64 is 176 kB.
+_CHUNK = 512
+
+# Newton steps allowed per inlet-temperature inversion; the IF97 range
+# needs at most 6 (from T_sat, h is increasing and close to convex in T).
+_NEWTON_MAX_STEPS = 20
+
+
+def _rows(*values) -> list[np.ndarray]:
+    """The arguments as 1-D float64 arrays of one length (floats repeat)."""
+    arrays = [np.asarray(v, dtype=np.float64).reshape(-1) for v in values]
+    n = max(a.size for a in arrays)
+    return [a if a.size == n else np.broadcast_to(a, (n,)) for a in arrays]
+
+
+def _result(rows: np.ndarray, *inputs):
+    """A Python float when every input was a float, else the array."""
+    if all(np.ndim(v) == 0 for v in inputs):
+        return float(rows[0])
+    return rows
+
+
+def _series(x: np.ndarray, y: np.ndarray, x_exp, y_exp, *coefs) -> list[np.ndarray]:
+    """Per row, sum_k c_k x^x_exp_k y^y_exp_k for each coefficient vector c."""
+    if x.size > _CHUNK:
+        out = [np.empty(x.size) for _ in coefs]
+        for s in range(0, x.size, _CHUNK):
+            part = _series(x[s:s + _CHUNK], y[s:s + _CHUNK], x_exp, y_exp, *coefs)
+            for o, sums in zip(out, part):
+                o[s:s + _CHUNK] = sums
+        return out
+    terms = x[:, None] ** x_exp * y[:, None] ** y_exp
+    # cumsum adds each row's terms in table order, as a scalar loop would
+    return [np.cumsum(terms * c, axis=1)[:, -1] for c in coefs]
+
+
+def _t_sat(p: np.ndarray) -> np.ndarray:
+    """IF97 Eq. (31) on rows of pressure, Pa; no range check."""
+    n = _R4_N
+    # Eq. (31) magnifies an ulp of beta some 500 times in t_sat near the
+    # critical point; the C library's pow rounds closer than numpy's
+    # SIMD pow, which differs from it in about 5% of values
+    beta = np.array([v ** 0.25 for v in (p / 1e6).tolist()])
+    e = beta * beta + n[2] * beta + n[5]
+    f = n[0] * beta * beta + n[3] * beta + n[6]
+    g = n[1] * beta * beta + n[4] * beta + n[7]
+    d = 2.0 * g / (-f - np.sqrt(f * f - 4.0 * e * g))
+    nd = n[9] + d
+    return 0.5 * (nd - np.sqrt(nd * nd - 4.0 * (n[8] + n[9] * d)))
+
+
+def _h1(p: np.ndarray, t: np.ndarray, slope: bool = False):
+    """Region 1 enthalpy h = R T tau gamma_tau, J/kg, on rows; with
+    ``slope`` also cp = dh/dT = -R tau^2 gamma_tautau, J/(kg K)."""
+    tau = 1386.0 / t
+    b = tau - 1.222
+    coefs = (_R1_NJ, _R1_NJJ) if slope else (_R1_NJ,)
+    sums = _series(7.1 - p / 16.53e6, b, _R1_IE, _R1_JE, *coefs)
+    h = R_WATER * t * tau * sums[0]
+    if not slope:
+        return h
+    return h, -R_WATER * tau * tau * sums[1] / b
+
+
+def _h2(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Region 2 enthalpy, ideal-gas plus residual part, J/kg, on rows."""
+    tau = 540.0 / t
+    (ideal,) = _series(tau, tau, 0.0, _R2_J0E, _R2_N0J0)
+    (resid,) = _series(p / 1e6, tau - 0.5, _R2_IE, _R2_JE, _R2_NJ)
+    return R_WATER * t * tau * (ideal + resid)
+
+
+def _fail(errors: dict, ok: np.ndarray, bad: np.ndarray, message, *columns) -> None:
+    """Give each row still ``ok`` where ``bad`` the FluidRangeError
+    ``message(*its column values)``, and take it out of ``ok``."""
+    if bad.any():
+        bad &= ok
+        for i in np.flatnonzero(bad).tolist():
+            errors[i] = FluidRangeError(message(*(c[i].item() for c in columns)))
+        ok &= ~bad
+
+
+def _report(errors: dict, into: dict | None) -> None:
+    """Raise the first row's error, or with ``into`` hand all of them over."""
+    if into is not None:
+        into.update(errors)
+    elif errors:
+        raise errors[min(errors)]
+
+
+def _check_saturation_pressure(errors: dict, ok: np.ndarray, p: np.ndarray) -> None:
+    _fail(errors, ok, ~((P_SAT_MIN <= p) & (p <= P_CRITICAL)),
+          lambda v: f"saturation pressure {v} Pa outside [{P_SAT_MIN}, {P_CRITICAL}] Pa", p)
+
+
+def _check_pt(errors: dict, ok: np.ndarray, p: np.ndarray, t: np.ndarray) -> None:
+    _fail(errors, ok, ~((0.0 < p) & (p <= 100e6)),
+          lambda v: f"pressure {v} Pa outside (0, 100e6] Pa", p)
+    _fail(errors, ok, ~((T_SAT_MIN <= t) & (t <= 1073.15)),
+          lambda v: f"temperature {v} K outside [{T_SAT_MIN}, 1073.15] K", t)
+
+
+def _checked(check, *columns) -> None:
+    """Run a range check over all rows; raise the first row's error."""
+    errors: dict = {}
+    check(errors, np.ones(columns[0].size, dtype=bool), *columns)
+    _report(errors, None)
+
+
 def saturation_pressure(t: float) -> float:
     """Saturation pressure of water, Pa, from temperature, K.
 
@@ -229,26 +365,18 @@ def saturation_pressure(t: float) -> float:
     return p_mpa * 1e6
 
 
-def saturation_temperature(p: float) -> float:
+def saturation_temperature(p: _Rows) -> _Rows:
     """Saturation temperature of water, K, from pressure, Pa.
 
     Implements IF97 Eq. (31), the exact algebraic inverse of Eq. (30),
     valid for 611.213 Pa <= p <= 22.064 MPa.
     """
-    if not P_SAT_MIN <= p <= P_CRITICAL:
-        raise FluidRangeError(
-            f"saturation pressure {p} Pa outside [{P_SAT_MIN}, {P_CRITICAL}] Pa"
-        )
-    n = _R4_N
-    beta = (p / 1e6) ** 0.25
-    e = beta * beta + n[2] * beta + n[5]
-    f = n[0] * beta * beta + n[3] * beta + n[6]
-    g = n[1] * beta * beta + n[4] * beta + n[7]
-    d = 2.0 * g / (-f - math.sqrt(f * f - 4.0 * e * g))
-    return 0.5 * (n[9] + d - math.sqrt((n[9] + d) ** 2 - 4.0 * (n[8] + n[9] * d)))
+    (pa,) = _rows(p)
+    _checked(_check_saturation_pressure, pa)
+    return _result(_t_sat(pa), p)
 
 
-def enthalpy_region1(p: float, t: float) -> float:
+def enthalpy_region1(p: _Rows, t: _Rows) -> _Rows:
     """Specific enthalpy of compressed liquid water, J/kg.
 
     Region 1 basic equation, h = R T tau d(gamma)/d(tau).  Nominal
@@ -257,18 +385,12 @@ def enthalpy_region1(p: float, t: float) -> float:
     saturation line can be followed, but values beyond 623.15 K are
     extrapolations.
     """
-    _check_pt(p, t)
-    pi = p / 16.53e6
-    tau = 1386.0 / t
-    a = 7.1 - pi
-    b = tau - 1.222
-    gamma_tau = 0.0
-    for i, j, c in zip(_R1_I, _R1_J, _R1_N):
-        gamma_tau += c * a**i * j * b ** (j - 1)
-    return R_WATER * t * tau * gamma_tau
+    pa, ta = _rows(p, t)
+    _checked(_check_pt, pa, ta)
+    return _result(_h1(pa, ta), p, t)
 
 
-def enthalpy_region2(p: float, t: float) -> float:
+def enthalpy_region2(p: _Rows, t: _Rows) -> _Rows:
     """Specific enthalpy of superheated steam, J/kg.
 
     Region 2 basic equation, ideal-gas plus residual part.  Nominal
@@ -276,78 +398,93 @@ def enthalpy_region2(p: float, t: float) -> float:
     the Region 2/3 boundary; evaluation at saturated-vapor states above
     ~16.53 MPa is an extrapolation (see module docstring).
     """
-    _check_pt(p, t)
-    pi = p / 1e6
-    tau = 540.0 / t
-    gamma0_tau = 0.0
-    for j0, c in zip(_R2_J0, _R2_N0):
-        gamma0_tau += c * j0 * tau ** (j0 - 1)
-    b = tau - 0.5
-    gammar_tau = 0.0
-    for i, j, c in zip(_R2_I, _R2_J, _R2_N):
-        gammar_tau += c * pi**i * j * b ** (j - 1)
-    return R_WATER * t * tau * (gamma0_tau + gammar_tau)
+    pa, ta = _rows(p, t)
+    _checked(_check_pt, pa, ta)
+    return _result(_h2(pa, ta), p, t)
 
 
-def saturation_state(p: float) -> SaturationState:
+def saturation_state(p: _Rows) -> SaturationState:
     """Saturation temperature and phase enthalpies at pressure p, Pa.
 
     h_f comes from the Region 1 equation and h_g from the Region 2
-    equation, both evaluated at (t_sat(p), p).
+    equation, both evaluated at (t_sat(p), p).  An array of pressures
+    gives a state whose fields are arrays.
     """
-    t_sat = saturation_temperature(p)
-    h_f = enthalpy_region1(p, t_sat)
-    h_g = enthalpy_region2(p, t_sat)
+    (pa,) = _rows(p)
+    _checked(_check_saturation_pressure, pa)
+    t_sat = _t_sat(pa)
+    h_f, h_g = _h1(pa, t_sat), _h2(pa, t_sat)
+    if np.ndim(p) == 0:
+        t_sat, h_f, h_g = float(t_sat[0]), float(h_f[0]), float(h_g[0])
+    else:
+        p = pa
     return SaturationState(pressure=p, temperature=t_sat, h_f=h_f, h_g=h_g, h_fg=h_g - h_f)
 
 
-def subcooling_from_inlet_temp(p: float, t_in: float) -> float:
+def subcooling_from_inlet_temp(p: _Rows, t_in: _Rows, errors: dict | None = None) -> _Rows:
     """Inlet subcooling h_f(p) - h(p, t_in), J/kg, for a liquid inlet.
 
     Raises FluidRangeError if t_in exceeds the saturation temperature
-    (a superheated inlet has no liquid-temperature representation).
+    (a superheated inlet has no liquid-temperature representation) or
+    p or t_in is out of range: for arrays, the error of the first bad
+    row.  Given an ``errors`` dict, a bad row gets NaN instead and its
+    error goes to ``errors[row index]``.
     """
-    t_sat = saturation_temperature(p)
-    if t_in > t_sat:
-        raise FluidRangeError(
-            f"inlet temperature {t_in} K exceeds saturation temperature "
-            f"{t_sat} K at {p} Pa"
-        )
-    sat = saturation_state(p)
-    return sat.h_f - enthalpy_region1(p, t_in)
+    pa, ta = _rows(p, t_in)
+    found: dict = {}
+    ok = np.ones(pa.size, dtype=bool)
+    _check_saturation_pressure(found, ok, pa)
+    pa_ok = np.where(ok, pa, P_SAT_MIN)  # bad rows get a harmless stand-in
+    t_sat = _t_sat(pa_ok)
+    _fail(found, ok, ta > t_sat,
+          lambda t, ts, pr: (f"inlet temperature {t} K exceeds saturation "
+                             f"temperature {ts} K at {pr} Pa"), ta, t_sat, pa)
+    _check_pt(found, ok, pa, ta)
+    _report(found, errors)
+    # h_f and h(t_in) in one call: a row at t_sat gives exactly zero
+    h = _h1(np.concatenate((pa_ok, pa_ok)), np.concatenate((t_sat, np.where(ok, ta, t_sat))))
+    return _result(np.where(ok, h[:pa.size] - h[pa.size:], np.nan), p, t_in)
 
 
-def inlet_temp_from_subcooling(p: float, dh_sub: float) -> float:
+def inlet_temp_from_subcooling(p: _Rows, dh_sub: _Rows,
+                               errors: dict | None = None) -> _Rows:
     """Liquid inlet temperature, K, that yields the given subcooling, J/kg.
 
-    Inverts subcooling_from_inlet_temp by bisection on temperature over
-    [273.15 K, t_sat(p)].  dh_sub must be nonnegative and no larger than
-    the subcooling of a 273.15 K inlet.
+    Inverts subcooling_from_inlet_temp by Newton steps on temperature,
+    starting at t_sat(p), with the slope dh/dT = cp = -R tau^2
+    gamma_tautau from the Region 1 table, until a step is below 1e-9 K.
+    dh_sub must be nonnegative and no larger than the subcooling of a
+    273.15 K inlet.  Raises FluidRangeError otherwise, or when a row's
+    steps do not converge: for arrays, the error of the first bad row.
+    Given an ``errors`` dict, a bad row gets NaN instead and its error
+    goes to ``errors[row index]``.
     """
-    if dh_sub < 0.0:
-        raise FluidRangeError(f"subcooling {dh_sub} J/kg is negative (superheated inlet)")
-    sat = saturation_state(p)
-    target = sat.h_f - dh_sub
-    lo, hi = T_SAT_MIN, sat.temperature
-    if enthalpy_region1(p, lo) > target:
-        raise FluidRangeError(
-            f"subcooling {dh_sub} J/kg exceeds the maximum representable "
-            f"{sat.h_f - enthalpy_region1(p, lo)} J/kg at {p} Pa"
-        )
-    # enthalpy_region1 is strictly increasing in t at fixed p
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if enthalpy_region1(p, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9:
+    pa, da = _rows(p, dh_sub)
+    found: dict = {}
+    ok = np.ones(pa.size, dtype=bool)
+    _fail(found, ok, da < 0.0,
+          lambda d: f"subcooling {d} J/kg is negative (superheated inlet)", da)
+    _check_saturation_pressure(found, ok, pa)
+    pa_ok = np.where(ok, pa, P_SAT_MIN)  # bad rows get a harmless stand-in
+    t = _t_sat(pa_ok)
+    h = _h1(np.concatenate((pa_ok, pa_ok)), np.concatenate((t, np.full(pa.size, T_SAT_MIN))))
+    h_f, h_min = h[:pa.size], h[pa.size:]
+    target = h_f - da
+    _fail(found, ok, h_min > target,
+          lambda d, hf, hm, pr: (f"subcooling {d} J/kg exceeds the maximum representable "
+                                 f"{hf - hm} J/kg at {pr} Pa"), da, h_f, h_min, pa)
+    # from t_sat, each row steps until its own step is below 1e-9 K
+    moving = ok.copy()
+    for _ in range(_NEWTON_MAX_STEPS):
+        rows = np.flatnonzero(moving)
+        if not rows.size:
             break
-    return 0.5 * (lo + hi)
-
-
-def _check_pt(p: float, t: float) -> None:
-    if not 0.0 < p <= 100e6:
-        raise FluidRangeError(f"pressure {p} Pa outside (0, 100e6] Pa")
-    if not T_SAT_MIN <= t <= 1073.15:
-        raise FluidRangeError(f"temperature {t} K outside [{T_SAT_MIN}, 1073.15] K")
+        h, cp = _h1(pa[rows], t[rows], slope=True)
+        step = (h - target[rows]) / cp
+        t[rows] -= step
+        moving[rows] = ~(np.abs(step) < 1e-9)
+    _fail(found, ok, moving,
+          lambda d, pr: (f"inlet temperature for subcooling {d} J/kg at {pr} Pa did not "
+                         f"converge in {_NEWTON_MAX_STEPS} Newton steps"), da, pa)
+    _report(found, errors)
+    return _result(np.where(ok, t, np.nan), p, dh_sub)

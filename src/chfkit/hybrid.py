@@ -204,15 +204,17 @@ def _network(p: ChfPredictor, conds: Sequence[InletConditions]) -> list[float]:
 def _solve_rows(p: ChfPredictor, conds: Sequence[InletConditions],
                 h_fg: dict[float, float]) -> list[HbmSolution | Exception]:
     """Base heat-balance solve of each row, or the error it raised; ``h_fg``
-    maps pressure to latent heat, J/kg, and gains the pressures it lacks."""
+    maps pressure to latent heat, J/kg, and gains the pressures it lacks
+    from one saturation-state call."""
     base = _BASE_OF_KIND[p.kind]
+    missing = list(dict.fromkeys(c.pressure for c in conds if c.pressure not in h_fg))
+    if missing:
+        h_fg.update(zip(missing, fluid.saturation_state(np.array(missing)).h_fg.tolist()))
     out: list[HbmSolution | Exception] = []
     for c in conds:
         try:
-            if c.pressure not in h_fg:
-                h_fg[c.pressure] = fluid.saturation_state(c.pressure).h_fg
             out.append(_solve_hbm(base, c, h_fg[c.pressure]))
-        except (NoCriticalConditionError, fluid.FluidRangeError) as e:
+        except NoCriticalConditionError as e:
             out.append(e)
     return out
 
@@ -220,8 +222,8 @@ def _solve_rows(p: ChfPredictor, conds: Sequence[InletConditions],
 def predict_batch(p: ChfPredictor,
                   conds: Sequence[InletConditions]) -> list[Prediction | Exception]:
     """CHF from inlet conditions: per row, in order, a Prediction or the
-    NoCriticalConditionError or FluidRangeError its heat-balance solve
-    raised.  One saturation state per distinct pressure, one network batch."""
+    NoCriticalConditionError its heat-balance solve raised.  One
+    saturation-state call over the distinct pressures, one network batch."""
     net = _network(p, conds)
     if p.kind == "pure_ml":
         return [Prediction(value=r, base_chf=None, ml_residual=None) for r in net]

@@ -175,6 +175,17 @@ def test_critical_power_constant_predictor_analytic():
     assert res.iterations <= 100
 
 
+def test_march_and_search_share_one_saturation_state(monkeypatch):
+    pressures = []
+    sat = fluid.saturation_state
+    monkeypatch.setattr(fluid, "saturation_state", lambda p: pressures.append(p) or sat(p))
+    case = replace(BENNETT_CASE, pressure=7.0e6)
+    pred = ChfPredictor(kind="base_bowring")
+    solve_channel(case, pred)
+    find_critical_power(case, pred, (4.0e5, 4.0e6))
+    assert pressures == [7.0e6]
+
+
 def test_critical_power_constant_predictor_ignores_mass_flux():
     pred = _const_predictor(3.0e6)
     a = find_critical_power(BENNETT_CASE, pred, (1.0e6, 9.0e6))

@@ -12,6 +12,7 @@ import pytest
 
 from chfkit.cli import ConfigError, main, parse_config_text
 from chfkit.correlations import InletConditions, bowring_inlet, heat_balance_quality
+from chfkit.data import ingest
 
 
 def _solvable_rows(n, seed):
@@ -143,6 +144,22 @@ def test_prepare_rerun_is_byte_identical(tmp_path):
     assert main(args) == 0
     for p in out.iterdir():
         assert p.read_bytes() == snapshot[p.name], p.name
+
+
+def test_manifests_count_derived_fields(tmp_path):
+    data = tmp_path / "data.csv"
+    # 12 rows that derive T_in and x_e from dh_sub, one that derives dh_sub
+    # from T_in, one rejected row
+    data.write_text("\n".join([_HEADER, *_solvable_rows(12, seed=5),
+                               "10.0,2.0,7000,1500,0.1,,250.0,1200",
+                               "10.0,2.0,7000,1500,,,,1200"]) + "\n")
+    want = {"exit_quality": 12, "inlet_subcooling": 1, "inlet_temperature": 12}
+    prep, pred = tmp_path / "prep", tmp_path / "pred"
+    assert main(["prepare", f"data={data}", f"outdir={prep}"]) == 0
+    assert main(["predict", f"data={data}", "kind=base_bowring", f"outdir={pred}"]) == 0
+    for out in (prep, pred):
+        assert _manifest(out)["counts"]["derived"] == want
+        assert "np.float64(" not in (out / "manifest.json").read_text()
 
 
 def test_prepare_strict_flag_controls_envelope(tmp_path):
@@ -364,19 +381,36 @@ def test_predict_reports_quality_excursion(tmp_path):
     assert _manifest(out)["counts"]["quality_excursions"] == 0
 
 
-def test_predict_invalid_inlet_conditions_is_failed_row(tmp_path):
+def test_predict_rejects_invalid_inlet_conditions(tmp_path):
     data = tmp_path / "data.csv"
-    # with x_e given, ingest builds no InletConditions, so a pressure above
-    # the critical point reaches predict
+    # x_e is given, so no derivation needs the pressure; ingest still checks it
     data.write_text("\n".join([
         _HEADER, "10.0,3.0,25000,3000,0.5,-900,,3000", _solvable_rows(1, seed=21)[0],
     ]) + "\n")
     out = tmp_path / "pred"
     assert main(["predict", f"data={data}", "kind=base_bowring", f"outdir={out}"]) == 0
     _, rows = _read_csv(out / "predictions.csv")
-    assert rows[0][-1].startswith("failed: pressure 25000000.0 Pa outside")
-    assert rows[1][-1] == "ok"
-    assert _manifest(out)["counts"]["failed"] == 1
+    assert [(r[0], r[-1]) for r in rows] == [("3", "ok")]
+    counts = _manifest(out)["counts"]
+    assert counts["rows_rejected"] == 1 and counts["failed"] == 0
+
+
+@pytest.mark.parametrize("bad_row,reason", [
+    ("10.0,3.0,25000,3000,0.5,-900,,3000", "pressure 25000000.0 Pa outside saturation range"),
+    ("0.0,3.0,7000,3000,0.5,-900,,3000", "diameter must be positive, got 0.0"),
+    ("10.0,-3.0,7000,3000,0.5,-900,,3000", "heated_length must be positive, got -3.0"),
+    ("10.0,3.0,7000,0,0.5,-900,,3000", "mass_flux must be positive, got 0.0"),
+])
+def test_prepare_rejects_invalid_inlet_conditions_with_x_e_given(tmp_path, bad_row, reason):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([_HEADER, *_solvable_rows(12, seed=5), bad_row]) + "\n")
+    out = tmp_path / "prep"
+    assert main(["prepare", f"data={data}", f"outdir={out}", "base=bowring",
+                 "strict=false"]) == 0
+    assert _manifest(out)["counts"]["rows_rejected"] == 1
+    _, report = ingest(str(data), strict=False)
+    ((line_no, why),) = report.rejected
+    assert line_no == 14 and why.startswith(reason)
 
 
 def test_hbm_failure_row_is_line_of_split_file(tmp_path):

@@ -152,6 +152,51 @@ def test_ingest_custom_envelope(tmp_path):
     assert len(records) == 1 and not report.rejected
 
 
+# one row of each inlet form: x_e derived from dh_sub, T_in derived from
+# dh_sub, dh_sub derived from T_in (x_e given), a two-phase inlet
+MIXED_ROWS = [
+    "10.0,2.0,7000,1500,,100,,1200",
+    "12.62,5.56,6895,1000,0.3,100,,1500",
+    f"12.62,5.56,6895,1000,0.3,,{T_IN_EXAMPLE_K - 273.15!r},1500",
+    "10.0,2.0,7000,1500,0.1,-50,,1200",
+]
+
+
+def test_ingest_counts_derived_fields(tmp_path):
+    rejected = "10.0,2.0,7000,1500,,,,1200"  # no dh_sub, no T_in: derives nothing
+    _, report = ingest(_write(tmp_path, MIXED_ROWS + [rejected]))
+    assert len(report.rejected) == 1
+    assert report.derived == {"inlet_temperature": 2, "inlet_subcooling": 1,
+                              "exit_quality": 1}
+
+
+def test_ingest_if97_work_does_not_grow_with_rows(tmp_path, monkeypatch):
+    calls = {}
+    for name in ("_t_sat", "_h1", "_h2"):
+        def counted(*args, _fn=getattr(fluid, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fluid, name, counted)
+    counts = []
+    for n in (30, 300):
+        calls.clear()
+        records, _ = ingest(_write(tmp_path, MIXED_ROWS * (n // 4) + MIXED_ROWS[:n % 4]))
+        assert len(records) == n
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
+def test_ingest_rejects_rows_whose_newton_steps_run_out(tmp_path, monkeypatch):
+    # with one step, only a zero subcooling (the root is t_sat) converges
+    monkeypatch.setattr(fluid, "_NEWTON_MAX_STEPS", 1)
+    rows = ["12.62,5.56,6895,1000,0.3,0,,1500", EXAMPLE_ROW, MIXED_ROWS[2]]
+    records, report = ingest(_write(tmp_path, rows))
+    ((line_no, reason),) = report.rejected
+    assert line_no == 3 and reason.endswith("did not converge in 1 Newton steps")
+    assert report.lines == (2, 4)
+    assert records[0].inlet_temperature == fluid.saturation_temperature(6.895e6)
+
+
 def test_ingest_missing_column(tmp_path):
     header = CSV_HEADER.replace("G_kg_m2s,", "")
     with pytest.raises(IngestError, match="G_kg_m2s"):
