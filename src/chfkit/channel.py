@@ -39,7 +39,6 @@ __all__ = [
     "CriticalPowerResult",
     "BracketError",
     "solve_channel",
-    "extract_chf",
     "find_critical_power",
 ]
 
@@ -181,7 +180,7 @@ def _rate(chf: list[float | None], q: float) -> tuple[list[float], list[float], 
             continue
         ratio = c / q
         dnbr.append(ratio)
-        chf_local.append(ratio * q)  # extraction identity, bit-exact
+        chf_local.append(ratio * q)  # chf_local == dnbr * q, bit-exact
     return dnbr, chf_local, flagged
 
 
@@ -203,21 +202,6 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
         case=case, heights=heights, enthalpies=enthalpies, qualities=qualities,
         dnbr=tuple(dnbr), chf_local=tuple(chf_local), flagged_nodes=tuple(flagged),
     )
-
-
-def extract_chf(profile: AxialProfile, node: int) -> float:
-    """CHF at a node as DNBR x local heat flux (the §-style extraction).
-
-    Equals the stored chf_local bit-exactly; clamped nodes give 0; at
-    zero wall flux the stored predictor value is returned unchanged.
-    """
-    n = len(profile.dnbr)
-    if not 0 <= node < n:
-        raise IndexError(f"node {node} out of range for {n}-node profile")
-    q = profile.case.wall_heat_flux
-    if q == 0.0:
-        return profile.chf_local[node]
-    return profile.dnbr[node] * q
 
 
 def find_critical_power(

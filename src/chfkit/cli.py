@@ -59,7 +59,8 @@ from .hybrid import (
     build_residual_dataset,
     predict_batch,
 )
-from .validity import classify_batch, fit_pca, write_projection_csv, write_verdicts_csv
+from .validity import (SimplexError, classify_batch, fit_pca, write_projection_csv,
+                       write_verdicts_csv)
 from .mlp import (
     ACTIVATIONS,
     ModelFormatError,
@@ -748,10 +749,14 @@ def cmd_hullcheck(cfg: _Config) -> None:
     labels = ["train"] * len(train_recs) + ["query"] * len(query_recs)
     write_projection_csv(pca, stacked, labels, proj_path)
 
+    pivots = [v.pivots for v in verdicts]
     _write_manifest(outdir, "hullcheck", cfg, [train_path, query_path],
                     [verdict_path, proj_path],
                     {"n_inside": summary.n_inside,
-                     "n_outside": summary.n_outside})
+                     "n_outside": summary.n_outside,
+                     "simplex_pivots_total": sum(pivots),
+                     "simplex_pivots_max": max(pivots),
+                     "simplex_bland_pivots": sum(v.bland_pivots for v in verdicts)})
 
 
 def cmd_verify_model(cfg: _Config) -> None:
@@ -813,7 +818,7 @@ def main(argv: list[str] | None = None) -> int:
             raw["strict"] = "true"
         _COMMANDS[args.command][0](_Config(raw))
     except (ConfigError, IngestError, ModelFormatError, ModelValidationError,
-            TrainingDivergedError) as e:
+            SimplexError, TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

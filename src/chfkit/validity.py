@@ -6,11 +6,16 @@ otherwise.  Membership is decided by linear-programming feasibility
 
     exists lambda >= 0,  sum(lambda) = 1,  sum(lambda_i x_i) = q
 
-solved with a phase-1 simplex using Bland's pivoting rule (Bland, 1977),
-which is deterministic and cannot cycle.  Facet enumeration of the hull
-is deliberately avoided: in seven dimensions over tens of thousands of
-points it is combinatorially explosive, while the feasibility LP stays
-small and exact.
+solved with a revised phase-1 simplex (Chvatal, *Linear Programming*,
+1983, ch. 7).  The (d+1) x n constraint matrix is built once per batch;
+each query inverts its (d+1) x (d+1) basis matrix at every pivot and
+prices every column with one matrix-vector product.  The entering
+column has the most negative reduced cost (Dantzig's rule, lowest index
+on ties); after a fixed run of degenerate pivots Bland's rule (Bland,
+1977), which cannot cycle, takes over until the objective drops, so
+every pivot is deterministic; an LP ending without a sound optimal basis
+raises SimplexError.  Facet enumeration of the hull is avoided: in seven
+dimensions over tens of thousands of points it explodes combinatorially.
 
 Features are standardized internally by the training statistics before
 the test.  Convex-hull membership is invariant under feature-wise
@@ -36,8 +41,8 @@ __all__ = [
     "PcaModel",
     "fit_pca",
     "transform",
-    "inverse_transform",
     "Separation",
+    "SimplexError",
     "HullVerdict",
     "hull_contains",
     "ClassificationSummary",
@@ -51,6 +56,17 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 
 _ORTHONORMAL_TOL = 1e-10
+
+# Phase-1 simplex: smallest usable pivot element and reduced cost;
+# ratio-test ties and steps (a step within it of zero is degenerate); the
+# most negative optimal basic value, relative to max(1, |b|), taken as
+# rounding; pivots allowed per query; the run of degenerate pivots after
+# which Bland's rule takes over until the objective drops.
+_PIVOT_TOL = 1e-12
+_TIE_TOL = 1e-15
+_NEGATIVE_TOL = 1e-12
+_MAX_PIVOTS = 20000
+_DEGENERATE_RUN = 10
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +149,13 @@ def transform(model: PcaModel, x: np.ndarray,
     return (x - model.mean) @ model.components[:k].T
 
 
-def inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    """Map component scores back to the original feature space."""
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    k = scores.shape[1]
-    if not 1 <= k <= model.n_components:
-        raise ValueError("score dimension exceeds fitted components")
-    return scores @ model.components[:k] + model.mean
-
-
 # ---------------------------------------------------------------------------
 # Convex-hull membership by phase-1 simplex
 # ---------------------------------------------------------------------------
+
+class SimplexError(ArithmeticError):
+    """A query's phase-1 simplex stopped without an optimal basis."""
+
 
 @dataclass(frozen=True)
 class Separation:
@@ -166,13 +177,16 @@ class HullVerdict:
     ``slack`` is the optimal phase-1 objective: the L1 residual of the
     best convex combination in standardized coordinates.  Inside
     verdicts carry nonnegative ``weights`` summing to one; outside
-    verdicts carry a ``separation`` witness instead.
+    verdicts carry a ``separation`` witness instead.  ``pivots`` counts the
+    query's simplex pivots, ``bland_pivots`` those Bland's rule chose.
     """
 
     inside: bool
     slack: float
     weights: np.ndarray | None = None
     separation: Separation | None = None
+    pivots: int = 0
+    bland_pivots: int = 0
 
     def __post_init__(self):
         if self.inside:
@@ -196,109 +210,106 @@ class ClassificationSummary:
         return self.n_inside + self.n_outside
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray,
-                    max_iter: int = 20000) -> tuple[float, np.ndarray, np.ndarray]:
+def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, int, int]:
     """Minimize the sum of artificial variables for A x = b, x >= 0.
 
-    Returns (objective, x, y): the primal solution over the original
-    columns and the dual vector of the equality constraints.  Bland's
-    rule (lowest eligible index for both entering and leaving variable)
-    makes every pivot deterministic and excludes cycling.
+    The artificial column of row i is sign(b_i) e_i, so the all-artificial
+    start is feasible without flipping A.  Returns (objective, x, y,
+    pivots, bland_pivots): the primal solution over the columns of A, the
+    duals of the equality constraints and the pivot counts.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
-    a = a * sign[:, None]
-    b = b * sign
-    # tableau over original + artificial columns, basis starts artificial
-    t = np.hstack([a, np.eye(m), b[:, None]])
+    artificial = np.diag(sign)
+    bmat = artificial.copy()
     basis = np.arange(n, n + m)
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    # reduced costs under the all-artificial identity basis: c_j - 1.A_j
-    red = cost - t[:, :-1].sum(axis=0)
-
-    pivot_tol = 1e-12
-    for _ in range(max_iter):
-        entering = -1
-        for j in range(n + m):
-            if red[j] < -pivot_tol:
-                entering = j
-                break
-        if entering < 0:
+    cb = np.ones(m)
+    red = np.empty(n + m)
+    pivots = bland = degenerate = 0
+    while True:
+        # inverted afresh: an updated inverse keeps the error of one
+        # ill-conditioned basis in the well-conditioned ones after it
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:
+            raise SimplexError(f"singular basis ({pivots} pivots taken)") from None
+        xb = binv @ b
+        y = cb @ binv
+        np.matmul(-y, a, out=red[:n])
+        red[n:] = 1.0 - y * sign
+        red[basis] = 0.0
+        use_bland = degenerate >= _DEGENERATE_RUN
+        # argmin and argmax both return the lowest index on ties
+        e = int(np.argmax(red < -_PIVOT_TOL) if use_bland else np.argmin(red))
+        if red[e] >= -_PIVOT_TOL:
             break
-        # ratio test; ties resolved by lowest basic-variable index
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            aij = t[i, entering]
-            if aij > pivot_tol:
-                ratio = t[i, -1] / aij
-                if ratio < best - 1e-15 or (
-                        abs(ratio - best) <= 1e-15
-                        and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise ArithmeticError("phase-1 LP unbounded; inconsistent tableau")
-        piv = t[leave, entering]
-        t[leave] /= piv
-        for i in range(m):
-            if i != leave and t[i, entering] != 0.0:
-                t[i] -= t[i, entering] * t[leave]
-        red = red - red[entering] * t[leave, :-1]
-        basis[leave] = entering
-    else:
-        raise ArithmeticError("phase-1 simplex exceeded the iteration limit")
-
-    obj = float(np.sum(t[basis >= n, -1]))
+        if pivots >= _MAX_PIVOTS:
+            raise SimplexError(f"phase-1 simplex hit the pivot cap ({pivots} pivots taken)")
+        a_e = a[:, e] if e < n else artificial[:, e - n]
+        alpha = binv @ a_e
+        ok = alpha > _PIVOT_TOL
+        if not ok.any():
+            raise SimplexError(f"phase-1 LP unbounded ({pivots} pivots taken)")
+        # basic values rounded below zero count as zero; ratio ties go to the
+        # largest pivot element, which keeps the basis well conditioned, then
+        # to the lowest basic index (under Bland's rule: lowest of all ties)
+        ratio = np.where(ok, np.maximum(xb, 0.0) / np.where(ok, alpha, 1.0), np.inf)
+        ties = np.flatnonzero(ratio <= ratio.min() + _TIE_TOL)
+        if not use_bland:
+            ties = ties[alpha[ties] == alpha[ties].max()]
+        r = ties[np.argmin(basis[ties])]
+        degenerate = 0 if ratio[r] > _TIE_TOL else degenerate + 1
+        pivots += 1
+        bland += use_bland
+        bmat[:, r] = a_e
+        basis[r] = e
+        cb[r] = float(e >= n)
+    # solved, not multiplied by the inverse (backward stable on a near-singular
+    # basis); LAPACK factors bmat as it did for the inverse, so it cannot fail
+    xb = np.linalg.solve(bmat, b)
+    if xb.min() < -_NEGATIVE_TOL * max(1.0, float(np.abs(b).max())):
+        raise SimplexError(f"infeasible final basis, a basic value of {xb.min():.3g} "
+                           f"({pivots} pivots taken)")
+    orig = basis < n
     x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = t[i, -1]
-    # dual of the flipped system, mapped back through the row signs
-    cols = np.hstack([a, np.eye(m)])[:, basis]
-    y = np.linalg.solve(cols.T, cost[basis])
-    return obj, x, y * sign
-
-
-def _hull_verdict(train_std: np.ndarray, q_std: np.ndarray,
-                  tol: float) -> HullVerdict:
-    n, d = train_std.shape
-    a = np.vstack([train_std.T, np.ones(n)])
-    b = np.concatenate([q_std, [1.0]])
-    obj, lam, y = _phase1_simplex(a, b)
-    if obj <= tol:
-        lam = np.where((lam < 0.0) & (lam > -1e-12), 0.0, lam)
-        return HullVerdict(inside=True, slack=obj, weights=lam)
-    return HullVerdict(inside=False, slack=obj,
-                       separation=Separation(normal=y[:d], offset=float(y[d])))
+    x[basis[orig]] = xb[orig]
+    return float(np.sum(xb[~orig])), x, y, pivots, bland
 
 
 def hull_contains(train: np.ndarray, query: np.ndarray,
                   tol: float = FEASIBILITY_TOL) -> HullVerdict:
     """Decide whether one query point lies in the hull of the rows of train."""
-    train = np.atleast_2d(np.asarray(train, dtype=float))
-    query = np.asarray(query, dtype=float).reshape(-1)
-    if query.shape[0] != train.shape[1]:
-        raise ValueError("query dimension does not match the training matrix")
-    scaler = Scaler.fit(train)
-    return _hull_verdict(scaler.transform(train), scaler.transform(query), tol)
+    return classify_batch(train, np.asarray(query, dtype=float).reshape(1, -1), tol)[0][0]
 
 
 def classify_batch(train: np.ndarray, queries: np.ndarray,
                    tol: float = FEASIBILITY_TOL,
                    ) -> tuple[tuple[HullVerdict, ...], ClassificationSummary]:
-    """Classify every query row; standardization is computed once."""
+    """Classify every query row; standardization and A are built once.
+
+    Raises SimplexError naming the 0-based query row when a query's LP
+    stops without an optimal basis.
+    """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != train.shape[1]:
         raise ValueError("query dimension does not match the training matrix")
     scaler = Scaler.fit(train)
-    train_std = scaler.transform(train)
-    verdicts = tuple(_hull_verdict(train_std, scaler.transform(q), tol)
-                     for q in queries)
+    a = np.vstack([scaler.transform(train).T, np.ones(train.shape[0])])
+    verdicts = []
+    for row, q in enumerate(scaler.transform(queries)):
+        try:
+            obj, lam, y, pivots, bland = _phase1(a, np.append(q, 1.0))
+        except SimplexError as e:
+            raise SimplexError(f"hull query row {row}: {e}") from None
+        inside = obj <= tol
+        verdicts.append(HullVerdict(
+            inside=inside, slack=obj, pivots=pivots, bland_pivots=bland,
+            weights=np.maximum(lam, 0.0) if inside else None,
+            separation=None if inside else Separation(normal=y[:-1], offset=float(y[-1]))))
     n_in = sum(1 for v in verdicts if v.inside)
-    return verdicts, ClassificationSummary(n_inside=n_in,
-                                           n_outside=len(verdicts) - n_in)
+    return tuple(verdicts), ClassificationSummary(n_inside=n_in,
+                                                  n_outside=len(verdicts) - n_in)
 
 
 # ---------------------------------------------------------------------------

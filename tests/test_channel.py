@@ -12,7 +12,6 @@ from chfkit.channel import (
     AxialProfile,
     BracketError,
     ChannelCase,
-    extract_chf,
     find_critical_power,
     solve_channel,
 )
@@ -108,7 +107,6 @@ def test_nonpositive_chf_clamped_and_flagged():
     assert prof.flagged_nodes == tuple(range(BENNETT_CASE.n_axial))
     assert set(prof.dnbr) == {0.0}
     assert set(prof.chf_local) == {0.0}
-    assert extract_chf(prof, 3) == 0.0
 
 
 def test_no_critical_condition_nodes_flagged():
@@ -125,7 +123,6 @@ def test_zero_wall_flux_sentinel():
     assert prof.flagged_nodes == ()
     assert set(prof.enthalpies) == {prof.enthalpies[0]}  # no heating
     assert set(prof.chf_local) == {3.0e6}  # raw predictor value kept
-    assert extract_chf(prof, 0) == 3.0e6
 
 
 def test_dnbr_values_hbm_match_per_node_solves():
@@ -135,33 +132,7 @@ def test_dnbr_values_hbm_match_per_node_solves():
     for i, z in enumerate(prof.heights):
         chf = solve_hbm("bowring", case.inlet_conditions(heated_length=z)).chf
         assert prof.dnbr[i] == chf / case.wall_heat_flux
-
-
-# ---------------------------------------------------------------------------
-# CHF extraction
-# ---------------------------------------------------------------------------
-
-def test_extract_chf_equals_stored_local_chf():
-    pred = ChfPredictor(kind="base_bowring", solve_mode="dsm")
-    prof = solve_channel(BENNETT_CASE, pred)
-    for i in range(len(prof.dnbr)):
-        assert extract_chf(prof, i) == prof.chf_local[i]
-        assert extract_chf(prof, i) == prof.dnbr[i] * BENNETT_CASE.wall_heat_flux
-
-
-def test_extract_chf_at_unit_dnbr_gives_wall_flux():
-    case = replace(BENNETT_CASE, wall_heat_flux=3.0e6)
-    prof = solve_channel(case, _const_predictor(3.0e6))
-    assert set(prof.dnbr) == {1.0}
-    assert extract_chf(prof, 7) == 3.0e6
-
-
-def test_extract_chf_bounds():
-    prof = solve_channel(BENNETT_CASE, _const_predictor(3.0e6))
-    with pytest.raises(IndexError, match="out of range"):
-        extract_chf(prof, BENNETT_CASE.n_axial)
-    with pytest.raises(IndexError, match="out of range"):
-        extract_chf(prof, -1)
+        assert prof.chf_local[i] == prof.dnbr[i] * case.wall_heat_flux
 
 
 # ---------------------------------------------------------------------------

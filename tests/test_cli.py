@@ -694,7 +694,9 @@ def test_hullcheck_training_rows_inside(tmp_path):
     assert main(["hullcheck", f"train_csv={data}", f"query_csv={data}",
                  f"outdir={out}"]) == 0
     counts = _manifest(out)["counts"]
-    assert counts == {"n_inside": 12, "n_outside": 0}
+    assert counts["n_inside"] == 12 and counts["n_outside"] == 0
+    assert 0 < counts["simplex_pivots_max"] <= counts["simplex_pivots_total"]
+    assert 0 <= counts["simplex_bland_pivots"] <= counts["simplex_pivots_total"]
     _, vrows = _read_csv(out / "verdicts.csv")
     assert all(r[1] == "1" for r in vrows)
     _, prows = _read_csv(out / "projection.csv")
@@ -710,6 +712,34 @@ def test_hullcheck_feature_subset(tmp_path):
                  f"outdir={out}",
                  "hull_features=diameter,pressure,mass_flux"]) == 0
     assert _manifest(out)["counts"]["n_inside"] == 12
+
+
+def test_hullcheck_rerun_manifest_byte_identical(tmp_path):
+    train = tmp_path / "train.csv"
+    query = tmp_path / "query.csv"
+    write_dataset(train, n=30, seed=29)
+    write_dataset(query, n=8, seed=31)
+    texts = []
+    for _ in range(2):
+        assert main(["hullcheck", f"train_csv={train}", f"query_csv={query}",
+                     f"outdir={tmp_path / 'out'}",
+                     "hull_features=diameter,pressure,mass_flux"]) == 0
+        texts.append((tmp_path / "out" / "manifest.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["counts"]["simplex_pivots_total"] > 0
+
+
+def test_hullcheck_pivot_cap_is_error_exit(tmp_path, capsys, monkeypatch):
+    from chfkit import validity
+
+    monkeypatch.setattr(validity, "_MAX_PIVOTS", 1)
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=12, seed=17)
+    assert main(["hullcheck", f"train_csv={data}", f"query_csv={data}",
+                 f"outdir={tmp_path / 'x'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hull query row 0: ")
+    assert "(1 pivots taken)" in err and "Traceback" not in err
 
 
 def test_hullcheck_unknown_feature_rejected(tmp_path, capsys):

@@ -8,6 +8,7 @@ Delaunay triangulation) used strictly as test-side oracles.
 import numpy as np
 import pytest
 
+from chfkit import validity
 from chfkit.validity import (
     FEASIBILITY_TOL,
     ClassificationSummary,
@@ -16,7 +17,6 @@ from chfkit.validity import (
     classify_batch,
     fit_pca,
     hull_contains,
-    inverse_transform,
     transform,
     write_projection_csv,
     write_verdicts_csv,
@@ -97,7 +97,7 @@ def test_pca_full_rank_reconstruction():
     rng = np.random.default_rng(54)
     x = rng.uniform(1.0, 10.0, (60, 5))
     m = fit_pca(x)
-    back = inverse_transform(m, transform(m, x))
+    back = transform(m, x) @ m.components + m.mean
     assert np.max(np.abs(back - x) / np.abs(x)) < 1e-9
 
 
@@ -276,6 +276,16 @@ def test_hull_verdict_validation():
         HullVerdict(inside=True, slack=0.0, weights=np.array([0.7, 0.7]))
     with pytest.raises(ValueError, match="separation"):
         HullVerdict(inside=False, slack=1.0)
+
+
+def test_hull_pivot_cap_names_the_query_row(monkeypatch):
+    monkeypatch.setattr(validity, "_MAX_PIVOTS", 1)
+    # the far point is settled in one pivot, the centre needs more
+    with pytest.raises(validity.SimplexError,
+                       match=r"^hull query row 1: .*pivot cap \(1 pivots taken\)"):
+        classify_batch(UNIT_SQUARE, [[3.0, 3.0], [0.5, 0.5]])
+    with pytest.raises(ArithmeticError, match="^hull query row 0: "):
+        hull_contains(UNIT_SQUARE, [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
