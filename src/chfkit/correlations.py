@@ -19,6 +19,16 @@ correlations is linear in quality, q'' = alpha (beta - x), and each
 correlation is the largest of its branches, so the HBM root
 q'' = corr(x(q'')) has a closed form (see ``solve_hbm``).
 
+The branch coefficients and the solve run on 1-D columns, one row per
+tube; ``solve_hbm``, ``biasi_dsm``, ``bowring_dsm`` and ``bowring_inlet``
+are one-row calls of the same code.  Rows are independent.  Sums,
+products, quotients and square roots go to numpy, which rounds them
+correctly; every power and exponential goes through the C library one
+element at a time, as in ``fluid``.  numpy's SIMD ``pow`` and ``exp``
+differ from the C library's in the last bit of some 7-8% of values
+(base CHF moved by up to 8e-16 relative), so this keeps the values, and
+the CLI outputs, those of plain float arithmetic, in batches and alone.
+
 Both correlations are dimensional fits.  Out-of-validity inputs are
 evaluated anyway (screening use); the published validity envelopes are
 exposed as metadata, and nonpositive correlation values are returned
@@ -37,6 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fluid
 
@@ -129,6 +141,15 @@ class InletConditions:
             )
 
 
+def _valid_inlet_rows(d: np.ndarray, length: np.ndarray, p: np.ndarray, g: np.ndarray,
+                      dh_sub: np.ndarray) -> np.ndarray:
+    """False on every row of inlet-condition columns that InletConditions
+    rejects; a row it flags gives its reason by constructing one."""
+    return (np.isfinite(d) & np.isfinite(length) & np.isfinite(g) & np.isfinite(dh_sub)
+            & (d > 0.0) & (length > 0.0) & (g > 0.0)
+            & (fluid.P_SAT_MIN <= p) & (p <= fluid.P_CRITICAL))
+
+
 @dataclass(frozen=True)
 class LocalConditions:
     """Local state for direct-substitution correlation evaluation."""
@@ -204,15 +225,49 @@ def heat_balance_quality(q_pp: float, c: InletConditions, length: float | None =
 
 
 # ---------------------------------------------------------------------------
+# Column arithmetic
+# ---------------------------------------------------------------------------
+
+def _row(*values: float) -> list[np.ndarray]:
+    """Each float as a one-row column."""
+    return [np.array([v], dtype=np.float64) for v in values]
+
+
+def _pow(base: np.ndarray, exponent) -> np.ndarray:
+    """``base ** exponent`` per row through the C library's pow; the
+    exponent is a float or a column."""
+    if isinstance(exponent, np.ndarray):
+        return np.array([b ** e for b, e in zip(base.tolist(), exponent.tolist())])
+    return np.array([b ** exponent for b in base.tolist()])
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """exp per row through the C library."""
+    return np.array([math.exp(v) for v in a.tolist()])
+
+
+def _largest(candidates) -> np.ndarray:
+    """Per row, the largest value among the (values, applies) candidates
+    that apply there, picked as Python's max picks it: a later candidate
+    replaces an earlier one only where it is strictly larger, which fixes
+    the sign of a zero tie and the outcome of a NaN."""
+    (out, have), *rest = candidates
+    for value, applies in rest:
+        out = np.where(applies & (~have | (value > out)), value, out)
+        have = have | applies
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Biasi (1967)
 # ---------------------------------------------------------------------------
 
-def _biasi_pressure_f(p_bar: float) -> float:
-    return 0.7249 + 0.099 * p_bar * math.exp(-0.032 * p_bar)
+def _biasi_pressure_f(p_bar: np.ndarray) -> np.ndarray:
+    return 0.7249 + 0.099 * p_bar * _exp(-0.032 * p_bar)
 
 
-def _biasi_pressure_h(p_bar: float) -> float:
-    return -1.159 + 0.149 * p_bar * math.exp(-0.019 * p_bar) + 9.0 * p_bar / (10.0 + p_bar * p_bar)
+def _biasi_pressure_h(p_bar: np.ndarray) -> np.ndarray:
+    return -1.159 + 0.149 * p_bar * _exp(-0.019 * p_bar) + 9.0 * p_bar / (10.0 + p_bar * p_bar)
 
 
 def biasi_dsm(c: LocalConditions) -> float:
@@ -223,33 +278,36 @@ def biasi_dsm(c: LocalConditions) -> float:
     applies.  The raw value is returned even when nonpositive (the
     correlation predicts no burnout margin there); callers clamp.
     """
-    return _flux(_branches("biasi", c.diameter, c.mass_flux, c.pressure), c.quality)
+    branches = _branches("biasi", *_row(c.diameter, c.mass_flux, c.pressure))
+    return _flux(branches, c.quality).item()
 
 
 # ---------------------------------------------------------------------------
 # Bowring (1972)
 # ---------------------------------------------------------------------------
 
-def _bowring_factors(p_pa: float) -> tuple[float, float, float, float, float]:
-    """Pressure functions F1..F4 and flow exponent n at pressure p, Pa."""
+def _bowring_factors(p_pa: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pressure functions F1..F4 and flow exponent n at pressures p, Pa."""
     p_r = p_pa / 6.895e6
     n = 2.0 - 0.5 * p_r
-    if p_r <= 1.0:
-        f1 = (p_r**18.942 * math.exp(20.89 * (1.0 - p_r)) + 0.917) / 1.917
-        f2 = f1 / ((p_r**1.316 * math.exp(2.444 * (1.0 - p_r)) + 0.309) / 1.309)
-        f3 = (p_r**17.023 * math.exp(16.658 * (1.0 - p_r)) + 0.667) / 1.667
-    else:
-        f1 = p_r**-0.368 * math.exp(0.648 * (1.0 - p_r))
-        f2 = f1 / (p_r**-0.448 * math.exp(0.245 * (1.0 - p_r)))
-        f3 = p_r**0.219
-    f4 = f3 * p_r**1.649
+    # both forms on every row, then the one for its side of p_r = 1; each
+    # stays finite over the whole saturation range
+    low = p_r <= 1.0
+    f1 = np.where(low, (_pow(p_r, 18.942) * _exp(20.89 * (1.0 - p_r)) + 0.917) / 1.917,
+                  _pow(p_r, -0.368) * _exp(0.648 * (1.0 - p_r)))
+    f2 = f1 / np.where(low, (_pow(p_r, 1.316) * _exp(2.444 * (1.0 - p_r)) + 0.309) / 1.309,
+                       _pow(p_r, -0.448) * _exp(0.245 * (1.0 - p_r)))
+    f3 = np.where(low, (_pow(p_r, 17.023) * _exp(16.658 * (1.0 - p_r)) + 0.667) / 1.667,
+                  _pow(p_r, 0.219))
+    f4 = f3 * _pow(p_r, 1.649)
     return f1, f2, f3, f4, n
 
 
-def _bowring_ac(d: float, g: float, p_pa: float, h_fg: float) -> tuple[float, float]:
+def _bowring_ac(d: np.ndarray, g: np.ndarray, p_pa: np.ndarray,
+                h_fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f1, f2, f3, f4, n = _bowring_factors(p_pa)
-    a = 2.317 * (h_fg * d * g / 4.0) * f1 / (1.0 + 0.0143 * f2 * math.sqrt(d) * g)
-    c = 0.077 * f3 * d * g / (1.0 + 0.347 * f4 * (g / 1356.0) ** n)
+    a = 2.317 * (h_fg * d * g / 4.0) * f1 / (1.0 + 0.0143 * f2 * np.sqrt(d) * g)
+    c = 0.077 * f3 * d * g / (1.0 + 0.347 * f4 * _pow(g / 1356.0, n))
     return a, c
 
 
@@ -261,7 +319,7 @@ def bowring_inlet(c: InletConditions) -> float:
     local quality is eliminated through the heat balance.
     """
     h_fg = fluid.saturation_state(c.pressure).h_fg
-    a, cc = _bowring_ac(c.diameter, c.mass_flux, c.pressure, h_fg)
+    a, cc = (v.item() for v in _bowring_ac(*_row(c.diameter, c.mass_flux, c.pressure, h_fg)))
     return (a + 0.25 * c.diameter * c.mass_flux * c.inlet_subcooling) / (cc + c.heated_length)
 
 
@@ -273,37 +331,74 @@ def bowring_dsm(c: LocalConditions) -> float:
     balance.  Raw value returned even when nonpositive.
     """
     h_fg = fluid.saturation_state(c.pressure).h_fg
-    return _flux(_branches("bowring", c.diameter, c.mass_flux, c.pressure, h_fg), c.quality)
+    branches = _branches("bowring", *_row(c.diameter, c.mass_flux, c.pressure, h_fg))
+    return _flux(branches, c.quality).item()
 
 
 # ---------------------------------------------------------------------------
 # Branch form and heat-balance solver
 # ---------------------------------------------------------------------------
 
-def _branches(correlation: str, d: float, g: float, p_pa: float, h_fg: float = 0.0) -> tuple:
-    """Coefficients (alpha, beta) of each branch q'' = alpha (beta - x), W/m2.
+def _branches(correlation: str, d: np.ndarray, g: np.ndarray, p_pa: np.ndarray,
+              h_fg: np.ndarray | None = None) -> tuple:
+    """Coefficients (alpha, beta, applies) of each branch q'' = alpha (beta - x),
+    W/m2, on rows; ``applies`` masks the rows where the branch counts.
 
-    The correlation is the largest branch.  Biasi's low-quality branch
-    applies above ``BIASI_LOW_FLOW_LIMIT`` only; Bowring needs h_fg, J/kg.
+    The correlation is the largest branch that applies.  Biasi's
+    low-quality branch applies above ``BIASI_LOW_FLOW_LIMIT`` only;
+    Bowring needs h_fg, J/kg.
     """
+    every = np.ones(d.shape, dtype=bool)
     if correlation == "bowring":
         a, cc = _bowring_ac(d, g, p_pa, h_fg)
         gdh = 0.25 * d * g * h_fg
-        return ((gdh / cc, a / gdh),)
+        return ((gdh / cc, a / gdh, every),)
     if correlation != "biasi":
         raise ValueError(f"unknown correlation {correlation!r}; expected 'biasi' or 'bowring'")
     # diameter enters in cm, pressure in bar; result in W/m2
     p_bar = p_pa / 1e5
-    scale = (100.0 * d) ** (-0.4 if d >= 0.01 else -0.6)
-    high = (15.048e7 * scale * g ** (-0.6) * _biasi_pressure_h(p_bar), 1.0)
-    if g <= BIASI_LOW_FLOW_LIMIT:
-        return (high,)
-    g6 = g ** (-1.0 / 6.0)
-    return (2.764e7 * scale * g6, 1.468 * _biasi_pressure_f(p_bar) * g6), high
+    scale = _pow(100.0 * d, np.where(d >= 0.01, -0.4, -0.6))
+    high = (15.048e7 * scale * _pow(g, -0.6) * _biasi_pressure_h(p_bar), 1.0, every)
+    g6 = _pow(g, -1.0 / 6.0)
+    low = (2.764e7 * scale * g6, 1.468 * _biasi_pressure_f(p_bar) * g6,
+           g > BIASI_LOW_FLOW_LIMIT)
+    return low, high
 
 
-def _flux(branches: tuple, x: float) -> float:
-    return max(alpha * (beta - x) for alpha, beta in branches)
+def _flux(branches: tuple, x) -> np.ndarray:
+    """Correlation value at quality x (a float or a column), W/m2."""
+    return _largest([(alpha * (beta - x), applies) for alpha, beta, applies in branches])
+
+
+@dataclass(frozen=True)
+class _HbmColumns:
+    """Heat-balance solves of a batch of rows, one column per field.
+
+    ``failed`` marks the rows with no critical condition; their other
+    fields are meaningless except the bracket-end residuals r_lo, r_hi.
+    """
+
+    chf: np.ndarray
+    critical_quality: np.ndarray
+    residual: np.ndarray
+    quality_excursion: np.ndarray
+    failed: np.ndarray
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+
+    def error(self, i: int) -> NoCriticalConditionError:
+        """The error that failed row i raises."""
+        residuals = (self.r_lo[i].item(), self.r_hi[i].item())
+        message = ("correlation does not cross the heat-balance line"
+                   if all(map(math.isfinite, residuals)) else "non-finite residual")
+        return NoCriticalConditionError(message, HBM_FLUX_BRACKET, residuals)
+
+    def outcomes(self) -> list[HbmSolution | NoCriticalConditionError]:
+        """Per row, in order, its HbmSolution or its error."""
+        rows = zip(self.chf.tolist(), self.critical_quality.tolist(), self.residual.tolist(),
+                   self.quality_excursion.tolist(), self.failed.tolist())
+        return [self.error(i) if failed else HbmSolution(chf, x_cr, 0, residual, excursion)
+                for i, (chf, x_cr, residual, excursion, failed) in enumerate(rows)]
 
 
 def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
@@ -320,6 +415,11 @@ def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
     matters below about 1.5 bar, where Biasi's H(p), and with it the
     high-quality alpha, is negative.
 
+    This is the one-row call of ``_solve_columns``, which makes the
+    same solve on columns for the batch callers, with powers and
+    exponentials from the C library so that a row's bits do not depend
+    on its batch (see the module docstring).
+
     Raises
     ------
     NoCriticalConditionError
@@ -328,39 +428,46 @@ def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
         is predicted inside the search range), or if it is not finite
         at either end of the bracket.
     """
-    return _solve_hbm(correlation, c, fluid.saturation_state(c.pressure).h_fg)
+    h_fg = fluid.saturation_state(c.pressure).h_fg
+    (out,) = _solve_columns(correlation, *_row(c.diameter, c.heated_length, c.pressure,
+                                               c.mass_flux, c.inlet_subcooling, h_fg)).outcomes()
+    if isinstance(out, NoCriticalConditionError):
+        raise out
+    return out
 
 
-def _solve_hbm(correlation: str, c: InletConditions, h_fg: float) -> HbmSolution:
-    """``solve_hbm`` with h_fg, J/kg, at ``c.pressure`` already known."""
-    gd = c.mass_flux * c.diameter
-    branches = _branches(correlation, c.diameter, c.mass_flux, c.pressure, h_fg)
+def _solve_columns(correlation: str, d: np.ndarray, length: np.ndarray, p: np.ndarray,
+                   g: np.ndarray, dh_sub: np.ndarray, h_fg: np.ndarray) -> _HbmColumns:
+    """``solve_hbm`` on 1-D columns of diameter, heated length, pressure,
+    mass flux, inlet subcooling and h_fg at the row's pressure (SI); the
+    caller validates the rows.  No row depends on another, so a one-row
+    call gives the bits of the same row in a batch."""
+    gd = g * d
+    branches = _branches(correlation, d, g, p, h_fg)
 
-    def quality(q: float) -> float:
+    def quality(q):
         # the heat_balance_quality expression, so x_cr matches it bit for bit
-        return 4.0 * q * c.heated_length / (gd * h_fg) - c.inlet_subcooling / h_fg
+        return 4.0 * q * length / (gd * h_fg) - dh_sub / h_fg
 
     q_lo, q_hi = HBM_FLUX_BRACKET
-    r_lo = q_lo - _flux(branches, quality(q_lo))
-    r_hi = q_hi - _flux(branches, quality(q_hi))
-    if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
-        raise NoCriticalConditionError("non-finite residual", HBM_FLUX_BRACKET, (r_lo, r_hi))
-    if r_lo >= 0.0 or r_hi <= 0.0:
-        raise NoCriticalConditionError(
-            "correlation does not cross the heat-balance line",
-            bracket=(q_lo, q_hi),
-            residuals=(r_lo, r_hi),
-        )
-
-    k = 4.0 * c.heated_length / (gd * h_fg)
-    s = c.inlet_subcooling / h_fg
-    chf = max(alpha * (beta + s) / (1.0 + alpha * k)
-              for alpha, beta in branches if 1.0 + alpha * k > 0.0)
-    x_cr = quality(chf)
-    return HbmSolution(
+    # a failed row, or a branch with a nonpositive slope, may divide by
+    # zero or overflow; such values are masked out below
+    with np.errstate(all="ignore"):
+        r_lo = q_lo - _flux(branches, quality(q_lo))
+        r_hi = q_hi - _flux(branches, quality(q_hi))
+        failed = ~(np.isfinite(r_lo) & np.isfinite(r_hi)) | (r_lo >= 0.0) | (r_hi <= 0.0)
+        k = 4.0 * length / (gd * h_fg)
+        s = dh_sub / h_fg
+        chf = _largest([(alpha * (beta + s) / (1.0 + alpha * k), applies & (1.0 + alpha * k > 0.0))
+                        for alpha, beta, applies in branches])
+        x_cr = quality(chf)
+        residual = chf - _flux(branches, x_cr)
+    return _HbmColumns(
         chf=chf,
         critical_quality=x_cr,
-        iterations=0,
-        residual=chf - _flux(branches, x_cr),
-        quality_excursion=not QUALITY_MIN <= x_cr <= QUALITY_MAX,
+        residual=residual,
+        quality_excursion=~((QUALITY_MIN <= x_cr) & (x_cr <= QUALITY_MAX)),
+        failed=failed,
+        r_lo=r_lo,
+        r_hi=r_hi,
     )

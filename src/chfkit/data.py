@@ -26,13 +26,14 @@ carries the file line number and a reason.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import fluid
-from .correlations import InletConditions
+from .correlations import InletConditions, _valid_inlet_rows
 
 __all__ = [
     "ChfRecord",
@@ -242,10 +243,7 @@ def ingest(
         for k, e in errors.items():
             reasons[rows[k].item()] = str(e)
             ok[rows[k]] = False
-    # a superset of the rows InletConditions rejects; it gives the reason
-    valid = ((d > 0.0) & (length > 0.0) & (g > 0.0) & np.isfinite(dh)
-             & (fluid.P_SAT_MIN <= p) & (p <= fluid.P_CRITICAL))
-    for i in np.flatnonzero(ok & ~valid).tolist():
+    for i in np.flatnonzero(ok & ~_valid_inlet_rows(d, length, p, g, dh)).tolist():
         try:
             InletConditions(d[i].item(), length[i].item(), p[i].item(), g[i].item(),
                             dh[i].item())
@@ -354,14 +352,12 @@ def feature_matrix(
     for f in features:
         if f not in ChfRecord.__dataclass_fields__:
             raise ValueError(f"unknown feature {f!r}")
-    out = np.empty((len(records), len(features)), dtype=np.float64)
-    for i, r in enumerate(records):
-        for j, f in enumerate(features):
-            v = getattr(r, f)
-            if v is None:
-                raise ValueError(
-                    f"record {i} has no value for feature {f!r}"
-                )
-            out[i, j] = v
+    get = operator.attrgetter(*features)
+    rows = [get(r) for r in records] if len(features) > 1 else [(get(r),) for r in records]
+    # None becomes NaN, which no ChfRecord field holds otherwise
+    out = np.array(rows, dtype=np.float64).reshape(len(records), len(features))
+    for i, j in np.argwhere(np.isnan(out)).tolist():
+        if rows[i][j] is None:
+            raise ValueError(f"record {i} has no value for feature {features[j]!r}")
     return out
 

@@ -8,7 +8,10 @@ input vector (diameter, heated length, pressure, mass flux, inlet
 subcooling) — never the base model's output — so the corrector stays
 independent of the base model's scale.
 
-Two evaluation surfaces share one core:
+Two evaluation surfaces and the residual dataset share one core: the
+rows' model features as an (n, 5) matrix, at most one saturation-state
+call over its distinct pressures, one heat-balance solve on its columns
+(``correlations._solve_columns``) and one network batch.
 
 * ``predict_batch`` works from inlet conditions and resolves the base
   correlation with the heat-balance solve (the critical length equals
@@ -18,13 +21,15 @@ Two evaluation surfaces share one core:
 * ``node_chf`` rates every node of a channel march at once.  In "hbm"
   solve mode node z is the exit of a tube of length z; in "dsm" mode
   the base correlation is evaluated directly at the node's local
-  quality.  The network runs as one batch over the rows or nodes.
+  quality, one branch evaluation over the nodes.
+* ``build_residual_dataset`` takes the base CHF of every record from
+  the same solve.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,10 +40,12 @@ from .correlations import (
     QUALITY_MIN,
     HbmSolution,
     InletConditions,
-    NoCriticalConditionError,
     _branches,
     _flux,
-    _solve_hbm,
+    _HbmColumns,
+    _row,
+    _solve_columns,
+    _valid_inlet_rows,
 )
 from .data import MODEL_FEATURES
 from .mlp import Mlp, forward_batch
@@ -151,32 +158,42 @@ class ResidualBuildReport:
 _features_of = operator.attrgetter(*MODEL_FEATURES)
 
 
+def _inlet_matrix(feats: Sequence[tuple]) -> np.ndarray:
+    """(n, 5) matrix of model-feature tuples; raises the ValueError of the
+    first row that InletConditions rejects."""
+    x = np.array(feats, dtype=np.float64).reshape(-1, 5)
+    for i in np.flatnonzero(~_valid_inlet_rows(*x.T)).tolist():
+        InletConditions(*feats[i])
+    return x
+
+
 def build_residual_dataset(
     records, base: str
 ) -> tuple[list[ResidualRecord], ResidualBuildReport]:
     """Residual targets r = measured - base for a list of ChfRecord.
 
-    The base value comes from the heat-balance solve.  Records where the
-    solve finds no critical condition are excluded and counted in the
-    report with their index and the failure reason; other errors raise.
+    The base value comes from the heat-balance solve, made on columns
+    over all the records.  Records where the solve finds no critical
+    condition are excluded and counted in the report with their index and
+    the failure reason; a record whose inlet conditions InletConditions
+    rejects raises its ValueError.
     """
     if base not in ("biasi", "bowring"):
         raise ValueError(f"base must be 'biasi' or 'bowring', got {base!r}")
-    conds = [InletConditions(*_features_of(rec)) for rec in records]
-    outcomes = predict_batch(ChfPredictor(kind=f"base_{base}"), conds)
+    feats = [_features_of(rec) for rec in records]
+    sol = _solve_rows(base, _inlet_matrix(feats), {})
     out: list[ResidualRecord] = []
     failures: list[tuple[int, str]] = []
-    for i, (rec, c, o) in enumerate(zip(records, conds, outcomes)):
-        if isinstance(o, NoCriticalConditionError):
-            failures.append((i, str(o)))
+    for i, (rec, f, chf, failed) in enumerate(zip(records, feats, sol.chf.tolist(),
+                                                  sol.failed.tolist())):
+        if failed:
+            failures.append((i, str(sol.error(i))))
             continue
-        if isinstance(o, Exception):
-            raise o
         out.append(ResidualRecord(
-            features=_features_of(c),
-            base_chf=o.base_chf,
+            features=f,
+            base_chf=chf,
             measured_chf=rec.measured_chf,
-            residual=rec.measured_chf - o.base_chf,
+            residual=rec.measured_chf - chf,
         ))
     return out, ResidualBuildReport(
         n_records=len(records), n_failed=len(failures), failures=tuple(failures)
@@ -191,46 +208,42 @@ def residual_targets(records: list[ResidualRecord]) -> np.ndarray:
     return np.array([r.residual for r in records], dtype=np.float64)
 
 
-def _network(p: ChfPredictor, conds: Sequence[InletConditions]) -> list[float]:
-    """The network's output for each row, zeros for base kinds, as Python
-    floats (whose repr the CSV writers print)."""
-    if p.model is None or not conds:
-        return [0.0] * len(conds)
+def _network(p: ChfPredictor, x: np.ndarray) -> list[float]:
+    """The network's output for each row of the feature matrix x, zeros
+    for base kinds, as Python floats (whose repr the CSV writers print)."""
+    if p.model is None or not len(x):
+        return [0.0] * len(x)
     # one batch: the forward pass is bit-stable across batch sizes
-    x = np.array([_features_of(c) for c in conds], dtype=np.float64)
     return forward_batch(p.model, x).tolist()
 
 
-def _solve_rows(p: ChfPredictor, conds: Sequence[InletConditions],
-                h_fg: dict[float, float]) -> list[HbmSolution | Exception]:
-    """Base heat-balance solve of each row, or the error it raised; ``h_fg``
-    maps pressure to latent heat, J/kg, and gains the pressures it lacks
-    from one saturation-state call."""
-    base = _BASE_OF_KIND[p.kind]
-    missing = list(dict.fromkeys(c.pressure for c in conds if c.pressure not in h_fg))
+def _solve_rows(base: str, x: np.ndarray, h_fg: dict[float, float]) -> _HbmColumns:
+    """Heat-balance solve of ``base`` on every row of the feature matrix x
+    (valid rows); ``h_fg`` maps pressure to latent heat, J/kg, and gains
+    the pressures it lacks from one saturation-state call."""
+    d, length, p, g, dh = x.T
+    pressures = p.tolist()
+    missing = list(dict.fromkeys(v for v in pressures if v not in h_fg))
     if missing:
         h_fg.update(zip(missing, fluid.saturation_state(np.array(missing)).h_fg.tolist()))
-    out: list[HbmSolution | Exception] = []
-    for c in conds:
-        try:
-            out.append(_solve_hbm(base, c, h_fg[c.pressure]))
-        except NoCriticalConditionError as e:
-            out.append(e)
-    return out
+    return _solve_columns(base, d, length, p, g, dh,
+                          np.array([h_fg[v] for v in pressures], dtype=np.float64))
 
 
 def predict_batch(p: ChfPredictor,
                   conds: Sequence[InletConditions]) -> list[Prediction | Exception]:
     """CHF from inlet conditions: per row, in order, a Prediction or the
     NoCriticalConditionError its heat-balance solve raised.  One
-    saturation-state call over the distinct pressures, one network batch."""
-    net = _network(p, conds)
+    saturation-state call over the distinct pressures, one heat-balance
+    solve on columns, one network batch."""
+    x = _inlet_matrix([_features_of(c) for c in conds])
+    net = _network(p, x)
     if p.kind == "pure_ml":
         return [Prediction(value=r, base_chf=None, ml_residual=None) for r in net]
     # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
     return [s if isinstance(s, Exception) else
             Prediction(value=s.chf + r, base_chf=s.chf, ml_residual=r, base_solution=s)
-            for s, r in zip(_solve_rows(p, conds, {}), net)]
+            for s, r in zip(_solve_rows(_BASE_OF_KIND[p.kind], x, {}).outcomes(), net)]
 
 
 def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
@@ -250,23 +263,28 @@ def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
     tube of length ``heights[i]`` (the critical-length convention), so
     its value does not depend on the wall flux; it is that tube's
     ``predict_batch`` value, or None where the heat-balance solve finds
-    no critical condition.  In "dsm" mode the base correlation is
-    evaluated at ``qualities[i]`` clipped to its validity window
-    [-0.5, 1.0]; the network features are the inlet conditions, so the
+    no critical condition, and all nodes are solved in one call.  In
+    "dsm" mode the base correlation is evaluated at ``qualities[i]``
+    clipped to its validity window [-0.5, 1.0], in one call over the
+    nodes; the network features are the inlet conditions, so the
     network runs on one row.  Each mode reads only its own node
     sequence.  Values may be nonpositive (callers clamp and flag); for
     hybrid kinds each is base + residual.
     """
+    d, _, pressure, g, dh = _features_of(c)
     if p.solve_mode == "hbm":
-        nodes = [replace(c, heated_length=z) for z in heights]
-        net = _network(p, nodes)
+        x = _inlet_matrix([(d, z, pressure, g, dh) for z in heights])
+        net = _network(p, x)
         if p.kind == "pure_ml":
             return net
-        return [None if isinstance(s, Exception) else s.chf + r
-                for s, r in zip(_solve_rows(p, nodes, {c.pressure: h_fg}), net)]
-    r = _network(p, [c])[0]
+        sol = _solve_rows(_BASE_OF_KIND[p.kind], x, {pressure: h_fg})
+        return [None if failed else chf + r
+                for chf, failed, r in zip(sol.chf.tolist(), sol.failed.tolist(), net)]
+    r = _network(p, _inlet_matrix([_features_of(c)]))[0]
     if p.kind == "pure_ml":
         return [r] * len(qualities)
-    branches = _branches(_BASE_OF_KIND[p.kind], c.diameter, c.mass_flux, c.pressure, h_fg)
-    values = [_flux(branches, min(max(x, QUALITY_MIN), QUALITY_MAX)) for x in qualities]
+    branches = _branches(_BASE_OF_KIND[p.kind], *_row(d, g, pressure, h_fg))
+    x_clip = np.minimum(np.maximum(np.array(qualities, dtype=np.float64), QUALITY_MIN),
+                        QUALITY_MAX)
+    values = _flux(branches, x_clip).tolist()
     return values if p.model is None else [v + r for v in values]

@@ -262,7 +262,8 @@ def test_solve_hbm_skips_negative_slope_branch():
     c = _inlet(d=0.01, l=2.83, p=1.0e5, g=400.0, dh=1.0e5)
     h_fg = fluid.saturation_state(c.pressure).h_fg
     k = 4.0 * c.heated_length / (c.mass_flux * c.diameter * h_fg)
-    alpha_high = correlations._branches("biasi", c.diameter, c.mass_flux, c.pressure)[1][0]
+    alpha_high = correlations._branches(
+        "biasi", *(np.array([v]) for v in (c.diameter, c.mass_flux, c.pressure)))[1][0].item()
     assert 1.0 + alpha_high * k < 0.0
     sol = solve_hbm("biasi", c)
     assert abs(sol.residual) <= 1e-3
@@ -282,7 +283,8 @@ def test_solve_hbm_no_critical_condition():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_hbm_nonfinite_correlation_raises(monkeypatch, bad):
     # no valid InletConditions gives a non-finite branch coefficient
-    monkeypatch.setattr(correlations, "_branches", lambda *_args: ((bad, 1.0),))
+    monkeypatch.setattr(correlations, "_branches",
+                        lambda *_args: ((np.array([bad]), 1.0, np.array([True])),))
     with pytest.raises(NoCriticalConditionError, match="non-finite"):
         solve_hbm("biasi", _inlet())
 
@@ -299,18 +301,25 @@ def test_biasi_low_flow_constant_exported():
 # The bisection that solve_hbm used before its closed form, on the raw
 # correlation formulas: the reference oracle for the property test.
 
+def _one_row(fn, *args: float):
+    """A column function of the module on one row, as floats."""
+    out = fn(*(np.array([a]) for a in args))
+    return tuple(v.item() for v in out) if isinstance(out, tuple) else out.item()
+
+
 def _oracle_flux(name: str, c: InletConditions, x: float, h_fg: float) -> float:
     d, g, p_pa = c.diameter, c.mass_flux, c.pressure
     if name == "bowring":
-        a, cc = correlations._bowring_ac(d, g, p_pa, h_fg)
+        a, cc = _one_row(correlations._bowring_ac, d, g, p_pa, h_fg)
         return (a - 0.25 * d * g * h_fg * x) / cc
     p_bar = p_pa / 1e5
     scale = (100.0 * d) ** (-(0.4 if d >= 0.01 else 0.6))
-    q_high = 15.048e7 * scale * g ** (-0.6) * correlations._biasi_pressure_h(p_bar) * (1.0 - x)
+    q_high = (15.048e7 * scale * g ** (-0.6)
+              * _one_row(correlations._biasi_pressure_h, p_bar) * (1.0 - x))
     if g <= BIASI_LOW_FLOW_LIMIT:
         return q_high
     q_low = 2.764e7 * scale * g ** (-1.0 / 6.0) * (
-        1.468 * correlations._biasi_pressure_f(p_bar) * g ** (-1.0 / 6.0) - x
+        1.468 * _one_row(correlations._biasi_pressure_f, p_bar) * g ** (-1.0 / 6.0) - x
     )
     return max(q_low, q_high)
 

@@ -1,5 +1,8 @@
 """Tests for the base+residual predictor composition."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -156,12 +159,36 @@ def test_residual_failures_excluded_and_counted():
 def test_residual_build_propagates_unexpected_errors(monkeypatch):
     # only "no critical condition" becomes a failure row; a fault in the
     # solve itself must not be counted as one
-    def broken(_base, _c, _h_fg):
+    def broken(*_columns):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(hybrid, "_solve_hbm", broken)
+    monkeypatch.setattr(hybrid, "_solve_columns", broken)
     with pytest.raises(ZeroDivisionError):
         build_residual_dataset([_rec(BENNETT_LIKE, 2.0e6)], "bowring")
+
+
+def test_residual_build_solve_calls_do_not_grow_with_rows():
+    # one saturation-state call and one column solve per build, whatever
+    # the number of rows (distinct pressures, one unsolvable row)
+    counts = []
+    for n in (30, 300):
+        records = [_rec(UNSOLVABLE, 2.0e6)] + [
+            _rec(replace(BENNETT_LIKE, pressure=5.0e6 + 1.0e4 * i), 2.0e6) for i in range(n - 1)]
+        with mock.patch.object(hybrid, "_solve_columns", wraps=hybrid._solve_columns) as solve, \
+                mock.patch.object(fluid, "saturation_state",
+                                  wraps=fluid.saturation_state) as sat:
+            rrs, report = build_residual_dataset(records, "bowring")
+        assert len(rrs) == n - 1 and report.n_failed == 1
+        counts.append((solve.call_count, sat.call_count))
+    assert counts[0] == counts[1] == (1, 1)
+
+
+def test_residual_build_rejects_invalid_inlet_conditions():
+    # the same error InletConditions raises for the first bad record
+    good = _rec(BENNETT_LIKE, 2.0e6)
+    bad = replace(good, pressure=25.0e6)
+    with pytest.raises(ValueError, match="pressure 25000000.0 Pa outside saturation range"):
+        build_residual_dataset([good, bad, replace(good, diameter=0.0)], "bowring")
 
 
 def test_residual_record_rejects_inconsistent_fields():
