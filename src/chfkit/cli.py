@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .channel import BracketError, ChannelCase, find_critical_power, solve_channel
-from .correlations import InletConditions, NoCriticalConditionError
+from .correlations import NoCriticalConditionError
 from .data import (
     MODEL_FEATURES,
     TABLE1_ENVELOPE,
@@ -309,13 +309,17 @@ _FEATURE_HEADER = ("diameter_m,heated_length_m,pressure_Pa,"
                    "mass_flux_kg_m2s,inlet_subcooling_J_kg")
 
 
-def _write_feature_csv(path: str, feature_rows, extra_header: str,
-                       extra_rows) -> None:
+def _write_feature_csv(path: str, extra_header: str, rows: np.ndarray) -> str:
+    """Write model-feature rows with extra columns to ``path``; returns it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_FEATURE_HEADER},{extra_header}\n")
-        for feats, extra in zip(feature_rows, extra_rows):
-            cells = [repr(float(v)) for v in feats] + [repr(float(v)) for v in extra]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+    return path
+
+
+def _ingest_counts(report) -> dict:
+    return {"rows_read": report.n_rows, "rows_rejected": len(report.rejected),
+            "rows_flagged": len(report.flagged), "derived": report.derived}
 
 
 def _csv_safe(message: str) -> str:
@@ -369,46 +373,31 @@ def cmd_prepare(cfg: _Config) -> None:
     splits = (("train", parts.train), ("val", parts.validation),
               ("test", parts.test))
 
-    outputs = []
-    counts: dict = {
-        "rows_read": report.n_rows,
-        "rows_rejected": len(report.rejected),
-        "rows_flagged": len(report.flagged),
-        "derived": report.derived,
-        "split_sizes": {name: len(recs) for name, recs in splits},
-    }
-
+    counts: dict = {**_ingest_counts(report),
+                    "split_sizes": {name: len(recs) for name, recs in splits}}
+    outputs, failures = [], []
     for name, recs in splits:
         path = _out(outdir, f"{name}.csv")
         write_records(recs, path)
-        outputs.append(path)
-        pure = _out(outdir, f"pure_{name}.csv")
-        _write_feature_csv(pure, feature_matrix(recs).tolist(), "target_W_m2",
-                           [(r.measured_chf,) for r in recs])
-        outputs.append(pure)
-
-    if base != "none":
-        failures = []
-        n_failed = 0
-        for name, recs in splits:
-            rr, rep = build_residual_dataset(recs, base)
-            n_failed += rep.n_failed
+        x = feature_matrix(recs, MODEL_FEATURES + ("measured_chf",))
+        outputs += [path, _write_feature_csv(_out(outdir, f"pure_{name}.csv"),
+                                             "target_W_m2", x)]
+        if base != "none":
+            table, rep = build_residual_dataset(x[:, :5], x[:, 5], base)
             # the record's line in {name}.csv: one header line, no blank lines
             failures.extend((name, i + 2, msg) for i, msg in rep.failures)
-            path = _out(outdir, f"residual_{name}.csv")
-            _write_feature_csv(
-                path, [r.features for r in rr],
-                "base_chf_W_m2,measured_chf_W_m2,residual_W_m2",
-                [(r.base_chf, r.measured_chf, r.residual) for r in rr],
-            )
-            outputs.append(path)
+            outputs.append(_write_feature_csv(
+                _out(outdir, f"residual_{name}.csv"),
+                "base_chf_W_m2,measured_chf_W_m2,residual_W_m2", table))
+
+    if base != "none":
         fail_path = _out(outdir, "hbm_failures.csv")
         with open(fail_path, "w", encoding="utf-8") as fh:
             fh.write("split,row,reason\n")
             for name, line_no, msg in failures:
                 fh.write(f"{name},{line_no},{_csv_safe(msg)}\n")
         outputs.append(fail_path)
-        counts["hbm_failures"] = n_failed
+        counts["hbm_failures"] = len(failures)
 
     _write_manifest(outdir, "prepare", cfg, [data_path], outputs, counts)
 
@@ -480,6 +469,18 @@ def cmd_tune(cfg: _Config) -> None:
         activations=cfg.names("tune_activations",
                               "elu,relu,softplus,sigmoid,tanh"),
     )
+    (w_min, w_max), (lr_min, lr_max) = space.width_range, space.lr_range
+    cfg.check("depths", min(space.depths) >= 0, "a comma list of depths >= 0")
+    cfg.check("width_min", w_min >= 1, ">= 1")
+    cfg.check("width_max", w_max >= w_min, f">= width_min ({w_min})")
+    cfg.check("batch_sizes", min(space.batch_sizes) >= 1, "a comma list of sizes >= 1")
+    cfg.check("lr_min", lr_min > 0.0, "positive")
+    cfg.check("lr_max", lr_max >= lr_min, f">= lr_min ({cfg.resolved['lr_min']})")
+    n_configs, rung0_epochs = cfg.int_("n_configs", "16"), cfg.int_("rung0_epochs", "10")
+    decay = cfg.float_("decay", "0.99")
+    cfg.check("n_configs", n_configs >= 1, ">= 1")
+    cfg.check("rung0_epochs", rung0_epochs >= 1, ">= 1")
+    cfg.check("decay", 0.0 < decay <= 1.0, "in (0, 1]")
     for act in space.activations:
         if act not in ACTIVATIONS:
             raise ConfigError(f"config key 'tune_activations': unknown activation {act!r}")
@@ -488,11 +489,8 @@ def cmd_tune(cfg: _Config) -> None:
     x_std = in_scaler.transform(x)
     y_std = out_scaler.transform(y.reshape(-1, 1))[:, 0]
     try:
-        result = tune(space, x_std, y_std, budget,
-                      n_configs=cfg.int_("n_configs", "16"),
-                      rung0_epochs=cfg.int_("rung0_epochs", "10"),
-                      decay_rate=cfg.float_("decay", "0.99"),
-                      seed=seed)
+        result = tune(space, x_std, y_std, budget, n_configs=n_configs,
+                      rung0_epochs=rung0_epochs, decay_rate=decay, seed=seed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -521,9 +519,7 @@ def cmd_predict(cfg: _Config) -> None:
     predictor, extra_inputs = _load_predictor(cfg)
     records, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
-    # ingest rejects the rows InletConditions would; the fields, in order
-    outcomes = predict_batch(predictor, [InletConditions(*row) for row in
-                                         feature_matrix(records).tolist()])
+    outcomes = predict_batch(predictor, feature_matrix(records))
 
     out_path = _out(outdir, "predictions.csv")
     n_failed = n_excursions = 0
@@ -545,10 +541,7 @@ def cmd_predict(cfg: _Config) -> None:
 
     _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs],
                     [out_path],
-                    {"rows_read": report.n_rows,
-                     "rows_rejected": len(report.rejected),
-                     "rows_flagged": len(report.flagged),
-                     "derived": report.derived,
+                    {**_ingest_counts(report),
                      "predicted": len(records) - n_failed,
                      "failed": n_failed,
                      "quality_excursions": n_excursions})
@@ -724,11 +717,14 @@ def cmd_hullcheck(cfg: _Config) -> None:
         if f not in ChfRecord.__dataclass_fields__:
             raise ConfigError(f"config key 'hull_features': unknown field {f!r}")
 
+    cfg.check("hull_features", len(features) >= 2, "at least two features")
+
     envelope = cfg.envelope()
-    train_recs, _ = ingest(train_path, envelope=envelope, strict=strict)
-    query_recs, _ = ingest(query_path, envelope=envelope, strict=strict)
-    if not train_recs or not query_recs:
-        raise ConfigError("hullcheck needs nonempty train and query sets")
+    train_recs, train_report = ingest(train_path, envelope=envelope, strict=strict)
+    query_recs, query_report = ingest(query_path, envelope=envelope, strict=strict)
+    cfg.check("train_csv", len(train_recs) >= 2,
+              f"a table with at least 2 usable rows ({len(train_recs)} after ingestion)")
+    cfg.check("query_csv", len(query_recs) >= 1, "a table with at least 1 usable row")
     if "inlet_temperature" in features:
         if any(r.inlet_temperature is None for r in train_recs + query_recs):
             raise ConfigError(
@@ -752,7 +748,9 @@ def cmd_hullcheck(cfg: _Config) -> None:
     pivots = [v.pivots for v in verdicts]
     _write_manifest(outdir, "hullcheck", cfg, [train_path, query_path],
                     [verdict_path, proj_path],
-                    {"n_inside": summary.n_inside,
+                    {"train": _ingest_counts(train_report),
+                     "query": _ingest_counts(query_report),
+                     "n_inside": summary.n_inside,
                      "n_outside": summary.n_outside,
                      "simplex_pivots_total": sum(pivots),
                      "simplex_pivots_max": max(pivots),

@@ -8,28 +8,30 @@ input vector (diameter, heated length, pressure, mass flux, inlet
 subcooling) — never the base model's output — so the corrector stays
 independent of the base model's scale.
 
-Two evaluation surfaces and the residual dataset share one core: the
-rows' model features as an (n, 5) matrix, at most one saturation-state
-call over its distinct pressures, one heat-balance solve on its columns
+The batch interface is the (n, 5) model-feature matrix: one row per
+record, SI units, in the order of ``data.MODEL_FEATURES`` (the fields
+of ``InletConditions``).  Two evaluation surfaces and the residual
+dataset share one core on it: at most one saturation-state call over
+its distinct pressures, one heat-balance solve on its columns
 (``correlations._solve_columns``) and one network batch.
 
-* ``predict_batch`` works from inlet conditions and resolves the base
-  correlation with the heat-balance solve (the critical length equals
-  the heated length), one outcome per row.  With nothing but inlet
-  conditions there is no operating heat flux to define local
-  conditions, so this surface is the same for both solve modes.
+* ``predict_batch`` resolves the base correlation with the heat-balance
+  solve (the critical length equals the heated length), one outcome per
+  row; ``predict`` is its one-row call on an ``InletConditions``.  With
+  nothing but inlet conditions there is no operating heat flux to
+  define local conditions, so this surface is the same for both solve
+  modes.
 * ``node_chf`` rates every node of a channel march at once.  In "hbm"
   solve mode node z is the exit of a tube of length z; in "dsm" mode
   the base correlation is evaluated directly at the node's local
   quality, one branch evaluation over the nodes.
-* ``build_residual_dataset`` takes the base CHF of every record from
-  the same solve.
+* ``build_residual_dataset`` takes the base CHF of every row from the
+  same solve and returns the residual table as one (m, 8) array.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +49,6 @@ from .correlations import (
     _solve_columns,
     _valid_inlet_rows,
 )
-from .data import MODEL_FEATURES
 from .mlp import Mlp, forward_batch
 
 __all__ = [
@@ -55,11 +56,8 @@ __all__ = [
     "SOLVE_MODES",
     "ChfPredictor",
     "Prediction",
-    "ResidualRecord",
     "ResidualBuildReport",
     "build_residual_dataset",
-    "residual_features",
-    "residual_targets",
     "predict",
     "predict_batch",
     "node_chf",
@@ -134,78 +132,44 @@ class Prediction:
 
 
 @dataclass(frozen=True)
-class ResidualRecord:
-    """One residual-training row: raw features, base output, target."""
-
-    features: tuple[float, float, float, float, float]  # D, L, P, G, dh_sub
-    base_chf: float
-    measured_chf: float
-    residual: float  # measured_chf - base_chf
-
-    def __post_init__(self) -> None:
-        if self.residual != self.measured_chf - self.base_chf:
-            raise ValueError("residual must equal measured_chf - base_chf exactly")
-
-
-@dataclass(frozen=True)
 class ResidualBuildReport:
     n_records: int
     n_failed: int
     failures: tuple[tuple[int, str], ...] = ()  # (record index, reason)
 
 
-# model features of a ChfRecord or InletConditions (whose fields they are, in order)
-_features_of = operator.attrgetter(*MODEL_FEATURES)
-
-
-def _inlet_matrix(feats: Sequence[tuple]) -> np.ndarray:
-    """(n, 5) matrix of model-feature tuples; raises the ValueError of the
-    first row that InletConditions rejects."""
-    x = np.array(feats, dtype=np.float64).reshape(-1, 5)
+def _inlet_matrix(x) -> np.ndarray:
+    """x as an (n, 5) float64 model-feature matrix; raises the ValueError
+    of the first row that InletConditions rejects."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 5:
+        raise ValueError(f"expected an (n, 5) model-feature matrix, got shape {x.shape}")
     for i in np.flatnonzero(~_valid_inlet_rows(*x.T)).tolist():
-        InletConditions(*feats[i])
+        InletConditions(*x[i].tolist())
     return x
 
 
-def build_residual_dataset(
-    records, base: str
-) -> tuple[list[ResidualRecord], ResidualBuildReport]:
-    """Residual targets r = measured - base for a list of ChfRecord.
+def build_residual_dataset(x, measured, base: str) -> tuple[np.ndarray, ResidualBuildReport]:
+    """Residual targets r = measured - base for the rows of the model-feature
+    matrix x with measured CHF ``measured``, W/m2.
 
-    The base value comes from the heat-balance solve, made on columns
-    over all the records.  Records where the solve finds no critical
+    Returns an (m, 8) table, one row per solved record in order: the five
+    features, base CHF, measured CHF and residual (the columns of the
+    prepared residual CSV).  The base value comes from one heat-balance
+    solve on columns.  Records where the solve finds no critical
     condition are excluded and counted in the report with their index and
-    the failure reason; a record whose inlet conditions InletConditions
-    rejects raises its ValueError.
+    the failure reason; a row that InletConditions rejects raises its
+    ValueError.
     """
     if base not in ("biasi", "bowring"):
         raise ValueError(f"base must be 'biasi' or 'bowring', got {base!r}")
-    feats = [_features_of(rec) for rec in records]
-    sol = _solve_rows(base, _inlet_matrix(feats), {})
-    out: list[ResidualRecord] = []
-    failures: list[tuple[int, str]] = []
-    for i, (rec, f, chf, failed) in enumerate(zip(records, feats, sol.chf.tolist(),
-                                                  sol.failed.tolist())):
-        if failed:
-            failures.append((i, str(sol.error(i))))
-            continue
-        out.append(ResidualRecord(
-            features=f,
-            base_chf=chf,
-            measured_chf=rec.measured_chf,
-            residual=rec.measured_chf - chf,
-        ))
-    return out, ResidualBuildReport(
-        n_records=len(records), n_failed=len(failures), failures=tuple(failures)
-    )
-
-
-def residual_features(records: list[ResidualRecord]) -> np.ndarray:
-    return np.array([r.features for r in records], dtype=np.float64)
-
-
-def residual_targets(records: list[ResidualRecord]) -> np.ndarray:
-    return np.array([r.residual for r in records], dtype=np.float64)
+    x = _inlet_matrix(x)
+    sol = _solve_rows(base, x, {})
+    ok = ~sol.failed
+    chf, y = sol.chf[ok], np.asarray(measured, dtype=np.float64)[ok]
+    failures = tuple((i, str(sol.error(i))) for i in np.flatnonzero(sol.failed).tolist())
+    return np.column_stack([x[ok], chf, y, y - chf]), ResidualBuildReport(
+        n_records=len(x), n_failed=len(failures), failures=failures)
 
 
 def _network(p: ChfPredictor, x: np.ndarray) -> list[float]:
@@ -230,13 +194,14 @@ def _solve_rows(base: str, x: np.ndarray, h_fg: dict[float, float]) -> _HbmColum
                           np.array([h_fg[v] for v in pressures], dtype=np.float64))
 
 
-def predict_batch(p: ChfPredictor,
-                  conds: Sequence[InletConditions]) -> list[Prediction | Exception]:
-    """CHF from inlet conditions: per row, in order, a Prediction or the
-    NoCriticalConditionError its heat-balance solve raised.  One
-    saturation-state call over the distinct pressures, one heat-balance
-    solve on columns, one network batch."""
-    x = _inlet_matrix([_features_of(c) for c in conds])
+def predict_batch(p: ChfPredictor, x) -> list[Prediction | Exception]:
+    """CHF from inlet conditions, given as the rows of an (n, 5) model-feature
+    matrix (diameter, heated length, pressure, mass flux, inlet subcooling;
+    SI): per row, in order, a Prediction or the NoCriticalConditionError
+    its heat-balance solve raised.  One saturation-state call over the
+    distinct pressures, one heat-balance solve on columns, one network
+    batch."""
+    x = _inlet_matrix(x)
     net = _network(p, x)
     if p.kind == "pure_ml":
         return [Prediction(value=r, base_chf=None, ml_residual=None) for r in net]
@@ -248,7 +213,7 @@ def predict_batch(p: ChfPredictor,
 
 def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
     """``predict_batch`` on one row, raising the row's error."""
-    (out,) = predict_batch(p, [c])
+    (out,) = predict_batch(p, [astuple(c)])
     if isinstance(out, Exception):
         raise out
     return out
@@ -271,19 +236,21 @@ def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
     sequence.  Values may be nonpositive (callers clamp and flag); for
     hybrid kinds each is base + residual.
     """
-    d, _, pressure, g, dh = _features_of(c)
+    row = np.array([astuple(c)], dtype=np.float64)
     if p.solve_mode == "hbm":
-        x = _inlet_matrix([(d, z, pressure, g, dh) for z in heights])
+        x = np.repeat(row, len(heights), axis=0)
+        x[:, 1] = heights
+        x = _inlet_matrix(x)
         net = _network(p, x)
         if p.kind == "pure_ml":
             return net
-        sol = _solve_rows(_BASE_OF_KIND[p.kind], x, {pressure: h_fg})
+        sol = _solve_rows(_BASE_OF_KIND[p.kind], x, {c.pressure: h_fg})
         return [None if failed else chf + r
                 for chf, failed, r in zip(sol.chf.tolist(), sol.failed.tolist(), net)]
-    r = _network(p, _inlet_matrix([_features_of(c)]))[0]
+    r = _network(p, row)[0]
     if p.kind == "pure_ml":
         return [r] * len(qualities)
-    branches = _branches(_BASE_OF_KIND[p.kind], *_row(d, g, pressure, h_fg))
+    branches = _branches(_BASE_OF_KIND[p.kind], *_row(c.diameter, c.mass_flux, c.pressure, h_fg))
     x_clip = np.minimum(np.maximum(np.array(qualities, dtype=np.float64), QUALITY_MIN),
                         QUALITY_MAX)
     values = _flux(branches, x_clip).tolist()

@@ -381,6 +381,20 @@ def test_predict_reports_quality_excursion(tmp_path):
     assert _manifest(out)["counts"]["quality_excursions"] == 0
 
 
+def test_predict_constructs_no_inlet_conditions(tmp_path, monkeypatch):
+    # the accepted rows go to the predictor as one feature matrix
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=300, seed=41)
+    built = []
+    post_init = InletConditions.__post_init__
+    monkeypatch.setattr(InletConditions, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert main(["predict", f"data={data}", "kind=base_bowring",
+                 f"outdir={tmp_path / 'pred'}"]) == 0
+    assert _manifest(tmp_path / "pred")["counts"]["predicted"] == 300
+    assert built == []
+
+
 def test_predict_rejects_invalid_inlet_conditions(tmp_path):
     data = tmp_path / "data.csv"
     # x_e is given, so no derivation needs the pressure; ingest still checks it
@@ -437,6 +451,14 @@ def test_hbm_failure_row_is_line_of_split_file(tmp_path):
     ("train", ("hidden=0",), "hidden"),
     ("simulate", ("bracket_lo_kW_m2=0", "bracket_hi_kW_m2=100"), "bracket_lo_kW_m2"),
     ("simulate", ("bracket_lo_kW_m2=5000", "bracket_hi_kW_m2=100"), "bracket_hi_kW_m2"),
+    ("tune", ("width_min=0", "width_max=0", "depths=2"), "width_min"),
+    ("tune", ("width_min=5", "width_max=3"), "width_max"),
+    ("tune", ("lr_min=0",), "lr_min"),
+    ("tune", ("rung0_epochs=0",), "rung0_epochs"),
+    ("tune", ("batch_sizes=0",), "batch_sizes"),
+    ("tune", ("depths=-1",), "depths"),
+    ("tune", ("n_configs=0",), "n_configs"),
+    ("tune", ("decay=2",), "decay"),
 ])
 def test_config_mistake_is_error_naming_key(tmp_path, capsys, command, overrides, key):
     if command == "prepare":
@@ -446,6 +468,10 @@ def test_config_mistake_is_error_naming_key(tmp_path, capsys, command, overrides
     elif command == "train":
         argv = ["train", f"train_csv={_prepared(tmp_path) / 'pure_train.csv'}",
                 "hidden=4", "epochs=2"]  # a later override wins
+    elif command == "tune":
+        argv = ["tune", f"train_csv={_prepared(tmp_path) / 'pure_train.csv'}",
+                "budget_epochs=4", "n_configs=1", "rung0_epochs=2", "depths=1",
+                "width_min=2", "width_max=3", "batch_sizes=4"]
     else:
         cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,20"])
         argv = ["simulate", f"cases={cases}", "kind=base_bowring", "critical_power=true"]
@@ -740,6 +766,44 @@ def test_hullcheck_pivot_cap_is_error_exit(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: hull query row 0: ")
     assert "(1 pivots taken)" in err and "Traceback" not in err
+
+
+def test_hullcheck_counts_dropped_rows(tmp_path):
+    train = tmp_path / "train.csv"
+    write_dataset(train, n=12, seed=17)
+    query = tmp_path / "query.csv"
+    rows = [row.split(",") for row in _solvable_rows(3, seed=5)]
+    rows[1][2] = ""  # blank P_kPa on line 3: the row is rejected
+    query.write_text("D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2\n"
+                     + "\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "hull"
+    assert main(["hullcheck", f"train_csv={train}", f"query_csv={query}",
+                 f"outdir={out}", "hull_features=diameter,pressure,mass_flux"]) == 0
+    counts = _manifest(out)["counts"]
+    derived = {"exit_quality": 12, "inlet_subcooling": 0, "inlet_temperature": 12}
+    assert counts["train"] == {"rows_read": 12, "rows_rejected": 0, "rows_flagged": 0,
+                               "derived": derived}
+    derived = {"exit_quality": 2, "inlet_subcooling": 0, "inlet_temperature": 2}
+    assert counts["query"] == {"rows_read": 3, "rows_rejected": 1, "rows_flagged": 0,
+                               "derived": derived}
+    _, vrows = _read_csv(out / "verdicts.csv")
+    assert len(vrows) == 2
+
+
+@pytest.mark.parametrize("override,rows,key", [
+    ("hull_features=pressure", 12, "hull_features"),
+    ("hull_features=diameter,pressure", 1, "train_csv"),
+])
+def test_hullcheck_too_few_features_or_rows_is_error_naming_key(tmp_path, capsys,
+                                                                override, rows, key):
+    train = tmp_path / "train.csv"
+    write_dataset(train, n=rows, seed=17)
+    query = tmp_path / "query.csv"
+    write_dataset(query, n=4, seed=19)
+    assert main(["hullcheck", f"train_csv={train}", f"query_csv={query}",
+                 f"outdir={tmp_path / 'x'}", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r}: must be") and "Traceback" not in err
 
 
 def test_hullcheck_unknown_feature_rejected(tmp_path, capsys):

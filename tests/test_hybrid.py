@@ -1,6 +1,6 @@
 """Tests for the base+residual predictor composition."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -15,16 +15,13 @@ from chfkit.correlations import (
     bowring_dsm,
     solve_hbm,
 )
-from chfkit.data import ChfRecord
 from chfkit.hybrid import (
     ChfPredictor,
     Prediction,
-    ResidualRecord,
     build_residual_dataset,
     node_chf,
     predict,
-    residual_features,
-    residual_targets,
+    predict_batch,
 )
 from chfkit.mlp import DenseLayer, Mlp, Scaler, init_mlp
 
@@ -51,12 +48,10 @@ def _const_model(value: float, mode="residual", base_model="bowring") -> Mlp:
     )
 
 
-def _rec(c: InletConditions, measured: float) -> ChfRecord:
-    return ChfRecord(
-        diameter=c.diameter, heated_length=c.heated_length, pressure=c.pressure,
-        mass_flux=c.mass_flux, exit_quality=0.3, inlet_subcooling=c.inlet_subcooling,
-        measured_chf=measured,
-    )
+def _residuals(conds, measured, base):
+    """build_residual_dataset on the feature rows of the given conditions."""
+    return build_residual_dataset(np.array([astuple(c) for c in conds]).reshape(-1, 5),
+                                  measured, base)
 
 
 # ---------------------------------------------------------------------------
@@ -117,38 +112,34 @@ def test_kind_and_mode_validated():
 
 def test_residual_zero_when_measured_equals_base():
     sol = solve_hbm("bowring", BENNETT_LIKE)
-    rrs, report = build_residual_dataset([_rec(BENNETT_LIKE, sol.chf)], "bowring")
+    table, report = _residuals([BENNETT_LIKE], [sol.chf], "bowring")
     assert report.n_failed == 0
-    (rr,) = rrs
-    assert rr.base_chf == sol.chf
-    assert rr.residual == 0.0
+    ((*_, base, _, residual),) = table.tolist()
+    assert base == sol.chf
+    assert residual == 0.0
 
 
 def test_residual_constructed_offset():
     base = solve_hbm("bowring", BENNETT_LIKE).chf
-    rrs, _ = build_residual_dataset([_rec(BENNETT_LIKE, base + 1.0e5)], "bowring")
-    (rr,) = rrs
-    assert rr.residual == pytest.approx(1.0e5, rel=1e-9)
+    table, _ = _residuals([BENNETT_LIKE], [base + 1.0e5], "bowring")
+    ((*_, base_chf, measured, residual),) = table.tolist()
+    assert residual == pytest.approx(1.0e5, rel=1e-9)
     # the defining identity is exact by construction
-    assert rr.residual == rr.measured_chf - rr.base_chf
+    assert residual == measured - base_chf
 
 
 def test_residual_features_are_the_raw_five():
-    rrs, _ = build_residual_dataset([_rec(BENNETT_LIKE, 2.0e6)], "biasi")
-    (rr,) = rrs
-    assert rr.features == (0.01262, 5.56, 6.895e6, 1000.0, 1.0e5)
-    m = residual_features(rrs)
-    assert m.shape == (1, 5)
-    assert np.array_equal(m[0], np.array(rr.features))
-    assert residual_targets(rrs)[0] == rr.residual
+    table, _ = _residuals([BENNETT_LIKE], [2.0e6], "biasi")
+    assert table.shape == (1, 8)
+    assert table[0, :5].tolist() == [0.01262, 5.56, 6.895e6, 1000.0, 1.0e5]
+    assert table[0, 5] == solve_hbm("biasi", BENNETT_LIKE).chf
+    assert table[0, 6] == 2.0e6
 
 
 def test_residual_failures_excluded_and_counted():
-    good = [_rec(BENNETT_LIKE, 2.0e6) for _ in range(9)]
-    bad = _rec(UNSOLVABLE, 2.0e6)
-    records = good[:4] + [bad] + good[4:]
-    rrs, report = build_residual_dataset(records, "bowring")
-    assert len(rrs) == 9
+    conds = [BENNETT_LIKE] * 4 + [UNSOLVABLE] + [BENNETT_LIKE] * 5
+    table, report = _residuals(conds, [2.0e6] * 10, "bowring")
+    assert table.shape == (9, 8)
     assert report.n_records == 10
     assert report.n_failed == 1
     ((idx, reason),) = report.failures
@@ -164,7 +155,7 @@ def test_residual_build_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(hybrid, "_solve_columns", broken)
     with pytest.raises(ZeroDivisionError):
-        build_residual_dataset([_rec(BENNETT_LIKE, 2.0e6)], "bowring")
+        _residuals([BENNETT_LIKE], [2.0e6], "bowring")
 
 
 def test_residual_build_solve_calls_do_not_grow_with_rows():
@@ -172,34 +163,36 @@ def test_residual_build_solve_calls_do_not_grow_with_rows():
     # the number of rows (distinct pressures, one unsolvable row)
     counts = []
     for n in (30, 300):
-        records = [_rec(UNSOLVABLE, 2.0e6)] + [
-            _rec(replace(BENNETT_LIKE, pressure=5.0e6 + 1.0e4 * i), 2.0e6) for i in range(n - 1)]
+        conds = [UNSOLVABLE] + [replace(BENNETT_LIKE, pressure=5.0e6 + 1.0e4 * i)
+                                for i in range(n - 1)]
         with mock.patch.object(hybrid, "_solve_columns", wraps=hybrid._solve_columns) as solve, \
                 mock.patch.object(fluid, "saturation_state",
                                   wraps=fluid.saturation_state) as sat:
-            rrs, report = build_residual_dataset(records, "bowring")
-        assert len(rrs) == n - 1 and report.n_failed == 1
+            table, report = _residuals(conds, [2.0e6] * n, "bowring")
+        assert len(table) == n - 1 and report.n_failed == 1
         counts.append((solve.call_count, sat.call_count))
     assert counts[0] == counts[1] == (1, 1)
 
 
 def test_residual_build_rejects_invalid_inlet_conditions():
     # the same error InletConditions raises for the first bad record
-    good = _rec(BENNETT_LIKE, 2.0e6)
-    bad = replace(good, pressure=25.0e6)
+    x = np.array([astuple(BENNETT_LIKE)] * 3)
+    x[1, 2], x[2, 0] = 25.0e6, 0.0
     with pytest.raises(ValueError, match="pressure 25000000.0 Pa outside saturation range"):
-        build_residual_dataset([good, bad, replace(good, diameter=0.0)], "bowring")
-
-
-def test_residual_record_rejects_inconsistent_fields():
-    with pytest.raises(ValueError, match="exactly"):
-        ResidualRecord(features=(1, 2, 3, 4, 5), base_chf=1.0e6,
-                       measured_chf=1.2e6, residual=0.1e6)
+        build_residual_dataset(x, [2.0e6] * 3, "bowring")
 
 
 def test_build_residual_dataset_validates_base():
     with pytest.raises(ValueError, match="base"):
-        build_residual_dataset([], "w3")
+        build_residual_dataset(np.empty((0, 5)), [], "w3")
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 6)])
+def test_feature_matrix_must_have_five_columns(shape):
+    with pytest.raises(ValueError, match=r"\(n, 5\) model-feature matrix"):
+        build_residual_dataset(np.ones(shape), np.ones(shape[0]), "bowring")
+    with pytest.raises(ValueError, match=r"\(n, 5\) model-feature matrix"):
+        predict_batch(ChfPredictor(kind="base_bowring"), np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +315,12 @@ def test_trained_residual_model_roundtrip():
         )
         cases.append(c)
         measured.append(solve_hbm("bowring", c).chf * (1.0 + 0.15))
-    records = [_rec(c, m) for c, m in zip(cases, measured)]
-    rrs, report = build_residual_dataset(records, "bowring")
+    table, report = _residuals(cases, measured, "bowring")
     assert report.n_failed == 0
 
     from chfkit.mlp import TrainConfig, train
 
-    x = residual_features(rrs)
-    y = residual_targets(rrs)
+    x, y = table[:, :5], table[:, 7]
     in_sc = Scaler.fit(x)
     out_sc = Scaler.fit(y.reshape(-1, 1))
     net = init_mlp(5, (8,), "tanh", seed=1, input_scaler=in_sc, output_scaler=out_sc,

@@ -7,6 +7,7 @@ state) and its own single-row network call.  ``predict_batch`` must
 reproduce it to the bit, failures included.
 """
 
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -100,7 +101,7 @@ _ROWS = st.builds(
 # ---------------------------------------------------------------------------
 
 def test_model_features_are_the_inlet_condition_fields():
-    # predict_batch builds its network input from these, in this order
+    # the columns of predict_batch's feature matrix are these fields, in order
     assert tuple(InletConditions.__dataclass_fields__) == MODEL_FEATURES
 
 
@@ -111,7 +112,7 @@ def test_predict_batch_matches_per_row_reference(kind, batch, seed):
     pred = _predictor(kind, seed)
     with mock.patch.object(fluid, "saturation_state",
                            wraps=fluid.saturation_state) as sat:
-        fast = predict_batch(pred, batch)
+        fast = predict_batch(pred, np.array([astuple(c) for c in batch]).reshape(-1, 5))
     # one array call over the distinct pressures, none for pure_ml
     if kind == "pure_ml" or not batch:
         assert sat.call_count == 0
