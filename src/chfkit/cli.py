@@ -21,10 +21,12 @@ condition - are recorded in the outputs as data, and the run continues.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -307,6 +309,7 @@ def _out(outdir: str, name: str) -> str:
 
 _FEATURE_HEADER = ("diameter_m,heated_length_m,pressure_Pa,"
                    "mass_flux_kg_m2s,inlet_subcooling_J_kg")
+_TARGET_COLUMN = {"direct": "target_W_m2", "residual": "residual_W_m2"}
 
 
 def _write_feature_csv(path: str, extra_header: str, rows: np.ndarray) -> str:
@@ -329,8 +332,7 @@ def _csv_safe(message: str) -> str:
 
 def _training_matrices(path: str, mode: str,
                        min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    target = "residual_W_m2" if mode == "residual" else "target_W_m2"
-    cols = tuple(_FEATURE_HEADER.split(",")) + (target,)
+    cols = tuple(_FEATURE_HEADER.split(",")) + (_TARGET_COLUMN[mode],)
     rows = [row for _, row in read_columns(path, cols)]
     if any(None in row for row in rows):
         raise ConfigError(f"{path}: blank cells are not allowed in training data")
@@ -338,6 +340,30 @@ def _training_matrices(path: str, mode: str,
     if arr.shape[0] < min_rows:
         raise ConfigError(f"{path}: need at least {min_rows} training rows")
     return arr[:, :-1], arr[:, -1]
+
+
+@contextlib.contextmanager
+def _constant_columns_reported(x: np.ndarray, names: tuple[str, ...], path: str,
+                               counts: dict):
+    """Name the constant columns of ``x``, read from ``path``, in one
+    ``warning:`` line and count them in ``counts``; inside the block,
+    ``Scaler.fit`` (which gives them std 1) stays quiet about them."""
+    flat = [name for name, is_flat in zip(names, Scaler.constant_columns(x)) if is_flat]
+    counts["constant_columns"] = len(flat)
+    if flat:
+        print(f"warning: constant feature column(s) {flat} in {path}: std set to 1",
+              file=sys.stderr)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "constant feature column", UserWarning)
+        yield
+
+
+def _fit_training_scalers(x: np.ndarray, y: np.ndarray, mode: str, path: str,
+                          counts: dict) -> tuple[Scaler, Scaler]:
+    """Input and output scalers of a training table, constant columns reported."""
+    names = (*_FEATURE_HEADER.split(","), _TARGET_COLUMN[mode])
+    with _constant_columns_reported(np.column_stack([x, y]), names, path, counts):
+        return Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
 
 
 def _load_predictor(cfg: _Config) -> tuple[ChfPredictor, list[str]]:
@@ -425,7 +451,8 @@ def cmd_train(cfg: _Config) -> None:
                            decay_rate=decay, seed=seed)
 
     x, y = _training_matrices(train_path, mode)
-    in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
+    counts: dict = {}
+    in_scaler, out_scaler = _fit_training_scalers(x, y, mode, train_path, counts)
     net = init_mlp(x.shape[1], hidden, activation, seed=seed,
                    input_scaler=in_scaler, output_scaler=out_scaler,
                    mode=mode, base_model=base, feature_names=MODEL_FEATURES)
@@ -442,9 +469,8 @@ def cmd_train(cfg: _Config) -> None:
             fh.write(f"{i},{loss!r}\n")
 
     inputs = [train_path]
-    counts: dict = {"epochs": schedule.epochs,
-                    "final_loss": repr(trace[-1]),
-                    "initial_loss": repr(trace[0])}
+    counts.update(epochs=schedule.epochs, final_loss=repr(trace[-1]),
+                  initial_loss=repr(trace[0]))
     if cfg.has("val_csv"):
         val_path = cfg.path_in("val_csv")
         inputs.append(val_path)
@@ -479,13 +505,16 @@ def cmd_tune(cfg: _Config) -> None:
     n_configs, rung0_epochs = cfg.int_("n_configs", "16"), cfg.int_("rung0_epochs", "10")
     decay = cfg.float_("decay", "0.99")
     cfg.check("n_configs", n_configs >= 1, ">= 1")
-    cfg.check("rung0_epochs", rung0_epochs >= 1, ">= 1")
+    cfg.check("rung0_epochs", 1 <= rung0_epochs <= 100_000, "in [1, 100000]")
+    cfg.check("budget_epochs", budget >= n_configs * rung0_epochs,
+              f">= n_configs * rung0_epochs ({n_configs * rung0_epochs})")
     cfg.check("decay", 0.0 < decay <= 1.0, "in (0, 1]")
     for act in space.activations:
         if act not in ACTIVATIONS:
             raise ConfigError(f"config key 'tune_activations': unknown activation {act!r}")
     x, y = _training_matrices(train_path, mode)
-    in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
+    counts: dict = {}
+    in_scaler, out_scaler = _fit_training_scalers(x, y, mode, train_path, counts)
     x_std = in_scaler.transform(x)
     y_std = out_scaler.transform(y.reshape(-1, 1))[:, 0]
     try:
@@ -507,9 +536,8 @@ def cmd_tune(cfg: _Config) -> None:
                       for ep, scores in result.rungs],
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(outdir, "tune", cfg, [train_path], [winner_path],
-                    {"epochs_trained": result.epochs_trained,
-                     "n_rungs": len(result.rungs)})
+    counts.update(epochs_trained=result.epochs_trained, n_rungs=len(result.rungs))
+    _write_manifest(outdir, "tune", cfg, [train_path], [winner_path], counts)
 
 
 def cmd_predict(cfg: _Config) -> None:
@@ -734,27 +762,26 @@ def cmd_hullcheck(cfg: _Config) -> None:
     x_train = feature_matrix(train_recs, features)
     x_query = feature_matrix(query_recs, features)
 
-    verdicts, summary = classify_batch(x_train, x_query)
+    counts: dict = {"train": _ingest_counts(train_report),
+                    "query": _ingest_counts(query_report)}
+    with _constant_columns_reported(x_train, features, train_path, counts):
+        verdicts, summary = classify_batch(x_train, x_query)
+        # projection of standardized features onto the two leading components
+        stacked = Scaler.fit(x_train).transform(np.vstack([x_train, x_query]))
     verdict_path = _out(outdir, "verdicts.csv")
     write_verdicts_csv(verdicts, verdict_path)
 
-    # projection of standardized features onto the two leading components
-    stacked = Scaler.fit(x_train).transform(np.vstack([x_train, x_query]))
     pca = fit_pca(stacked[:len(train_recs)])
     proj_path = _out(outdir, "projection.csv")
     labels = ["train"] * len(train_recs) + ["query"] * len(query_recs)
     write_projection_csv(pca, stacked, labels, proj_path)
 
     pivots = [v.pivots for v in verdicts]
+    counts.update(n_inside=summary.n_inside, n_outside=summary.n_outside,
+                  simplex_pivots_total=sum(pivots), simplex_pivots_max=max(pivots),
+                  simplex_bland_pivots=sum(v.bland_pivots for v in verdicts))
     _write_manifest(outdir, "hullcheck", cfg, [train_path, query_path],
-                    [verdict_path, proj_path],
-                    {"train": _ingest_counts(train_report),
-                     "query": _ingest_counts(query_report),
-                     "n_inside": summary.n_inside,
-                     "n_outside": summary.n_outside,
-                     "simplex_pivots_total": sum(pivots),
-                     "simplex_pivots_max": max(pivots),
-                     "simplex_bland_pivots": sum(v.bland_pivots for v in verdicts)})
+                    [verdict_path, proj_path], counts)
 
 
 def cmd_verify_model(cfg: _Config) -> None:

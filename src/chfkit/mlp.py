@@ -8,9 +8,15 @@ portable single-file model format.
 
 Determinism and reproducibility drive several choices:
 
-* affine layers go through ``einsum`` with optimization disabled, which
-  is bit-stable across batch sizes (BLAS matmul is not), so a batched
-  forward pass equals a loop of single-sample passes to the last bit;
+* every forward affine layer, in inference and in training, goes
+  through ``einsum`` with optimization disabled, which is bit-stable
+  across batch sizes (BLAS matmul is not), so a batched forward pass
+  equals a loop of single-sample passes to the last bit;
+* the two backward contractions of training (weight gradient and the
+  delta passed down a layer) use BLAS ``matmul``.  No bit-exact
+  contract applies to them: a gradient is a sum over its batch, and
+  nothing compares gradients across batch sizes.  The tests check that
+  one and two OpenBLAS threads train the same model bytes;
 * every random draw (init, shuffling, hyperparameter sampling) comes
   from an explicitly seeded generator;
 * the model file stores scalers as shortest round-trip decimal text and
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,7 +89,7 @@ def _elu(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _elu_prime(z: np.ndarray) -> np.ndarray:
+def _elu_prime(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     out = np.ones_like(z)
     neg = z <= 0.0
     out[neg] = np.exp(z[neg])
@@ -95,14 +101,16 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-# name -> (function, derivative), both elementwise on pre-activations
+# name -> (f(z), df(z, a)), both elementwise; the derivative gets the
+# pre-activation z and the activation a = f(z) the forward pass kept, and
+# tanh and sigmoid take it from a instead of evaluating f again
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(z.dtype)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(z.dtype)),
     "elu": (_elu, _elu_prime),
-    "softplus": (_softplus, _sigmoid),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "softplus": (_softplus, lambda z, a: _sigmoid(z)),
+    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a**2),
 }
 
 
@@ -160,6 +168,17 @@ class Scaler:
     def identity(cls, n_features: int) -> "Scaler":
         return cls(np.zeros(n_features), np.ones(n_features))
 
+    @staticmethod
+    def constant_columns(x: np.ndarray) -> np.ndarray:
+        """Mask of the columns of x that ``fit`` gives std 1.
+
+        These hold a single value, or spread so little that their std
+        underflows to 0.  The extremes are compared because the computed
+        std of a single-valued column is rounding noise (1.4e-17 for
+        three rows of 0.1) unless its mean rounds back to the value.
+        """
+        return (x.min(axis=0) == x.max(axis=0)) | (x.std(axis=0) == 0.0)
+
     @classmethod
     def fit(cls, x: np.ndarray) -> "Scaler":
         """Fit to the rows of x; constant columns get std 1 and a warning."""
@@ -168,7 +187,7 @@ class Scaler:
             raise ValueError(f"need a nonempty 2-D array to fit a scaler, got shape {x.shape}")
         mean = x.mean(axis=0)
         std = x.std(axis=0)  # population convention
-        flat = std == 0.0
+        flat = cls.constant_columns(x)
         if np.any(flat):
             warnings.warn(
                 f"constant feature column(s) {np.flatnonzero(flat).tolist()}: "
@@ -393,35 +412,41 @@ def forward(m: Mlp, x: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def _loss_and_grads(
-    layers: Sequence[DenseLayer], z: np.ndarray, y: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """MSE over the batch and its gradient for every layer, in
-    standardized space."""
+    layers: Sequence[DenseLayer], z: np.ndarray, y: np.ndarray,
+    grads: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> float:
+    """MSE over the batch in standardized space; writes its gradient for
+    every layer into that layer's (weights, bias) pair of ``grads``."""
     n = z.shape[0]
     pre = []
     post = [z]
-    a = z
     for layer in layers:
-        s = _affine(a, layer)
+        s = _affine(post[-1], layer)
         pre.append(s)
-        act, _ = ACTIVATIONS[layer.activation]
-        a = act(s)
-        post.append(a)
-    out = post[-1][:, 0]
-    err = out - y
+        post.append(ACTIVATIONS[layer.activation][0](s))
+    err = post[-1][:, 0] - y
     loss = float(np.mean(err**2))
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore
     delta = (2.0 / n) * err.reshape(-1, 1)
     for k in range(len(layers) - 1, -1, -1):
-        _, dact = ACTIVATIONS[layers[k].activation]
-        delta = delta * dact(pre[k])
-        grad_w = np.einsum("no,ni->oi", delta, post[k], optimize=False)
-        grad_b = delta.sum(axis=0)
-        grads[k] = (grad_w, grad_b)
+        layer, (grad_w, grad_b) = layers[k], grads[k]
+        delta = delta * ACTIVATIONS[layer.activation][1](pre[k], post[k + 1])
+        np.matmul(delta.T, post[k], out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if k > 0:
-            delta = np.einsum("no,oi->ni", delta, layers[k].weights, optimize=False)
-    return loss, grads
+            delta = delta @ layer.weights
+    return loss
+
+
+def _views(flat: np.ndarray, layers: Sequence[DenseLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) views into ``flat``, laid out layer after layer."""
+    out, at = [], 0
+    for layer in layers:
+        n_w = layer.weights.size
+        out.append((flat[at : at + n_w].reshape(layer.weights.shape),
+                    flat[at + n_w : at + n_w + layer.out_dim]))
+        at += n_w + layer.out_dim
+    return out
 
 
 def train(
@@ -446,15 +471,18 @@ def train(
     if x_std.shape[1] != m.n_inputs:
         raise ValueError(f"expected {m.n_inputs} features, got {x_std.shape[1]}")
 
+    # every weight and bias lives in one flat vector (the layers hold
+    # views into it), so one Adam update per step covers the network
     out = m.copy()
     layers = out.layers
+    theta = np.concatenate([a.ravel() for l in layers for a in (l.weights, l.bias)])
+    for layer, (w, b) in zip(layers, _views(theta, layers)):
+        layer.weights, layer.bias = w, b
+    grad = np.empty_like(theta)
+    grads = _views(grad, layers)
     rng = np.random.default_rng(cfg.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    adam = [
-        (np.zeros_like(l.weights), np.zeros_like(l.weights),
-         np.zeros_like(l.bias), np.zeros_like(l.bias))
-        for l in layers
-    ]
+    mom, vel = np.zeros_like(theta), np.zeros_like(theta)
     step = 0
     n = x_std.shape[0]
     trace: list[float] = []
@@ -464,25 +492,21 @@ def train(
         batch_losses = []
         for b0 in range(0, n, cfg.batch_size):
             idx = order[b0 : b0 + cfg.batch_size]
-            loss, grads = _loss_and_grads(layers, x_std[idx], y_std[idx])
+            loss = _loss_and_grads(layers, x_std[idx], y_std[idx], grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, b0 // cfg.batch_size, lr)
             batch_losses.append(loss)
             step += 1
             c1 = 1.0 - beta1**step
             c2 = 1.0 - beta2**step
-            for layer, (mw, vw, mb, vb), (gw, gb) in zip(layers, adam, grads):
-                mw *= beta1
-                mw += (1.0 - beta1) * gw
-                vw *= beta2
-                vw += (1.0 - beta2) * gw**2
-                layer.weights -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-                mb *= beta1
-                mb += (1.0 - beta1) * gb
-                vb *= beta2
-                vb += (1.0 - beta2) * gb**2
-                layer.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+            mom *= beta1
+            mom += (1.0 - beta1) * grad
+            vel *= beta2
+            vel += (1.0 - beta2) * grad**2
+            theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + eps)
         trace.append(float(np.mean(batch_losses)))
+    for layer in layers:  # the returned layers own their arrays
+        layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()
     return out, trace
 
 
@@ -500,7 +524,8 @@ def gradient_check(
     x_std = np.atleast_2d(np.asarray(x_std, dtype=np.float64))
     y_std = np.asarray(y_std, dtype=np.float64).reshape(-1)
     layers = [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation) for l in m.layers]
-    _, grads = _loss_and_grads(layers, x_std, y_std)
+    grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers]
+    _loss_and_grads(layers, x_std, y_std, grads)
 
     def loss_only() -> float:
         out = _forward_std(layers, x_std)

@@ -6,11 +6,15 @@ working directory, the way an operator would call the console script.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from chfkit.cli import ConfigError, main, parse_config_text
+import chfkit
+from chfkit.cli import HULL_FEATURES_DEFAULT, ConfigError, main, parse_config_text
 from chfkit.correlations import InletConditions, bowring_inlet, heat_balance_quality
 from chfkit.data import ingest
 
@@ -455,6 +459,7 @@ def test_hbm_failure_row_is_line_of_split_file(tmp_path):
     ("tune", ("width_min=5", "width_max=3"), "width_max"),
     ("tune", ("lr_min=0",), "lr_min"),
     ("tune", ("rung0_epochs=0",), "rung0_epochs"),
+    ("tune", ("rung0_epochs=100001", "budget_epochs=100001"), "rung0_epochs"),
     ("tune", ("batch_sizes=0",), "batch_sizes"),
     ("tune", ("depths=-1",), "depths"),
     ("tune", ("n_configs=0",), "n_configs"),
@@ -876,4 +881,94 @@ def test_tune_budget_too_small_is_config_error(tmp_path, capsys):
     assert main(["tune", f"train_csv={prep / 'pure_train.csv'}",
                  f"outdir={tmp_path / 'x'}", "budget_epochs=3",
                  "n_configs=2", "rung0_epochs=5"]) == 1
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config key 'budget_epochs'" in err
+    assert ">= n_configs * rung0_epochs (10), got '3'" in err
+
+
+# ---------------------------------------------------------------------------
+# constant training features
+# ---------------------------------------------------------------------------
+
+def _one_row_twice(path, header, row):
+    path.write_text(header + "\n" + row + "\n" + row + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["hidden=3", "epochs=2", "batch_size=2"]),
+    ("tune", ["budget_epochs=2", "n_configs=1", "rung0_epochs=2", "depths=1",
+              "width_min=2", "width_max=3", "batch_sizes=1"]),
+])
+def test_constant_training_columns_are_one_warning_line(tmp_path, capsys, recwarn,
+                                                        command, extra):
+    header = ("diameter_m,heated_length_m,pressure_Pa,mass_flux_kg_m2s,"
+              "inlet_subcooling_J_kg,target_W_m2")
+    data = _one_row_twice(tmp_path / "pure_train.csv", header,
+                          "0.01,3.0,7000000.0,1500.0,100000.0,2500000.0")
+    out = tmp_path / "out"
+    assert main([command, f"train_csv={data}", f"outdir={out}", *extra]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: constant feature column(s) {header.split(',')} in {data}: "
+        "std set to 1"]
+    assert not [w for w in recwarn if "constant" in str(w.message)]
+    assert _manifest(out)["counts"]["constant_columns"] == 6
+
+
+def test_hullcheck_constant_training_columns_are_one_warning_line(tmp_path, capsys,
+                                                                   recwarn):
+    data = _one_row_twice(tmp_path / "data.csv",
+                          "D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2",
+                          _solvable_rows(1, 41)[0])
+    out = tmp_path / "hull"
+    assert main(["hullcheck", f"train_csv={data}", f"query_csv={data}",
+                 f"outdir={out}"]) == 0
+    features = HULL_FEATURES_DEFAULT.split(",")
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: constant feature column(s) {features} in {data}: std set to 1"]
+    assert not [w for w in recwarn if "constant" in str(w.message)]
+    counts = _manifest(out)["counts"]
+    assert counts["constant_columns"] == 7 and counts["n_inside"] == 2
+
+
+def test_varied_training_columns_print_no_warning(tmp_path, capsys):
+    prep = _prepared(tmp_path)
+    out = tmp_path / "train"
+    assert main(["train", f"train_csv={prep / 'pure_train.csv'}", f"outdir={out}",
+                 "hidden=3", "epochs=1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert _manifest(out)["counts"]["constant_columns"] == 0
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+def test_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # with batch 64, the 200 x 200 layer's two backward products run on
+    # both threads (process CPU time near twice the wall time with
+    # OpenBLAS 0.3.31); at width 70 they still ran on one
+    rng = np.random.default_rng(5)
+    x = rng.uniform([8e-3, 2.0, 3e6, 500.0, 5e4], [13e-3, 6.0, 12e6, 3000.0, 4e5],
+                    size=(500, 5))
+    y = 2e6 + 1e-1 * x[:, 2] - 4e2 * x[:, 3] + rng.normal(0.0, 5e4, 500)
+    data = tmp_path / "pure_train.csv"
+    data.write_text(
+        "diameter_m,heated_length_m,pressure_Pa,mass_flux_kg_m2s,"
+        "inlet_subcooling_J_kg,target_W_m2\n"
+        + "".join(",".join(map(repr, row)) + "\n"
+                  for row in np.column_stack([x, y]).tolist()))
+    src = os.path.dirname(os.path.dirname(chfkit.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        runs.append((out, subprocess.Popen(
+            [sys.executable, "-m", "chfkit.cli", "train", f"train_csv={data}",
+             f"outdir={out}", "hidden=200,200", "batch_size=64", "epochs=1", "seed=4"],
+            env=env, stderr=subprocess.PIPE)))
+    for out, proc in runs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    one, two = ((out / "model.chfmlp").read_bytes() for out, _ in runs)
+    assert one == two

@@ -76,7 +76,7 @@ def test_activation_derivatives_match_finite_differences():
     h = 1e-6
     for name, (f, df) in ACTIVATIONS.items():
         fd = (f(z + h) - f(z - h)) / (2.0 * h)
-        assert np.max(np.abs(df(z) - fd)) < 5e-9, name
+        assert np.max(np.abs(df(z, f(z)) - fd)) < 5e-9, name
 
 
 def test_softplus_sigmoid_overflow_safe():
@@ -118,6 +118,18 @@ def test_scaler_constant_column_warns_and_keeps_unit_std():
         sc = Scaler.fit(x)
     assert sc.std[1] == 1.0
     assert sc.mean[1] == 5.0
+
+
+def test_scaler_constant_column_found_when_std_rounds_above_zero():
+    # three rows of 0.1 have a computed std of 1.4e-17, not 0
+    x = np.array([[1.0, 0.1], [2.0, 0.1], [3.0, 0.1]])
+    assert x.std(axis=0)[1] > 0.0
+    assert Scaler.constant_columns(x).tolist() == [False, True]
+    with pytest.warns(UserWarning, match=r"constant feature column\(s\) \[1\]"):
+        sc = Scaler.fit(x)
+    assert sc.std[1] == 1.0
+    # with that std as divisor every row would read -1.0
+    assert np.max(np.abs(sc.transform(x)[:, 1])) < 1e-16
 
 
 def test_scaler_validation():
