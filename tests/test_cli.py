@@ -459,11 +459,11 @@ def test_hbm_failure_row_is_line_of_split_file(tmp_path):
     ("tune", ("width_min=5", "width_max=3"), "width_max"),
     ("tune", ("lr_min=0",), "lr_min"),
     ("tune", ("rung0_epochs=0",), "rung0_epochs"),
-    ("tune", ("rung0_epochs=100001", "budget_epochs=100001"), "rung0_epochs"),
     ("tune", ("batch_sizes=0",), "batch_sizes"),
     ("tune", ("depths=-1",), "depths"),
     ("tune", ("n_configs=0",), "n_configs"),
     ("tune", ("decay=2",), "decay"),
+    ("tune", ("rung0_epochs=100001", "budget_epochs=100001"), "rung0_epochs"),
 ])
 def test_config_mistake_is_error_naming_key(tmp_path, capsys, command, overrides, key):
     if command == "prepare":
