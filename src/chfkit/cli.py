@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -34,14 +35,15 @@ from . import __version__
 from .channel import BracketError, ChannelCase, find_critical_power, solve_channel
 from .correlations import NoCriticalConditionError
 from .data import (
+    FIELDS,
     MODEL_FEATURES,
     TABLE1_ENVELOPE,
-    ChfRecord,
     IngestError,
     feature_matrix,
     ingest,
-    read_columns,
+    load_columns,
     split,
+    write_columns,
     write_records,
 )
 from .evaluation import (
@@ -312,14 +314,6 @@ _FEATURE_HEADER = ("diameter_m,heated_length_m,pressure_Pa,"
 _TARGET_COLUMN = {"direct": "target_W_m2", "residual": "residual_W_m2"}
 
 
-def _write_feature_csv(path: str, extra_header: str, rows: np.ndarray) -> str:
-    """Write model-feature rows with extra columns to ``path``; returns it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_FEATURE_HEADER},{extra_header}\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
-    return path
-
-
 def _ingest_counts(report) -> dict:
     return {"rows_read": report.n_rows, "rows_rejected": len(report.rejected),
             "rows_flagged": len(report.flagged), "derived": report.derived}
@@ -332,13 +326,13 @@ def _csv_safe(message: str) -> str:
 
 def _training_matrices(path: str, mode: str,
                        min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    cols = tuple(_FEATURE_HEADER.split(",")) + (_TARGET_COLUMN[mode],)
-    rows = [row for _, row in read_columns(path, cols)]
-    if any(None in row for row in rows):
+    values, _ = load_columns(path, (*_FEATURE_HEADER.split(","), _TARGET_COLUMN[mode]))
+    if np.isnan(values).any():
         raise ConfigError(f"{path}: blank cells are not allowed in training data")
-    arr = np.array(rows, dtype=float)
-    if arr.shape[0] < min_rows:
+    if values.shape[1] < min_rows:
         raise ConfigError(f"{path}: need at least {min_rows} training rows")
+    # row-major, so that Scaler.fit sums each column row by row
+    arr = np.ascontiguousarray(values.T)
     return arr[:, :-1], arr[:, -1]
 
 
@@ -392,29 +386,30 @@ def cmd_prepare(cfg: _Config) -> None:
     base = cfg.choice("base", ("none", "biasi", "bowring"), "none")
     envelope = cfg.envelope()
 
-    records, report = ingest(data_path, envelope=envelope, strict=strict)
-    cfg.check("data", len(records) >= 10,
-              f"a table with at least 10 usable rows ({len(records)} after ingestion)")
-    parts = split(records, seed)
+    table, report = ingest(data_path, envelope=envelope, strict=strict)
+    cfg.check("data", len(table) >= 10,
+              f"a table with at least 10 usable rows ({len(table)} after ingestion)")
+    parts = split(table, seed)
     splits = (("train", parts.train), ("val", parts.validation),
               ("test", parts.test))
 
     counts: dict = {**_ingest_counts(report),
-                    "split_sizes": {name: len(recs) for name, recs in splits}}
+                    "split_sizes": {name: len(part) for name, part in splits}}
     outputs, failures = [], []
-    for name, recs in splits:
+    for name, part in splits:
         path = _out(outdir, f"{name}.csv")
-        write_records(recs, path)
-        x = feature_matrix(recs, MODEL_FEATURES + ("measured_chf",))
-        outputs += [path, _write_feature_csv(_out(outdir, f"pure_{name}.csv"),
-                                             "target_W_m2", x)]
+        write_records(part, path)
+        pure = [getattr(part, f) for f in (*MODEL_FEATURES, "measured_chf")]
+        outputs += [path, write_columns(_out(outdir, f"pure_{name}.csv"),
+                                        f"{_FEATURE_HEADER},target_W_m2", pure)]
         if base != "none":
-            table, rep = build_residual_dataset(x[:, :5], x[:, 5], base)
+            resid, rep = build_residual_dataset(feature_matrix(part), part.measured_chf, base)
             # the record's line in {name}.csv: one header line, no blank lines
             failures.extend((name, i + 2, msg) for i, msg in rep.failures)
-            outputs.append(_write_feature_csv(
+            outputs.append(write_columns(
                 _out(outdir, f"residual_{name}.csv"),
-                "base_chf_W_m2,measured_chf_W_m2,residual_W_m2", table))
+                f"{_FEATURE_HEADER},base_chf_W_m2,measured_chf_W_m2,residual_W_m2",
+                list(resid.T)))
 
     if base != "none":
         fail_path = _out(outdir, "hbm_failures.csv")
@@ -463,10 +458,7 @@ def cmd_train(cfg: _Config) -> None:
     model_path = _out(outdir, "model.chfmlp")
     save_model(fitted, model_path)
     trace_path = _out(outdir, "loss_trace.csv")
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(trace):
-            fh.write(f"{i},{loss!r}\n")
+    write_columns(trace_path, "epoch,loss", [list(map(str, range(len(trace)))), np.array(trace)])
 
     inputs = [train_path]
     counts.update(epochs=schedule.epochs, final_loss=repr(trace[-1]),
@@ -545,46 +537,45 @@ def cmd_predict(cfg: _Config) -> None:
     data_path = cfg.path_in("data")
     strict = cfg.bool_("strict", "false")
     predictor, extra_inputs = _load_predictor(cfg)
-    records, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
+    table, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
-    outcomes = predict_batch(predictor, feature_matrix(records))
+    outcomes = predict_batch(predictor, feature_matrix(table))
 
     out_path = _out(outdir, "predictions.csv")
     n_failed = n_excursions = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
                  "measured_chf_kW_m2,quality_excursion,status\n")
-        for rec, line_no, p in zip(records, report.lines, outcomes):
+        for line_no, measured, p in zip(table.lines.tolist(),
+                                        (table.measured_chf / 1e3).tolist(), outcomes):
             if isinstance(p, Exception):
                 n_failed += 1
-                fh.write(f"{line_no},,,,{rec.measured_chf / 1e3!r},,"
-                         f"failed: {_csv_safe(p)}\n")
+                fh.write(f"{line_no},,,,{measured!r},,failed: {_csv_safe(p)}\n")
                 continue
             base = "" if p.base_chf is None else repr(p.base_chf / 1e3)
             resid = "" if p.ml_residual is None else repr(p.ml_residual / 1e3)
             excursion = "" if p.base_solution is None else int(p.base_solution.quality_excursion)
             n_excursions += excursion == 1
             fh.write(f"{line_no},{p.value / 1e3!r},{base},{resid},"
-                     f"{rec.measured_chf / 1e3!r},{excursion},ok\n")
+                     f"{measured!r},{excursion},ok\n")
 
     _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs],
                     [out_path],
                     {**_ingest_counts(report),
-                     "predicted": len(records) - n_failed,
+                     "predicted": len(table) - n_failed,
                      "failed": n_failed,
                      "quality_excursions": n_excursions})
 
 
 def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
     """Channel cases from the batch file; bad rows come back as messages."""
-    rows = read_columns(path, tuple(CASE_HEADER.split(",")))
+    values, _ = load_columns(path, CASE_HEADER.split(","))
     out: list[tuple[int, ChannelCase | str]] = []
-    for i, (_, row) in enumerate(rows):
-        d, length, p_kpa, g, dh, q, n_axial = row
-        if None in (d, length, p_kpa, g, dh, q):
+    for i, (d, length, p_kpa, g, dh, q, n_axial) in enumerate(values.T.tolist()):
+        if any(math.isnan(v) for v in (d, length, p_kpa, g, dh, q)):
             out.append((i, "blank cell in required column"))
             continue
-        if n_axial is not None and not n_axial.is_integer():
+        if not math.isnan(n_axial) and not n_axial.is_integer():
             out.append((i, f"n_axial must be a whole number, got {n_axial!r}"))
             continue
         try:
@@ -592,7 +583,7 @@ def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
                 diameter=d * 1e-3, heated_length=length, pressure=p_kpa * 1e3,
                 mass_flux=g, inlet_subcooling=dh * 1e3,
                 wall_heat_flux=q * 1e3,
-                n_axial=60 if n_axial is None else int(n_axial),
+                n_axial=60 if math.isnan(n_axial) else int(n_axial),
             )))
         except ValueError as e:
             out.append((i, str(e)))
@@ -686,23 +677,21 @@ def cmd_evaluate(cfg: _Config) -> None:
     trim = cfg.float_("trim_quantile", "0.995")
 
     if truth_path == pred_path:
-        rows = [r for _, r in read_columns(pred_path, (pred_col, truth_col))]
-        preds, truths = [r[0] for r in rows], [r[1] for r in rows]
+        (preds, truths), _ = load_columns(pred_path, (pred_col, truth_col))
     else:
-        preds = [r[0] for _, r in read_columns(pred_path, (pred_col,))]
-        truths = [r[0] for _, r in read_columns(truth_path, (truth_col,))]
+        (preds,), _ = load_columns(pred_path, (pred_col,))
+        (truths,), _ = load_columns(truth_path, (truth_col,))
     if len(preds) != len(truths):
         raise ConfigError(
             f"prediction and truth files disagree on length: "
             f"{len(preds)} vs {len(truths)} rows"
         )
-    pairs = [(p, t) for p, t in zip(preds, truths) if p is not None and t is not None]
-    n_missing = len(preds) - len(pairs)
-    if not pairs:
+    both = ~np.isnan(preds) & ~np.isnan(truths)
+    n_missing = len(preds) - int(np.count_nonzero(both))
+    if not both.any():
         raise ConfigError("no rows with both a prediction and a truth value")
     # columns carry kW/m2; metrics are scale-free, parity export is not
-    pred = np.array([p for p, _ in pairs]) * 1e3
-    truth = np.array([t for _, t in pairs]) * 1e3
+    pred, truth = preds[both] * 1e3, truths[both] * 1e3
 
     try:
         report = compute_report(pred, truth, trim_quantile=trim)
@@ -742,38 +731,36 @@ def cmd_hullcheck(cfg: _Config) -> None:
     strict = cfg.bool_("strict", "false")
     features = cfg.names("hull_features", HULL_FEATURES_DEFAULT)
     for f in features:
-        if f not in ChfRecord.__dataclass_fields__:
+        if f not in FIELDS:
             raise ConfigError(f"config key 'hull_features': unknown field {f!r}")
 
     cfg.check("hull_features", len(features) >= 2, "at least two features")
 
     envelope = cfg.envelope()
-    train_recs, train_report = ingest(train_path, envelope=envelope, strict=strict)
-    query_recs, query_report = ingest(query_path, envelope=envelope, strict=strict)
-    cfg.check("train_csv", len(train_recs) >= 2,
-              f"a table with at least 2 usable rows ({len(train_recs)} after ingestion)")
-    cfg.check("query_csv", len(query_recs) >= 1, "a table with at least 1 usable row")
-    if "inlet_temperature" in features:
-        if any(r.inlet_temperature is None for r in train_recs + query_recs):
-            raise ConfigError(
-                "some rows have no inlet temperature (two-phase inlet); "
-                "set hull_features without inlet_temperature"
-            )
-    x_train = feature_matrix(train_recs, features)
-    x_query = feature_matrix(query_recs, features)
+    train, train_report = ingest(train_path, envelope=envelope, strict=strict)
+    query, query_report = ingest(query_path, envelope=envelope, strict=strict)
+    cfg.check("train_csv", len(train) >= 2,
+              f"a table with at least 2 usable rows ({len(train)} after ingestion)")
+    cfg.check("query_csv", len(query) >= 1, "a table with at least 1 usable row")
+    try:
+        x_train, x_query = feature_matrix(train, features), feature_matrix(query, features)
+    except ValueError:  # the features are known, so a row lacks its inlet temperature
+        raise ConfigError("some rows have no inlet temperature (two-phase inlet); "
+                          "set hull_features without inlet_temperature") from None
 
     counts: dict = {"train": _ingest_counts(train_report),
                     "query": _ingest_counts(query_report)}
     with _constant_columns_reported(x_train, features, train_path, counts):
-        verdicts, summary = classify_batch(x_train, x_query)
-        # projection of standardized features onto the two leading components
-        stacked = Scaler.fit(x_train).transform(np.vstack([x_train, x_query]))
+        scaler = Scaler.fit(x_train)
+    verdicts, summary = classify_batch(x_train, x_query, scaler=scaler)
     verdict_path = _out(outdir, "verdicts.csv")
     write_verdicts_csv(verdicts, verdict_path)
 
-    pca = fit_pca(stacked[:len(train_recs)])
+    # projection of standardized features onto the two leading components
+    stacked = scaler.transform(np.vstack([x_train, x_query]))
+    pca = fit_pca(stacked[:len(train)])
     proj_path = _out(outdir, "projection.csv")
-    labels = ["train"] * len(train_recs) + ["query"] * len(query_recs)
+    labels = ["train"] * len(train) + ["query"] * len(query)
     write_projection_csv(pca, stacked, labels, proj_path)
 
     pivots = [v.pivots for v in verdicts]

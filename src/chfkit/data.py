@@ -1,10 +1,11 @@
 """CHF experiment table ingestion and dataset preparation.
 
 Reads delimited text tables of critical-heat-flux measurements (one row
-per experiment), canonicalizes units to SI, derives missing fields where
-physics allows, screens rows against a configurable parameter envelope,
-and provides the seeded shuffle, the 80-10-10 split and the feature
-matrices for model training.
+per experiment) into one column table, ``ChfTable``: eight float64 SI
+columns and each row's file line number.  Ingestion derives missing
+fields where physics allows and screens rows against a configurable
+parameter envelope; the seeded 80-10-10 split, the feature matrices and
+the CSV export work on whole columns.
 
 The file schema is a comma-delimited header
 ``D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2`` with ``.``
@@ -21,14 +22,16 @@ A row whose blanks cannot be derived, or whose inlet conditions
 ``InletConditions`` rejects, is rejected.  Envelope violations reject the
 row in strict mode and merely flag it otherwise; either way the report
 carries the file line number and a reason.
+
+``load_columns`` reads every numeric CSV input and ``write_columns``
+writes the numeric CSV outputs, one pass over each column.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, fields
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -36,17 +39,18 @@ from . import fluid
 from .correlations import InletConditions, _valid_inlet_rows
 
 __all__ = [
-    "ChfRecord",
+    "ChfTable",
     "DatasetSplit",
     "IngestError",
     "IngestReport",
     "TABLE1_ENVELOPE",
+    "FIELDS",
     "MODEL_FEATURES",
     "CSV_HEADER",
     "ingest",
-    "read_columns",
+    "load_columns",
+    "write_columns",
     "write_records",
-    "shuffle",
     "split",
     "feature_matrix",
     "envelope_violations",
@@ -72,38 +76,41 @@ MODEL_FEATURES = (
     "diameter", "heated_length", "pressure", "mass_flux", "inlet_subcooling",
 )
 
+# rows whose cells are held as strings at once while reading or writing
+_CHUNK_ROWS = 4096
+
 
 class IngestError(ValueError):
     """Table cannot be read at all (structure, not per-row content)."""
 
 
-@dataclass(frozen=True)
-class ChfRecord:
-    """One CHF experiment in SI units.
+@dataclass(frozen=True, eq=False)
+class ChfTable:
+    """CHF experiments in SI units, one float64 column per field; row i
+    was read from file line ``lines[i]``.  ``inlet_temperature`` is NaN
+    where neither measured nor derivable (a two-phase inlet); ingestion
+    keeps the other columns finite.  Rows outside the envelope can be held."""
 
-    ``inlet_temperature`` may be None when neither measured nor
-    derivable; every other field is mandatory.  Envelope screening is a
-    pipeline concern (see envelope_violations), not a type invariant,
-    so records outside the training ranges can still be represented.
-    """
+    diameter: np.ndarray
+    heated_length: np.ndarray
+    pressure: np.ndarray
+    mass_flux: np.ndarray
+    exit_quality: np.ndarray
+    inlet_subcooling: np.ndarray
+    measured_chf: np.ndarray
+    inlet_temperature: np.ndarray
+    lines: np.ndarray
 
-    diameter: float
-    heated_length: float
-    pressure: float
-    mass_flux: float
-    exit_quality: float
-    inlet_subcooling: float
-    measured_chf: float
-    inlet_temperature: float | None = None
+    def __len__(self) -> int:
+        return len(self.lines)
 
-    def __post_init__(self) -> None:
-        for name in ("diameter", "heated_length", "pressure", "mass_flux",
-                     "exit_quality", "inlet_subcooling", "measured_chf"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.inlet_temperature is not None and not math.isfinite(self.inlet_temperature):
-            raise ValueError(f"inlet_temperature must be finite, got {self.inlet_temperature!r}")
+    def take(self, rows) -> ChfTable:
+        """The table of the rows at the given indices, in that order."""
+        return ChfTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+# the eight SI columns of a ChfTable, in order
+FIELDS = tuple(f.name for f in fields(ChfTable))[:-1]
 
 
 @dataclass(frozen=True)
@@ -111,79 +118,105 @@ class IngestReport:
     """Per-row outcomes of an ingest pass.
 
     Row numbers are file line numbers (the header is line 1, so the
-    first data row is line 2; blank lines count).  ``lines`` holds the
-    line number of each accepted record, in record order; ``derived``
-    counts the accepted records whose ``inlet_temperature``,
-    ``inlet_subcooling`` or ``exit_quality`` was derived.
+    first data row is line 2; blank lines count).  ``derived`` counts the
+    accepted rows whose ``inlet_temperature``, ``inlet_subcooling`` or
+    ``exit_quality`` was derived.
     """
 
     n_rows: int
     rejected: tuple[tuple[int, str], ...] = ()
     flagged: tuple[tuple[int, str], ...] = ()
-    lines: tuple[int, ...] = ()
     derived: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: tuple[ChfRecord, ...]
-    validation: tuple[ChfRecord, ...]
-    test: tuple[ChfRecord, ...]
+    train: ChfTable
+    validation: ChfTable
+    test: ChfTable
     seed: int
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
 
 def envelope_violations(
-    r: ChfRecord, envelope: dict[str, tuple[float, float]] | None = None
-) -> list[str]:
-    """Names of fields outside the envelope, with the offending values."""
+    table: ChfTable, envelope: dict[str, tuple[float, float]] | None = None
+) -> dict[int, list[str]]:
+    """Row index -> the fields of that row outside the envelope, with the
+    offending values; rows inside it, and NaN (missing) values, are left
+    out."""
     env = TABLE1_ENVELOPE if envelope is None else envelope
-    out = []
+    out: dict[int, list[str]] = {}
     for name, (lo, hi) in env.items():
-        v = getattr(r, name)
-        if v is None:
-            continue
-        if not lo <= v <= hi:
-            out.append(f"{name}={v:g} outside [{lo:g}, {hi:g}]")
-    return out
+        v = getattr(table, name)
+        outside = ~((lo <= v) & (v <= hi)) & ~np.isnan(v)
+        for i in np.flatnonzero(outside).tolist():
+            out.setdefault(i, []).append(f"{name}={v[i].item():g} outside [{lo:g}, {hi:g}]")
+    return dict(sorted(out.items()))
 
 
-def _parse_cell(text: str, column: str, path: str, line_no: int) -> float | None:
-    text = text.strip()
-    if not text:
-        return None
+def _parse_cells(cells: list[str]) -> np.ndarray | None:
+    """The cells as float64, NaN for a blank one; None if a cell is
+    neither blank nor a finite number."""
     try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
+        values = np.array([float(c) if c.strip() else math.nan for c in cells],
+                          dtype=np.float64)
     except ValueError:
-        pass
-    raise IngestError(f"{path} line {line_no}: unparseable numeric {text!r} in column {column!r}")
+        return None
+    if any(cells[i].strip() for i in np.flatnonzero(~np.isfinite(values)).tolist()):
+        return None
+    return values
 
 
-def read_columns(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[float | None]]]:
-    """Stream the named numeric columns of a comma-delimited table.
+def _raise_first_error(path: str, n_fields: int, columns: Sequence[str],
+                       pos: list[int], rows: list[str], line_nos: list[int]) -> NoReturn:
+    """Raise the IngestError of the first wrong field count or bad cell, in
+    file order (and column order within a row)."""
+    for line_no, row in zip(line_nos, rows):
+        cells = row.split(",")
+        if len(cells) != n_fields:
+            raise IngestError(f"{path} line {line_no}: expected {n_fields} fields, "
+                              f"got {len(cells)}")
+        for c, j in zip(columns, pos):
+            if _parse_cells([cells[j]]) is None:
+                raise IngestError(f"{path} line {line_no}: unparseable numeric "
+                                  f"{cells[j].strip()!r} in column {c!r}")
+    raise AssertionError(f"{path}: no bad cell found")
 
-    Yields ``(file line number, cells)`` per data row, blank cells as
-    None.  Blank lines are skipped but counted.  A missing column, a wrong
-    field count or a cell that is not a finite number raises IngestError.
+
+def load_columns(path: str, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The named numeric columns of a comma-delimited table.
+
+    Returns a (len(columns), n) float64 array, NaN for blank cells, and
+    the file line number of each of the n data rows (blank lines are
+    skipped but counted).  A missing column, a wrong field count or a
+    cell that is not a finite number raises IngestError.  The cells are
+    parsed a chunk of rows at a time, one pass per column, and the first
+    bad line is searched for only once one is known to exist.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = ((n, ln.rstrip("\n").split(",")) for n, ln in enumerate(fh, start=1) if ln.strip())
-        _, header = next(rows, (0, None))
-        if header is None:
-            raise IngestError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing column(s) {missing}")
-        col_pos = [header.index(c) for c in columns]
-        for line_no, cells in rows:
-            if len(cells) != len(header):
-                raise IngestError(f"{path} line {line_no}: expected {len(header)} fields, "
-                                  f"got {len(cells)}")
-            yield line_no, [_parse_cell(cells[j], c, path, line_no)
-                            for c, j in zip(columns, col_pos)]
+        lines = fh.read().split("\n")
+    numbered = [i for i, line in enumerate(lines) if line.strip()]
+    if not numbered:
+        raise IngestError(f"{path}: empty file")
+    header = [h.strip() for h in lines[numbered[0]].split(",")]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise IngestError(f"{path}: missing column(s) {missing}")
+    pos = [header.index(c) for c in columns]
+    rows = [lines[i] for i in numbered[1:]]
+    del lines
+    line_nos = [i + 1 for i in numbered[1:]]
+    if any(row.count(",") != len(header) - 1 for row in rows):
+        _raise_first_error(path, len(header), columns, pos, rows, line_nos)
+    out = np.empty((len(columns), len(rows)))
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        cells = [row.split(",") for row in rows[start:start + _CHUNK_ROWS]]
+        for k, j in enumerate(pos):
+            values = _parse_cells([r[j] for r in cells])
+            if values is None:
+                _raise_first_error(path, len(header), columns, pos, rows, line_nos)
+            out[k, start:start + len(cells)] = values
+    return out, np.array(line_nos, dtype=np.int64)
 
 
 def _reject(reasons: dict[int, str], ok: np.ndarray, bad: np.ndarray, reason: str) -> None:
@@ -198,29 +231,26 @@ def ingest(
     path: str,
     envelope: dict[str, tuple[float, float]] | None = None,
     strict: bool = True,
-) -> tuple[list[ChfRecord], IngestReport]:
-    """Read a CHF table; returns accepted records and a per-row report.
+) -> tuple[ChfTable, IngestReport]:
+    """Read a CHF table; returns the accepted rows and a per-row report.
 
     Structural problems (missing columns, unparseable numbers, empty
     file) raise IngestError.  Rows that cannot be completed (blank
     underivable fields, failed derivations, inlet conditions that
-    ``InletConditions`` rejects) are always rejected.  Rows violating
-    the envelope are rejected when ``strict`` and flagged (kept)
-    otherwise.
+    ``InletConditions`` rejects, a value that overflows) are always
+    rejected.  Rows violating the envelope are rejected when ``strict``
+    and flagged (kept) otherwise.
 
-    Works column-wise: the table is parsed into columns, each missing
-    field is derived by one array call over the rows that need it, and
-    then the records are built.  A row that fails a derivation is
-    rejected alone; each row's reason is the first check it fails, in
-    the order below.
+    Each missing field is derived by one array call over the rows that
+    need it.  A row that fails a derivation is rejected alone; each row's
+    reason is the first check it fails, in the order below.
     """
-    # 1. parse: blank cells become NaN (read_columns admits finite numbers only)
-    parsed = list(read_columns(path, _COLUMNS))
-    if not parsed:
+    # 1. parse: blank cells become NaN
+    values, lines = load_columns(path, _COLUMNS)
+    n = len(lines)
+    if not n:
         raise IngestError(f"{path}: no data rows")
-    line_nos = [line_no for line_no, _ in parsed]
-    cols = dict(zip(_COLUMNS, np.array([cells for _, cells in parsed], dtype=np.float64).T))
-    n = len(line_nos)
+    cols = dict(zip(_COLUMNS, values))
     d, length, p = cols["D_mm"] * 1e-3, cols["L_m"], cols["P_kPa"] * 1e3
     g, chf, x_e = cols["G_kg_m2s"], cols["chf_kW_m2"] * 1e3, cols["x_e"].copy()
     dh, t_in = cols["dh_sub_kJ_kg"] * 1e3, cols["T_in_C"] + 273.15
@@ -258,106 +288,93 @@ def ingest(
         x_e[rows] = (4.0 * chf[rows] * length[rows] / (g[rows] * d[rows] * h_fg)
                      - dh[rows] / h_fg)
 
-    # 3. build the records (Python floats, NaN inlet temperature as None);
-    # envelope_violations words the problems of the rows a column mask finds
-    by_field = dict(zip(ChfRecord.__dataclass_fields__, (d, length, p, g, x_e, dh, chf, t_in)))
-    suspect = np.zeros(n, dtype=bool)
-    for name, (lo, hi) in (TABLE1_ENVELOPE if envelope is None else envelope).items():
-        v = by_field.get(name, np.nan)  # an unknown field fails in envelope_violations
-        suspect |= ~((lo <= v) & (v <= hi))
-    records: list[ChfRecord] = []
-    kept_lines: list[int] = []
-    flagged: list[tuple[int, str]] = []
-    derived = dict.fromkeys(("inlet_temperature", "inlet_subcooling", "exit_quality"), 0)
-    fields = zip(d.tolist(), length.tolist(), p.tolist(), g.tolist(), x_e.tolist(),
-                 dh.tolist(), chf.tolist(), t_in.tolist())
-    for i, (row_ok, values) in enumerate(zip(ok.tolist(), fields)):
-        if not row_ok:
-            continue
-        t = values[7]
-        try:
-            rec = ChfRecord(*values[:7], inlet_temperature=None if math.isnan(t) else t)
-        except ValueError as e:
-            reasons[i] = str(e)
-            continue
-        problems = envelope_violations(rec, envelope) if suspect[i] else None
-        if problems:
-            if strict:
-                reasons[i] = "; ".join(problems)
-                continue
-            flagged.append((line_nos[i], "; ".join(problems)))
-        records.append(rec)
-        kept_lines.append(line_nos[i])
-        derived["inlet_temperature"] += bool(derive_t_in[i])
-        derived["inlet_subcooling"] += bool(derive_dh[i])
-        derived["exit_quality"] += bool(derive_x[i])
-    return records, IngestReport(
+    # 3. screen: overflow from a conversion or derivation, then the envelope
+    table = ChfTable(d, length, p, g, x_e, dh, chf, t_in, lines)
+    for name in FIELDS[:-1]:
+        v = getattr(table, name)
+        for i in np.flatnonzero(ok & ~np.isfinite(v)).tolist():
+            reasons[i] = f"{name} must be finite, got {v[i].item()!r}"
+            ok[i] = False
+    line_nos = lines.tolist()
+    violations = {i: "; ".join(problems)
+                  for i, problems in envelope_violations(table, envelope).items() if ok[i]}
+    if strict:
+        reasons.update(violations)
+        ok[list(violations)] = False
+    flagged = [] if strict else [(line_nos[i], reason) for i, reason in violations.items()]
+    derived = {name: int(np.count_nonzero(derive & ok)) for name, derive in
+               (("inlet_temperature", derive_t_in), ("inlet_subcooling", derive_dh),
+                ("exit_quality", derive_x))}
+    return table.take(np.flatnonzero(ok)), IngestReport(
         n_rows=n, rejected=tuple((line_nos[i], reasons[i]) for i in sorted(reasons)),
-        flagged=tuple(flagged), lines=tuple(kept_lines), derived=derived,
+        flagged=tuple(flagged), derived=derived,
     )
 
 
-def write_records(records: Sequence[ChfRecord], path: str) -> None:
+def _repr_column(values: np.ndarray, nan: str) -> list[str]:
+    """The shortest round-trip decimal of each value, ``nan`` for NaN."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = nan
+    return cells
+
+
+def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],
+                  nan: str = "nan") -> str:
+    """Write the columns, each a list of cells or a float64 array (its
+    values' repr, ``nan`` for NaN), under ``header``; returns ``path``.
+    Cells are formatted a chunk of rows at a time, so a column's strings
+    are never all alive at once."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, list)
+                     else _repr_column(c[start:start + _CHUNK_ROWS], nan) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return path
+
+
+def write_records(table: ChfTable, path: str) -> None:
     """Export to the file schema; re-ingesting reproduces the SI values
     to better than 1e-12 relative (shortest round-trip decimals)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            t_in = "" if r.inlet_temperature is None else repr(r.inlet_temperature - 273.15)
-            fh.write(",".join([
-                repr(r.diameter * 1e3),
-                repr(r.heated_length),
-                repr(r.pressure / 1e3),
-                repr(r.mass_flux),
-                repr(r.exit_quality),
-                repr(r.inlet_subcooling / 1e3),
-                t_in,
-                repr(r.measured_chf / 1e3),
-            ]) + "\n")
+    write_columns(path, CSV_HEADER, [
+        table.diameter * 1e3, table.heated_length, table.pressure / 1e3, table.mass_flux,
+        table.exit_quality, table.inlet_subcooling / 1e3, table.inlet_temperature - 273.15,
+        table.measured_chf / 1e3,
+    ], nan="")  # no inlet temperature
 
 
-def shuffle(records: Sequence[ChfRecord], seed: int) -> list[ChfRecord]:
-    """Seeded uniform permutation; deterministic for a given seed."""
-    order = np.random.default_rng(seed).permutation(len(records))
-    return [records[i] for i in order]
+def split(table: ChfTable, seed: int) -> DatasetSplit:
+    """Seeded shuffle and 80/10/10 partition.
 
-
-def split(records: Sequence[ChfRecord], seed: int) -> DatasetSplit:
-    """Shuffle and partition 80/10/10.
-
+    The shuffle is ``default_rng(seed).permutation`` of the row indices.
     Validation and test sizes are the nearest integer to 10% of the
     input (so the historical 24,579-row database yields 2,458 test
     rows); all remainder rows go to train.  Partitions are contiguous
     slices of the shuffled order: train, then validation, then test.
     """
-    n = len(records)
+    n = len(table)
     if n < 10:
         raise ValueError(f"need at least 10 records to split, got {n}")
-    mixed = shuffle(records, seed)
+    order = np.random.default_rng(seed).permutation(n)
     n_val = int(n * 0.1 + 0.5)
-    n_test = n_val
-    n_train = n - n_val - n_test
+    n_train = n - 2 * n_val
     return DatasetSplit(
-        train=tuple(mixed[:n_train]),
-        validation=tuple(mixed[n_train:n_train + n_val]),
-        test=tuple(mixed[n_train + n_val:]),
+        train=table.take(order[:n_train]),
+        validation=table.take(order[n_train:n_train + n_val]),
+        test=table.take(order[n_train + n_val:]),
         seed=seed,
     )
 
 
-def feature_matrix(
-    records: Sequence[ChfRecord], features: Sequence[str] = MODEL_FEATURES
-) -> np.ndarray:
-    """(n, d) array of the named ChfRecord fields, in order."""
+def feature_matrix(table: ChfTable, features: Sequence[str] = MODEL_FEATURES) -> np.ndarray:
+    """(n, d) array of the named table columns, in order."""
     for f in features:
-        if f not in ChfRecord.__dataclass_fields__:
+        if f not in FIELDS:
             raise ValueError(f"unknown feature {f!r}")
-    get = operator.attrgetter(*features)
-    rows = [get(r) for r in records] if len(features) > 1 else [(get(r),) for r in records]
-    # None becomes NaN, which no ChfRecord field holds otherwise
-    out = np.array(rows, dtype=np.float64).reshape(len(records), len(features))
-    for i, j in np.argwhere(np.isnan(out)).tolist():
-        if rows[i][j] is None:
-            raise ValueError(f"record {i} has no value for feature {features[j]!r}")
+    out = np.column_stack([getattr(table, f) for f in features])
+    missing = np.argwhere(np.isnan(out))  # NaN marks a missing inlet temperature
+    if len(missing):
+        i, j = missing[0].tolist()
+        raise ValueError(f"row {i} has no value for feature {features[j]!r}")
     return out
-

@@ -30,6 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import write_columns
+
 __all__ = [
     "EvalReport",
     "KdeSeries",
@@ -224,11 +226,9 @@ _METRIC_ORDER = (
 
 
 def write_report_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        names = [name for name, _ in _METRIC_ORDER]
-        names += ["n_total", "n_trimmed", "n_zero_pred", "n_zero_truth"]
-        fh.write(",".join(names) + "\n")
-        fh.write(",".join(repr(getattr(report, n)) for n in names) + "\n")
+    names = [name for name, _ in _METRIC_ORDER]
+    names += ["n_total", "n_trimmed", "n_zero_pred", "n_zero_truth"]
+    write_columns(path, ",".join(names), [[repr(getattr(report, n))] for n in names])
 
 
 def write_report_text(report: EvalReport, path: str) -> None:
@@ -246,15 +246,10 @@ def write_report_text(report: EvalReport, path: str) -> None:
 
 def write_parity_csv(rows: Sequence[ParityRow], path: str) -> None:
     """Parity export; truth/pred are W/m^2 in, kW/m^2 in the file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("truth_kW_m2,pred_kW_m2,rel_err_pct\n")
-        for r in rows:
-            err = "" if math.isnan(r.rel_err_pct) else repr(r.rel_err_pct)
-            fh.write(f"{r.truth / 1e3!r},{r.pred / 1e3!r},{err}\n")
+    write_columns(path, "truth_kW_m2,pred_kW_m2,rel_err_pct",
+                  [np.array([r.truth for r in rows]) / 1e3, np.array([r.pred for r in rows]) / 1e3,
+                   np.array([r.rel_err_pct for r in rows])], nan="")
 
 
 def write_kde_csv(series: KdeSeries, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x_pct,density\n")
-        for x, d in zip(series.grid, series.density):
-            fh.write(f"{float(x)!r},{float(d)!r}\n")
+    write_columns(path, "x_pct,density", [series.grid, series.density])

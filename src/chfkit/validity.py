@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_columns
 from .mlp import Scaler
 
 __all__ = [
@@ -283,18 +284,20 @@ def hull_contains(train: np.ndarray, query: np.ndarray,
 
 
 def classify_batch(train: np.ndarray, queries: np.ndarray,
-                   tol: float = FEASIBILITY_TOL,
+                   tol: float = FEASIBILITY_TOL, scaler: Scaler | None = None,
                    ) -> tuple[tuple[HullVerdict, ...], ClassificationSummary]:
     """Classify every query row; standardization and A are built once.
 
-    Raises SimplexError naming the 0-based query row when a query's LP
-    stops without an optimal basis.
+    ``scaler`` standardizes both matrices; by default it is fitted to
+    ``train``.  Raises SimplexError naming the 0-based query row when a
+    query's LP stops without an optimal basis.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != train.shape[1]:
         raise ValueError("query dimension does not match the training matrix")
-    scaler = Scaler.fit(train)
+    if scaler is None:
+        scaler = Scaler.fit(train)
     a = np.vstack([scaler.transform(train).T, np.ones(train.shape[0])])
     verdicts = []
     for row, q in enumerate(scaler.transform(queries)):
@@ -318,10 +321,9 @@ def classify_batch(train: np.ndarray, queries: np.ndarray,
 
 def write_verdicts_csv(verdicts, path: str) -> None:
     """Write one `row,inside,slack` line per verdict (0-based rows)."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("row,inside,slack\n")
-        for i, v in enumerate(verdicts):
-            f.write(f"{i},{int(v.inside)},{v.slack!r}\n")
+    write_columns(path, "row,inside,slack", [list(map(str, range(len(verdicts)))),
+                                             [str(int(v.inside)) for v in verdicts],
+                                             [repr(v.slack) for v in verdicts]])
 
 
 def write_projection_csv(model: PcaModel, x: np.ndarray, labels,
@@ -334,7 +336,4 @@ def write_projection_csv(model: PcaModel, x: np.ndarray, labels,
     if len(labels) != x.shape[0]:
         raise ValueError("one label per data row required")
     scores = transform(model, x, n_components=2)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("pc1,pc2,label\n")
-        for (p1, p2), lab in zip(scores, labels):
-            f.write(f"{float(p1)!r},{float(p2)!r},{lab}\n")
+    write_columns(path, "pc1,pc2,label", [scores[:, 0], scores[:, 1], labels])

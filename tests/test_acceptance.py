@@ -389,8 +389,8 @@ def test_criterion_10_measured_database_reproduction():
     from chfkit.data import feature_matrix, ingest, split
 
     t0 = time.perf_counter()
-    records, report = ingest(os.environ["CHFKIT_NRC_DB"], strict=True)
-    parts = split(records, seed=0)
+    table, report = ingest(os.environ["CHFKIT_NRC_DB"], strict=True)
+    parts = split(table, seed=0)
     n_test = len(parts.test)
 
     features = ("diameter", "heated_length", "pressure", "mass_flux",
@@ -399,16 +399,16 @@ def test_criterion_10_measured_database_reproduction():
                                 feature_matrix(parts.test, features))
 
     rrmse = {}
+    # the model-feature columns are the InletConditions fields, in order
+    rows = list(zip(feature_matrix(parts.test).tolist(), parts.test.measured_chf.tolist()))
     for name, want in (("biasi", 87.66), ("bowring", 13.39)):
         pred, truth = [], []
-        for r in parts.test:
-            c = InletConditions(r.diameter, r.heated_length, r.pressure,
-                                r.mass_flux, r.inlet_subcooling)
+        for inlet, measured in rows:
             try:
-                pred.append(solve_hbm(name, c).chf)
+                pred.append(solve_hbm(name, InletConditions(*inlet)).chf)
             except Exception:
                 continue  # convergence failures are omitted, as in the study
-            truth.append(r.measured_chf)
+            truth.append(measured)
         rrmse[name] = (compute_report(pred, truth).rrmse, want)
 
     dt = time.perf_counter() - t0

@@ -647,13 +647,13 @@ def test_evaluate_reads_shared_file_once(tmp_path, monkeypatch):
     from chfkit import cli
 
     passes = []
-    real = cli.read_columns
+    real = cli.load_columns
 
     def counting(path, columns):
         passes.append(tuple(columns))
         return real(path, columns)
 
-    monkeypatch.setattr(cli, "read_columns", counting)
+    monkeypatch.setattr(cli, "load_columns", counting)
     pred = tmp_path / "p.csv"
     pred.write_text("chf_pred_kW_m2,measured_chf_kW_m2\n110.0,100.0\n120.0,100.0\n")
     assert main(["evaluate", f"pred_csv={pred}", f"outdir={tmp_path / 'eval'}"]) == 0
@@ -758,6 +758,26 @@ def test_hullcheck_rerun_manifest_byte_identical(tmp_path):
         texts.append((tmp_path / "out" / "manifest.json").read_bytes())
     assert texts[0] == texts[1]
     assert json.loads(texts[0])["counts"]["simplex_pivots_total"] > 0
+
+
+def test_hullcheck_fits_one_scaler(tmp_path, monkeypatch):
+    # the simplex and the projection standardize with the same fit
+    from chfkit.mlp import Scaler
+
+    fits = []
+    real = Scaler.fit.__func__
+
+    def counting(cls, x):
+        fits.append(np.shape(x))
+        return real(cls, x)
+
+    monkeypatch.setattr(Scaler, "fit", classmethod(counting))
+    train, query = tmp_path / "train.csv", tmp_path / "query.csv"
+    write_dataset(train, n=12, seed=17)
+    write_dataset(query, n=3, seed=5)
+    assert main(["hullcheck", f"train_csv={train}", f"query_csv={query}",
+                 f"outdir={tmp_path / 'out'}"]) == 0
+    assert fits == [(12, 7)]
 
 
 def test_hullcheck_pivot_cap_is_error_exit(tmp_path, capsys, monkeypatch):

@@ -2,24 +2,24 @@
 missing fields, envelope screening, shuffling, splitting and scaler
 fitting."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
-from chfkit import fluid
+from chfkit import data, fluid
 from chfkit.correlations import InletConditions, heat_balance_quality
 from chfkit.data import (
     CSV_HEADER,
-    ChfRecord,
+    FIELDS,
+    ChfTable,
     IngestError,
     MODEL_FEATURES,
     TABLE1_ENVELOPE,
     envelope_violations,
     feature_matrix,
     ingest,
-    read_columns,
-    shuffle,
+    load_columns,
     split,
     write_records,
 )
@@ -40,8 +40,11 @@ def _write(tmp_path, rows, header=CSV_HEADER, name="data.csv"):
     return str(p)
 
 
-def _rec(i: int, **overrides) -> ChfRecord:
-    base = dict(
+def _table(n: int, **overrides) -> ChfTable:
+    """``n`` synthetic rows with no inlet temperature, read from lines
+    2..n+1; an override sets a whole column (one value or one per row)."""
+    i = np.arange(n)
+    cols = dict(
         diameter=0.004 + 0.0005 * (i % 20),
         heated_length=0.5 + 0.1 * (i % 30),
         pressure=1.0e6 + 5.0e5 * (i % 25),
@@ -49,9 +52,11 @@ def _rec(i: int, **overrides) -> ChfRecord:
         exit_quality=-0.2 + 0.02 * (i % 50),
         inlet_subcooling=1.0e4 + 1.0e4 * (i % 15),
         measured_chf=8.0e5 + 1.0e5 * (i % 35),
+        inlet_temperature=np.full(n, np.nan),
     )
-    base.update(overrides)
-    return ChfRecord(**base)
+    for name, v in overrides.items():
+        cols[name] = np.broadcast_to(np.asarray(v, dtype=np.float64), (n,)).copy()
+    return ChfTable(**cols, lines=i + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -59,49 +64,51 @@ def _rec(i: int, **overrides) -> ChfRecord:
 # ---------------------------------------------------------------------------
 
 def test_ingest_example_row_unit_conversion(tmp_path):
-    records, report = ingest(_write(tmp_path, [EXAMPLE_ROW]))
+    table, report = ingest(_write(tmp_path, [EXAMPLE_ROW]))
     assert report.n_rows == 1 and not report.rejected and not report.flagged
-    (r,) = records
-    assert r.diameter == pytest.approx(0.01262, rel=1e-15)
-    assert r.heated_length == pytest.approx(5.56, rel=1e-15)
-    assert r.pressure == pytest.approx(6.895e6, rel=1e-15)
-    assert r.mass_flux == pytest.approx(1000.0, rel=1e-15)
-    assert r.exit_quality == pytest.approx(0.3, rel=1e-15)
-    assert r.inlet_subcooling == pytest.approx(1.0e5, rel=1e-15)
-    assert r.measured_chf == pytest.approx(1.5e6, rel=1e-15)
+    assert len(table) == 1 and table.lines.tolist() == [2]
+    for name in FIELDS:
+        col = getattr(table, name)
+        assert col.dtype == np.float64 and col.shape == (1,), name
+    assert table.diameter[0] == pytest.approx(0.01262, rel=1e-15)
+    assert table.heated_length[0] == pytest.approx(5.56, rel=1e-15)
+    assert table.pressure[0] == pytest.approx(6.895e6, rel=1e-15)
+    assert table.mass_flux[0] == pytest.approx(1000.0, rel=1e-15)
+    assert table.exit_quality[0] == pytest.approx(0.3, rel=1e-15)
+    assert table.inlet_subcooling[0] == pytest.approx(1.0e5, rel=1e-15)
+    assert table.measured_chf[0] == pytest.approx(1.5e6, rel=1e-15)
 
 
 def test_ingest_derives_inlet_temperature(tmp_path):
-    records, _ = ingest(_write(tmp_path, [EXAMPLE_ROW]))
-    (r,) = records
-    assert r.inlet_temperature == fluid.inlet_temp_from_subcooling(6.895e6, 1.0e5)
-    assert r.inlet_temperature == pytest.approx(T_IN_EXAMPLE_K, rel=1e-9)
+    table, _ = ingest(_write(tmp_path, [EXAMPLE_ROW]))
+    (t_in,) = table.inlet_temperature.tolist()
+    assert t_in == fluid.inlet_temp_from_subcooling(6.895e6, 1.0e5)
+    assert t_in == pytest.approx(T_IN_EXAMPLE_K, rel=1e-9)
 
 
 def test_ingest_derives_subcooling_from_temperature(tmp_path):
     t_in_c = T_IN_EXAMPLE_K - 273.15
     row = f"12.62,5.56,6895,1000,0.3,,{t_in_c!r},1500"
-    records, report = ingest(_write(tmp_path, [row]))
+    table, report = ingest(_write(tmp_path, [row]))
     assert not report.rejected
-    (r,) = records
-    assert r.inlet_subcooling == pytest.approx(1.0e5, rel=1e-9)
+    assert table.inlet_subcooling.tolist() == [pytest.approx(1.0e5, rel=1e-9)]
 
 
 def test_ingest_derives_exit_quality_from_heat_balance(tmp_path):
     row = "12.62,1.0,6895,2000,,100,,1000"
-    records, report = ingest(_write(tmp_path, [row]))
+    table, report = ingest(_write(tmp_path, [row]))
     assert not report.rejected
-    (r,) = records
+    (x_e,) = table.exit_quality.tolist()
     c = InletConditions(diameter=0.01262, heated_length=1.0, pressure=6.895e6,
                         mass_flux=2000.0, inlet_subcooling=1.0e5)
-    assert r.exit_quality == heat_balance_quality(1.0e6, c)
-    assert -0.5 < r.exit_quality < 0.99
+    assert x_e == heat_balance_quality(1.0e6, c)
+    assert -0.5 < x_e < 0.99
 
 
 def test_ingest_rejects_underdetermined_row(tmp_path):
     row = "12.62,5.56,6895,1000,0.3,,,1500"  # no dh_sub, no T_in
-    records, report = ingest(_write(tmp_path, [row]))
-    assert records == []
+    table, report = ingest(_write(tmp_path, [row]))
+    assert len(table) == 0
     assert len(report.rejected) == 1
     line_no, reason = report.rejected[0]
     assert line_no == 2
@@ -110,25 +117,24 @@ def test_ingest_rejects_underdetermined_row(tmp_path):
 
 def test_ingest_rejects_blank_required_column(tmp_path):
     row = "12.62,5.56,6895,,0.3,100,,1500"  # no mass flux
-    records, report = ingest(_write(tmp_path, [row]))
-    assert records == []
+    table, report = ingest(_write(tmp_path, [row]))
+    assert len(table) == 0
     assert "G_kg_m2s" in report.rejected[0][1]
 
 
 def test_ingest_two_phase_inlet_has_no_temperature(tmp_path):
     row = "10.0,2.0,7000,1500,0.1,-50,,1200"
-    records, report = ingest(_write(tmp_path, [row]))
+    table, report = ingest(_write(tmp_path, [row]))
     assert not report.rejected
-    (r,) = records
-    assert r.inlet_subcooling == pytest.approx(-5.0e4, rel=1e-15)
-    assert r.inlet_temperature is None
+    assert table.inlet_subcooling.tolist() == [pytest.approx(-5.0e4, rel=1e-15)]
+    assert np.isnan(table.inlet_temperature).tolist() == [True]
 
 
 def test_ingest_envelope_strict_rejects(tmp_path):
     bad = "50.0,5.56,6895,1000,0.3,100,,1500"  # 50 mm tube
     path = _write(tmp_path, [EXAMPLE_ROW, bad])
-    records, report = ingest(path, strict=True)
-    assert len(records) == 1
+    table, report = ingest(path, strict=True)
+    assert len(table) == 1
     assert len(report.rejected) == 1
     line_no, reason = report.rejected[0]
     assert line_no == 3
@@ -138,8 +144,8 @@ def test_ingest_envelope_strict_rejects(tmp_path):
 def test_ingest_envelope_nonstrict_flags(tmp_path):
     bad = "50.0,5.56,6895,1000,0.3,100,,1500"
     path = _write(tmp_path, [EXAMPLE_ROW, bad])
-    records, report = ingest(path, strict=False)
-    assert len(records) == 2
+    table, report = ingest(path, strict=False)
+    assert len(table) == 2
     assert report.rejected == ()
     assert len(report.flagged) == 1
     assert report.flagged[0][0] == 3
@@ -148,8 +154,8 @@ def test_ingest_envelope_nonstrict_flags(tmp_path):
 def test_ingest_custom_envelope(tmp_path):
     bad = "50.0,5.56,6895,1000,0.3,100,,1500"
     env = dict(TABLE1_ENVELOPE, diameter=(0.002, 0.060))
-    records, report = ingest(_write(tmp_path, [bad]), envelope=env)
-    assert len(records) == 1 and not report.rejected
+    table, report = ingest(_write(tmp_path, [bad]), envelope=env)
+    assert len(table) == 1 and not report.rejected
 
 
 # one row of each inlet form: x_e derived from dh_sub, T_in derived from
@@ -180,8 +186,8 @@ def test_ingest_if97_work_does_not_grow_with_rows(tmp_path, monkeypatch):
     counts = []
     for n in (30, 300):
         calls.clear()
-        records, _ = ingest(_write(tmp_path, MIXED_ROWS * (n // 4) + MIXED_ROWS[:n % 4]))
-        assert len(records) == n
+        table, _ = ingest(_write(tmp_path, MIXED_ROWS * (n // 4) + MIXED_ROWS[:n % 4]))
+        assert len(table) == n
         counts.append(dict(calls))
     assert counts[0] == counts[1]
 
@@ -190,11 +196,11 @@ def test_ingest_rejects_rows_whose_newton_steps_run_out(tmp_path, monkeypatch):
     # with one step, only a zero subcooling (the root is t_sat) converges
     monkeypatch.setattr(fluid, "_NEWTON_MAX_STEPS", 1)
     rows = ["12.62,5.56,6895,1000,0.3,0,,1500", EXAMPLE_ROW, MIXED_ROWS[2]]
-    records, report = ingest(_write(tmp_path, rows))
+    table, report = ingest(_write(tmp_path, rows))
     ((line_no, reason),) = report.rejected
     assert line_no == 3 and reason.endswith("did not converge in 1 Newton steps")
-    assert report.lines == (2, 4)
-    assert records[0].inlet_temperature == fluid.saturation_temperature(6.895e6)
+    assert table.lines.tolist() == [2, 4]
+    assert table.inlet_temperature[0] == fluid.saturation_temperature(6.895e6)
 
 
 def test_ingest_missing_column(tmp_path):
@@ -229,10 +235,10 @@ def test_ingest_reordered_columns(tmp_path):
     # header names, not positions, bind the columns
     header = "chf_kW_m2,D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C"
     row = "1500,12.62,5.56,6895,1000,0.3,100,"
-    records, report = ingest(_write(tmp_path, [row], header=header))
+    table, report = ingest(_write(tmp_path, [row], header=header))
     assert not report.rejected
-    assert records[0].diameter == pytest.approx(0.01262, rel=1e-15)
-    assert records[0].measured_chf == pytest.approx(1.5e6, rel=1e-15)
+    assert table.diameter[0] == pytest.approx(0.01262, rel=1e-15)
+    assert table.measured_chf[0] == pytest.approx(1.5e6, rel=1e-15)
 
 
 def test_ingest_line_numbers_count_blank_lines(tmp_path):
@@ -243,18 +249,18 @@ def test_ingest_line_numbers_count_blank_lines(tmp_path):
         CSV_HEADER, EXAMPLE_ROW, "", EXAMPLE_ROW,
         "10.0,3.0,7000,1500,,,,1000", EXAMPLE_ROW,
     ]) + "\n")
-    records, report = ingest(str(path))
-    assert len(records) == 3
+    table, report = ingest(str(path))
+    assert len(table) == 3
     assert [line for line, _ in report.rejected] == [5]
-    assert report.lines == (2, 4, 6)
+    assert table.lines.tolist() == [2, 4, 6]
     assert report.n_rows == 4
 
 
 def test_ingest_lines_skip_rejected_and_keep_flagged(tmp_path):
     bad = "50.0,5.56,6895,1000,0.3,100,,1500"  # diameter outside envelope
     path = _write(tmp_path, [EXAMPLE_ROW, bad, EXAMPLE_ROW])
-    assert ingest(path, strict=True)[1].lines == (2, 4)
-    assert ingest(path, strict=False)[1].lines == (2, 3, 4)
+    assert ingest(path, strict=True)[0].lines.tolist() == [2, 4]
+    assert ingest(path, strict=False)[0].lines.tolist() == [2, 3, 4]
 
 
 def test_ingest_field_count_error_names_real_line(tmp_path):
@@ -273,38 +279,66 @@ def test_ingest_nonfinite_cell_is_unparseable(tmp_path, cell):
 
 def test_read_columns_streams_named_cells_with_line_numbers(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("a,b,c\n1,2,3\n\n  \n4,,6\n")
-    rows = read_columns(str(path), ("c", "b"))
-    assert next(rows) == (2, [3.0, 2.0])
-    assert list(rows) == [(5, [6.0, None])]
+    path.write_text("a,b,c\n1,2,3\n\n  \n4, ,6\n")
+    values, lines = load_columns(str(path), ("c", "b"))
+    assert lines.tolist() == [2, 5]
+    assert np.array_equal(values, [[3.0, 6.0], [2.0, np.nan]], equal_nan=True)
 
 
 def test_read_columns_header_only_yields_nothing(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("\na,b\n\n")
-    assert list(read_columns(str(path), ("a",))) == []
+    values, lines = load_columns(str(path), ("a",))
+    assert values.shape == (1, 0) and lines.shape == (0,)
 
 
 def test_read_columns_missing_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(IngestError, match=r"missing column\(s\) \['z'\]"):
-        list(read_columns(str(path), ("a", "z")))
+        load_columns(str(path), ("a", "z"))
 
 
-def test_record_rejects_nonfinite():
-    with pytest.raises(ValueError, match="finite"):
-        _rec(0, pressure=math.inf)
-    with pytest.raises(ValueError, match="finite"):
-        _rec(0, exit_quality=math.nan)
+def test_read_columns_first_bad_line_wins_across_columns_and_chunks(tmp_path, monkeypatch):
+    # column b goes bad on line 4 and column a on line 6, both past the
+    # first chunk of two rows; a wrong field count on line 7 comes later
+    monkeypatch.setattr(data, "_CHUNK_ROWS", 2)
+    path = tmp_path / "t.csv"
+    rows = "a,b\n1,2\n3,4\n5,x\n\n1e400,6\n"
+    for text in (rows, rows + "1,2,3\n"):
+        path.write_text(text)
+        with pytest.raises(IngestError, match=r"line 4: unparseable numeric 'x' in column 'b'"):
+            load_columns(str(path), ("a", "b"))
+        with pytest.raises(IngestError, match=r"line 6: unparseable numeric '1e400' in col"):
+            load_columns(str(path), ("a",))
+    with pytest.raises(IngestError, match=r"line 7: expected 2 fields, got 3"):
+        path.write_text("a,b\n1,2\n3,4\n5,6\n\n7,8\n1,2,3\n")
+        load_columns(str(path), ("a",))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_record_rejects_nonfinite(tmp_path):
+    # a value that overflows in SI rejects its row: the measured CHF
+    # directly, the exit quality through its heat-balance derivation
+    rows = [EXAMPLE_ROW, "12.62,5.56,6895,1000,0.3,100,,1e306",
+            "12.62,5.56,6895,1000,,100,,1e305"]
+    table, report = ingest(_write(tmp_path, rows))
+    assert table.lines.tolist() == [2]
+    assert report.rejected == ((3, "measured_chf must be finite, got inf"),
+                               (4, "exit_quality must be finite, got inf"))
 
 
 def test_envelope_violations_lists_all():
-    r = _rec(0, diameter=0.05, mass_flux=1.0)
-    reasons = envelope_violations(r)
+    violations = envelope_violations(_table(2, diameter=[0.01, 0.05], mass_flux=[1000.0, 1.0]))
+    assert list(violations) == [1]
+    reasons = violations[1]
     assert len(reasons) == 2
     assert any("diameter" in s for s in reasons)
     assert any("mass_flux" in s for s in reasons)
+    # a missing inlet temperature is not a violation
+    env = {"inlet_temperature": (300.0, 400.0)}
+    assert envelope_violations(_table(3, inlet_temperature=[np.nan, 350.0, 500.0]), env) == {
+        2: ["inlet_temperature=500 outside [300, 400]"]}
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +354,34 @@ def test_write_then_ingest_roundtrip(tmp_path):
     second, report = ingest(str(out))
     assert not report.rejected
     assert len(second) == len(first)
-    for a, b in zip(first, second):
-        for name in ("diameter", "heated_length", "pressure", "mass_flux",
-                     "exit_quality", "inlet_subcooling", "measured_chf"):
-            va, vb = getattr(a, name), getattr(b, name)
-            assert vb == pytest.approx(va, rel=1e-12), name
-        if a.inlet_temperature is None:
-            assert b.inlet_temperature is None
-        else:
-            assert b.inlet_temperature == pytest.approx(a.inlet_temperature, rel=1e-12)
+    assert np.isnan(first.inlet_temperature).tolist() == [False, True, False]
+    for name in FIELDS:  # NaN (no inlet temperature) must stay NaN
+        np.testing.assert_allclose(getattr(second, name), getattr(first, name),
+                                   rtol=1e-12, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
 # Shuffle and split
 # ---------------------------------------------------------------------------
 
+def _shuffled_rows(s) -> list[int]:
+    """Row indices of a split of ``_table``, train then validation then test."""
+    return [line - 2 for part in (s.train, s.validation, s.test) for line in part.lines.tolist()]
+
+
 def test_shuffle_frozen_permutations():
-    records = [_rec(i) for i in range(10)]
-    seed1 = shuffle(records, 1)
-    seed2 = shuffle(records, 2)
-    assert [records.index(r) for r in seed1] == [8, 4, 7, 0, 1, 2, 5, 9, 6, 3]
-    assert [records.index(r) for r in seed2] == [2, 0, 7, 6, 9, 5, 3, 4, 8, 1]
-    assert shuffle(records, 1) == seed1
-    assert sorted(map(id, seed1)) == sorted(map(id, records))
+    table = _table(10)
+    assert _shuffled_rows(split(table, 1)) == [8, 4, 7, 0, 1, 2, 5, 9, 6, 3]
+    assert _shuffled_rows(split(table, 2)) == [2, 0, 7, 6, 9, 5, 3, 4, 8, 1]
+    # every column moves with its row
+    train = split(table, 1).train
+    for name in FIELDS:
+        assert np.array_equal(getattr(train, name), getattr(table, name)[train.lines - 2],
+                              equal_nan=True), name
 
 
 def test_split_matches_historical_test_count():
-    records = [_rec(i) for i in range(24_579)]
-    s = split(records, seed=0)
+    s = split(_table(24_579), seed=0)
     assert len(s.test) == 2_458
     assert len(s.validation) == 2_458
     assert len(s.train) == 19_663
@@ -355,28 +389,24 @@ def test_split_matches_historical_test_count():
 
 @pytest.mark.parametrize("n,expect", [(10, (8, 1, 1)), (11, (9, 1, 1)), (15, (11, 2, 2))])
 def test_split_small_counts(n, expect):
-    s = split([_rec(i) for i in range(n)], seed=3)
+    s = split(_table(n), seed=3)
     assert (len(s.train), len(s.validation), len(s.test)) == expect
     assert s.ratios == (0.8, 0.1, 0.1)
 
 
 def test_split_disjoint_union():
-    records = [_rec(i) for i in range(37)]
-    s = split(records, seed=5)
-    ids = [*map(id, s.train), *map(id, s.validation), *map(id, s.test)]
-    assert len(ids) == len(set(ids)) == 37
-    assert sorted(ids) == sorted(map(id, records))
+    assert sorted(_shuffled_rows(split(_table(37), seed=5))) == list(range(37))
 
 
 def test_split_deterministic():
-    records = [_rec(i) for i in range(53)]
-    assert split(records, seed=9) == split(records, seed=9)
-    assert split(records, seed=9) != split(records, seed=10)
+    table = _table(53)
+    assert _shuffled_rows(split(table, seed=9)) == _shuffled_rows(split(table, seed=9))
+    assert _shuffled_rows(split(table, seed=9)) != _shuffled_rows(split(table, seed=10))
 
 
 def test_split_needs_ten_records():
     with pytest.raises(ValueError, match="at least 10"):
-        split([_rec(i) for i in range(9)], seed=0)
+        split(_table(9), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,58 +414,58 @@ def test_split_needs_ten_records():
 # ---------------------------------------------------------------------------
 
 def test_feature_matrix_order():
-    records = [_rec(i) for i in range(4)]
-    m = feature_matrix(records, ("pressure", "diameter"))
-    assert m.shape == (4, 2)
-    assert m[2, 0] == records[2].pressure
-    assert m[2, 1] == records[2].diameter
+    table = _table(4)
+    m = feature_matrix(table, ("pressure", "diameter"))
+    assert m.shape == (4, 2) and m.flags.c_contiguous
+    assert m[2, 0] == table.pressure[2]
+    assert m[2, 1] == table.diameter[2]
     with pytest.raises(ValueError, match="unknown feature"):
-        feature_matrix(records, ("bogus",))
+        feature_matrix(table, ("bogus",))
 
 
 def test_feature_matrix_rejects_missing_temperature():
-    r = _rec(0)  # inlet_temperature defaults to None
-    with pytest.raises(ValueError, match="inlet_temperature"):
-        feature_matrix([r], ("inlet_temperature",))
+    table = _table(3, inlet_temperature=[300.0, np.nan, 310.0])
+    with pytest.raises(ValueError, match="row 1 has no value for feature 'inlet_temperature'"):
+        feature_matrix(table, ("inlet_temperature",))
 
 
 def test_fit_scaler_two_point_feature():
-    records = [_rec(0, exit_quality=0.0), _rec(1, exit_quality=2.0)]
-    sc = Scaler.fit(feature_matrix(records, ("exit_quality",)))
+    table = _table(2, exit_quality=[0.0, 2.0])
+    sc = Scaler.fit(feature_matrix(table, ("exit_quality",)))
     assert sc.mean[0] == pytest.approx(1.0, rel=1e-15)
     assert sc.std[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_fit_scaler_standardizes_training_features():
-    records = [_rec(i) for i in range(200)]
-    sc = Scaler.fit(feature_matrix(records))
-    z = sc.transform(feature_matrix(records))
+    table = _table(200)
+    sc = Scaler.fit(feature_matrix(table))
+    z = sc.transform(feature_matrix(table))
     assert np.abs(z.mean(axis=0)).max() < 1e-12
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-12
     assert sc.n_features == len(MODEL_FEATURES)
 
 
 def test_fit_scaler_constant_feature_warns():
-    records = [_rec(i, inlet_subcooling=5.0e4) for i in range(5)]
+    table = _table(5, inlet_subcooling=5.0e4)
     with pytest.warns(UserWarning, match="constant"):
-        sc = Scaler.fit(feature_matrix(records))
+        sc = Scaler.fit(feature_matrix(table))
     assert sc.std[MODEL_FEATURES.index("inlet_subcooling")] == 1.0
 
 
 def test_scaler_ignores_validation_and_test_rows():
     # perturbing rows that land outside the train partition must not
     # change the fitted statistics at all
-    records = [_rec(i) for i in range(50)]
-    s = split(records, seed=4)
+    table = _table(50)
+    s = split(table, seed=4)
     baseline = Scaler.fit(feature_matrix(s.train))
 
-    train_ids = set(map(id, s.train))
-    mutated = [
-        r if id(r) in train_ids else _rec(999, measured_chf=9.9e6, exit_quality=0.9)
-        for r in records
-    ]
+    outside = np.ones(50, dtype=bool)
+    outside[s.train.lines - 2] = False
+    mutated = dataclasses.replace(table, **{
+        name: np.where(outside, 3.0 * getattr(table, name) + 1.0, getattr(table, name))
+        for name in FIELDS})
     s2 = split(mutated, seed=4)
-    assert [id(r) for r in s2.train] == [id(r) for r in s.train]
+    assert np.array_equal(s2.train.lines, s.train.lines)
     again = Scaler.fit(feature_matrix(s2.train))
     assert np.array_equal(baseline.mean, again.mean)
     assert np.array_equal(baseline.std, again.std)

@@ -3,10 +3,11 @@ the scalar code they replaced.
 
 The oracle below is the earlier pure-Python implementation: per-call
 IF97 sums in table order, the inlet temperature by bisection, and ingest
-one row at a time.  The array code takes powers with numpy's SIMD
-``pow``, which differs from the C library's in the last bit of about
-5% of values, and inverts the enthalpy by Newton steps, so equality is
-to named tolerances:
+one row at a time (its cell parser, row reader and record type are
+copies of the per-row ingest that the column table replaced).  The
+array code takes powers with numpy's SIMD ``pow``, which differs from
+the C library's in the last bit of about 5% of values, and inverts the
+enthalpy by Newton steps, so equality is to named tolerances:
 
 * temperatures within 1e-12 relative, inlet temperatures within 2e-9 K
   (the bisection stops at a 1e-9 K bracket);
@@ -21,6 +22,8 @@ A one-element call must give the bits of the same row in a batch.
 
 import math
 import re
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from hypothesis import strategies as st
 
 from chfkit import fluid
 from chfkit.correlations import InletConditions
-from chfkit.data import CSV_HEADER, ChfRecord, envelope_violations, ingest, read_columns
+from chfkit.data import CSV_HEADER, FIELDS, TABLE1_ENVELOPE, IngestError, ingest
 from chfkit.fluid import (
     _R1_I, _R1_J, _R1_N, _R2_I, _R2_J, _R2_J0, _R2_N, _R2_N0, _R4_N, R_WATER,
     FluidRangeError, P_CRITICAL, P_SAT_MIN, T_SAT_MIN,
@@ -131,6 +134,73 @@ def ref_inlet_temp_from_subcooling(p, dh_sub):
 _COLUMNS = CSV_HEADER.split(",")
 
 
+@dataclass(frozen=True)
+class ChfRecord:
+    """One CHF experiment in SI units; inlet_temperature None when unknown."""
+
+    diameter: float
+    heated_length: float
+    pressure: float
+    mass_flux: float
+    exit_quality: float
+    inlet_subcooling: float
+    measured_chf: float
+    inlet_temperature: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("diameter", "heated_length", "pressure", "mass_flux",
+                     "exit_quality", "inlet_subcooling", "measured_chf"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+        if self.inlet_temperature is not None and not math.isfinite(self.inlet_temperature):
+            raise ValueError(f"inlet_temperature must be finite, got {self.inlet_temperature!r}")
+
+
+def ref_envelope_violations(r: ChfRecord) -> list[str]:
+    out = []
+    for name, (lo, hi) in TABLE1_ENVELOPE.items():
+        v = getattr(r, name)
+        if v is None:
+            continue
+        if not lo <= v <= hi:
+            out.append(f"{name}={v:g} outside [{lo:g}, {hi:g}]")
+    return out
+
+
+def _parse_cell(text: str, column: str, path: str, line_no: int) -> float | None:
+    text = text.strip()
+    if not text:
+        return None
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise IngestError(f"{path} line {line_no}: unparseable numeric {text!r} in column {column!r}")
+
+
+def read_columns(path: str, columns: Sequence[str]) -> Iterator[tuple[int, list[float | None]]]:
+    """(file line number, cells) per data row, blank cells as None."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ((n, ln.rstrip("\n").split(",")) for n, ln in enumerate(fh, start=1) if ln.strip())
+        _, header = next(rows, (0, None))
+        if header is None:
+            raise IngestError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing column(s) {missing}")
+        col_pos = [header.index(c) for c in columns]
+        for line_no, cells in rows:
+            if len(cells) != len(header):
+                raise IngestError(f"{path} line {line_no}: expected {len(header)} fields, "
+                                  f"got {len(cells)}")
+            yield line_no, [_parse_cell(cells[j], c, path, line_no)
+                            for c, j in zip(columns, col_pos)]
+
+
 def _ref_build_record(values):
     """The per-row ingest, with every row's InletConditions checked (the
     earlier code skipped that check when x_e was given)."""
@@ -171,7 +241,7 @@ def ref_ingest(path, strict):
         except (ValueError, FluidRangeError) as e:
             rejected.append((line_no, str(e)))
             continue
-        problems = envelope_violations(rec)
+        problems = ref_envelope_violations(rec)
         if problems:
             if strict:
                 rejected.append((line_no, "; ".join(problems)))
@@ -368,7 +438,12 @@ def _table_lines(seed: int, n: int) -> list[str]:
     lines).  About one cell in ten is out of range: a zero or negative
     size, a pressure off the saturation line, an inlet temperature above
     saturation or below freezing, a subcooling beyond the largest
-    representable; negative subcoolings are two-phase inlets."""
+    representable; negative subcoolings are two-phase inlets.  Some cells
+    are padded with whitespace, blank ones included.
+
+    In about a third of the tables one or two rows are broken (a cell
+    that is not a finite number, or a wrong field count), each after a
+    run of blank lines, so that reading the table raises IngestError."""
     rng = np.random.default_rng(seed)
 
     def pick(good: float, *bad: float) -> float:
@@ -399,7 +474,21 @@ def _table_lines(seed: int, n: int) -> list[str]:
             blanks.append(int(rng.choice([0, 1, 2, 3, 7])))
         for k in blanks:
             cells[k] = ""
+        for k in np.flatnonzero(rng.random(8) < 0.05).tolist():
+            cells[k] = f" {cells[k]}\t"
         lines.append(",".join(cells))
+    if rng.random() < 0.35:
+        for _ in range(int(rng.integers(1, 3))):
+            row = "12.0,2.0,7000.0,2000.0,,100.0,,3000.0".split(",")
+            if rng.random() < 0.3:
+                row = row[:-1] if rng.random() < 0.5 else row + ["1.0"]
+            else:
+                row[int(rng.integers(0, 8))] = str(rng.choice(
+                    ["abc", "1.2.3", "nan", "NaN", "inf", "-inf", " inf ", "1e400", "-1e999",
+                     "0x10", "1;5"]))
+            at = int(rng.integers(0, len(lines) + 1))
+            run = [str(rng.choice(["", "  ", "\t"])) for _ in range(int(rng.integers(1, 4)))]
+            lines[at:at] = run + [",".join(row)]
     return lines
 
 
@@ -416,23 +505,39 @@ def _same_record(got: ChfRecord, want: ChfRecord) -> bool:
                  or _close_t_in(got.inlet_temperature, want.inlet_temperature)))
 
 
+def _records(table) -> list[ChfRecord]:
+    """The rows of a column table as oracle records (NaN inlet
+    temperature as None); the record type checks every value is finite."""
+    rows = zip(*(getattr(table, name).tolist() for name in FIELDS))
+    return [ChfRecord(*row[:7], inlet_temperature=None if math.isnan(row[7]) else row[7])
+            for row in rows]
+
+
 @pytest.mark.parametrize("strict", [True, False])
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
 def test_columnar_ingest_matches_per_row_ingest(tmp_path_factory, strict, seed, n):
     lines = _table_lines(seed, n)
     path = tmp_path_factory.mktemp("ingest") / "table.csv"
-    path.write_text(CSV_HEADER + "\n" + "\n".join(lines + ["12.0,2.0,7000.0,2000.0,,100.0,,3000.0"])
-                    + "\n")
-    records, report = ingest(str(path), strict=strict)
-    want_records, want_lines, want_rejected, want_flagged = ref_ingest(str(path), strict)
-    assert list(report.lines) == want_lines
+    lines.append("12.0,2.0,7000.0,2000.0,,100.0,,3000.0")
+    path.write_text(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
+    try:
+        want_records, want_lines, want_rejected, want_flagged = ref_ingest(str(path), strict)
+    except IngestError as e:
+        # the same text: the same file line, column and cell
+        with pytest.raises(IngestError) as got:
+            ingest(str(path), strict=strict)
+        assert str(got.value) == str(e)
+        return
+    table, report = ingest(str(path), strict=strict)
+    assert table.lines.tolist() == want_lines
     assert [line for line, _ in report.rejected] == [line for line, _ in want_rejected]
     assert all(_same_message(got, want)
                for (_, got), (_, want) in zip(report.rejected, want_rejected))
     assert [line for line, _ in report.flagged] == [line for line, _ in want_flagged]
     assert all(_same_message(got, want)
                for (_, got), (_, want) in zip(report.flagged, want_flagged))
+    records = _records(table)
+    assert len(records) == len(want_records)
     assert all(_same_record(g, w) for g, w in zip(records, want_records))
-    assert all(type(v) is float for r in records for v in
-               (r.exit_quality, r.inlet_subcooling, r.inlet_temperature or 0.0))
+    assert all(getattr(table, name).dtype == np.float64 for name in FIELDS)
