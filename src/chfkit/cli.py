@@ -677,10 +677,11 @@ def cmd_evaluate(cfg: _Config) -> None:
     trim = cfg.float_("trim_quantile", "0.995")
 
     if truth_path == pred_path:
-        (preds, truths), _ = load_columns(pred_path, (pred_col, truth_col))
+        (preds, truths), pred_lines = load_columns(pred_path, (pred_col, truth_col))
+        truth_lines = pred_lines
     else:
-        (preds,), _ = load_columns(pred_path, (pred_col,))
-        (truths,), _ = load_columns(truth_path, (truth_col,))
+        (preds,), pred_lines = load_columns(pred_path, (pred_col,))
+        (truths,), truth_lines = load_columns(truth_path, (truth_col,))
     if len(preds) != len(truths):
         raise ConfigError(
             f"prediction and truth files disagree on length: "
@@ -691,7 +692,14 @@ def cmd_evaluate(cfg: _Config) -> None:
     if not both.any():
         raise ConfigError("no rows with both a prediction and a truth value")
     # columns carry kW/m2; metrics are scale-free, parity export is not
-    pred, truth = preds[both] * 1e3, truths[both] * 1e3
+    with np.errstate(over="ignore"):
+        pred, truth = preds[both] * 1e3, truths[both] * 1e3
+    for path, col, lines, raw, si in ((pred_path, pred_col, pred_lines, preds[both], pred),
+                                      (truth_path, truth_col, truth_lines, truths[both], truth)):
+        bad = np.flatnonzero(~np.isfinite(si))
+        if bad.size:
+            raise ConfigError(f"{path} line {lines[both][bad[0]]}: {col} "
+                              f"{raw[bad[0]].item()!r} kW/m2 overflows in W/m2")
 
     try:
         report = compute_report(pred, truth, trim_quantile=trim)

@@ -251,9 +251,10 @@ def ingest(
     if not n:
         raise IngestError(f"{path}: no data rows")
     cols = dict(zip(_COLUMNS, values))
-    d, length, p = cols["D_mm"] * 1e-3, cols["L_m"], cols["P_kPa"] * 1e3
-    g, chf, x_e = cols["G_kg_m2s"], cols["chf_kW_m2"] * 1e3, cols["x_e"].copy()
-    dh, t_in = cols["dh_sub_kJ_kg"] * 1e3, cols["T_in_C"] + 273.15
+    with np.errstate(over="ignore"):  # an overflowed cell fails the screen in step 3
+        d, length, p = cols["D_mm"] * 1e-3, cols["L_m"], cols["P_kPa"] * 1e3
+        g, chf, x_e = cols["G_kg_m2s"], cols["chf_kW_m2"] * 1e3, cols["x_e"].copy()
+        dh, t_in = cols["dh_sub_kJ_kg"] * 1e3, cols["T_in_C"] + 273.15
 
     # 2. derive the blank fields, one array call per derivation
     reasons: dict[int, str] = {}

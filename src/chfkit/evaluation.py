@@ -173,9 +173,10 @@ def kde(
 
     Bandwidth is the Silverman rule of thumb
     h = 0.9 * min(sigma, IQR/1.34) * n^(-1/5) with the population
-    standard deviation.  Without a window the grid spans the data plus
-    three bandwidths each side; density can therefore extend past the
-    data extremes (kernel smoothing).
+    standard deviation, or sigma alone when the IQR is 0 (as statsmodels
+    does).  Without a window the grid spans the data plus three
+    bandwidths each side; density can therefore extend past the data
+    extremes (kernel smoothing).
     """
     e = np.asarray(errors, dtype=np.float64)
     if e.ndim != 1 or e.size < 2:
@@ -184,7 +185,8 @@ def kde(
     if sigma == 0.0:
         raise ValueError("zero-variance sample has no meaningful density estimate")
     q25, q75 = np.percentile(e, [25.0, 75.0])
-    h = 0.9 * min(sigma, (q75 - q25) / 1.34) * e.size ** (-1.0 / 5.0)
+    spread = min(sigma, (q75 - q25) / 1.34) if q75 > q25 else sigma
+    h = 0.9 * spread * e.size ** (-1.0 / 5.0)
     if window is None:
         lo, hi = float(e.min() - 3.0 * h), float(e.max() + 3.0 * h)
     else:
@@ -192,8 +194,11 @@ def kde(
         if not lo < hi:
             raise ValueError(f"window must satisfy lo < hi, got {window}")
     grid = np.linspace(lo, hi, 512)
-    z = (grid[:, None] - e[None, :]) / h
-    density = np.exp(-0.5 * z**2).sum(axis=1) / (e.size * h * math.sqrt(2.0 * math.pi))
+    density = np.empty_like(grid)
+    for g0 in range(0, grid.size, 32):  # row blocks: small temporaries, same sums
+        z = (grid[g0 : g0 + 32, None] - e[None, :]) / h
+        density[g0 : g0 + 32] = np.exp(-0.5 * z**2).sum(axis=1)
+    density /= e.size * h * math.sqrt(2.0 * math.pi)
     return KdeSeries(grid=grid, density=density, bandwidth=float(h))
 
 

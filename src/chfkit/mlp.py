@@ -8,14 +8,16 @@ portable single-file model format.
 
 Determinism and reproducibility drive several choices:
 
-* every forward affine layer, in inference and in training, goes
-  through ``einsum`` with optimization disabled, which is bit-stable
-  across batch sizes (BLAS matmul is not), so a batched forward pass
-  equals a loop of single-sample passes to the last bit;
-* the two backward contractions of training (weight gradient and the
-  delta passed down a layer) use BLAS ``matmul``.  No bit-exact
-  contract applies to them: a gradient is a sum over its batch, and
-  nothing compares gradients across batch sizes.  The tests check that
+* inference (``forward_batch``; ``forward`` is its one-row case) keeps
+  activations feature-major, (features, n), with n zero-padded to a
+  multiple of 8, and takes each affine through ``einsum`` with
+  optimization disabled: the batch is the inner loop and every output
+  sums its inputs in one fixed order, so a batched pass equals a loop
+  of single-sample passes to the last bit (BLAS matmul does not);
+* training takes all three contractions (the forward affine, the weight
+  gradient and the delta passed down a layer) through BLAS ``matmul``.
+  No bit-exact contract applies to them: nothing compares training
+  activations or gradients across batch sizes.  The tests check that
   one and two OpenBLAS threads train the same model bytes;
 * every random draw (init, shuffling, hyperparameter sampling) comes
   from an explicitly seeded generator;
@@ -378,18 +380,18 @@ def init_mlp(
     )
 
 
-def _affine(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    # einsum with optimize=False keeps the reduction order independent
-    # of the batch size, unlike BLAS matmul
-    return np.einsum("ni,oi->no", x, layer.weights, optimize=False) + layer.bias
-
-
 def _forward_std(layers: Sequence[DenseLayer], z: np.ndarray) -> np.ndarray:
-    a = z
+    # feature-major (features, n) with n zero-padded to a multiple of 8:
+    # einsum then runs the batch as its inner loop and sums each output
+    # over the inputs in a fixed order, whatever n is
+    n = z.shape[0]
+    h = np.zeros((z.shape[1], n + -n % 8))
+    h[:, :n] = z.T
     for layer in layers:
-        act, _ = ACTIVATIONS[layer.activation]
-        a = act(_affine(a, layer))
-    return a[:, 0]
+        s = np.einsum("oi,in->on", layer.weights, h, optimize=False)
+        s += layer.bias[:, None]
+        h = ACTIVATIONS[layer.activation][0](s)
+    return h[0, :n]
 
 
 def forward_batch(m: Mlp, x: np.ndarray) -> np.ndarray:
@@ -421,7 +423,8 @@ def _loss_and_grads(
     pre = []
     post = [z]
     for layer in layers:
-        s = _affine(post[-1], layer)
+        s = np.matmul(post[-1], layer.weights.T)
+        s += layer.bias
         pre.append(s)
         post.append(ACTIVATIONS[layer.activation][0](s))
     err = post[-1][:, 0] - y
@@ -483,27 +486,35 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     mom, vel = np.zeros_like(theta), np.zeros_like(theta)
+    tmp, upd = np.empty_like(theta), np.empty_like(theta)
     step = 0
-    n = x_std.shape[0]
+    n, bs = x_std.shape[0], cfg.batch_size
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr0 * cfg.decay_rate**epoch
         order = rng.permutation(n)
+        xs, ys = x_std[order], y_std[order]  # batches are contiguous slices
         batch_losses = []
-        for b0 in range(0, n, cfg.batch_size):
-            idx = order[b0 : b0 + cfg.batch_size]
-            loss = _loss_and_grads(layers, x_std[idx], y_std[idx], grads)
+        for b0 in range(0, n, bs):
+            loss = _loss_and_grads(layers, xs[b0 : b0 + bs], ys[b0 : b0 + bs], grads)
             if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, b0 // cfg.batch_size, lr)
+                raise TrainingDivergedError(epoch, b0 // bs, lr)
             batch_losses.append(loss)
             step += 1
             c1 = 1.0 - beta1**step
             c2 = 1.0 - beta2**step
+            # the moment updates, then theta -= lr * (mom / c1) /
+            # (sqrt(vel / c2) + eps), in that order, into two scratch vectors
             mom *= beta1
-            mom += (1.0 - beta1) * grad
+            mom += np.multiply(grad, 1.0 - beta1, out=tmp)
             vel *= beta2
-            vel += (1.0 - beta2) * grad**2
-            theta -= lr * (mom / c1) / (np.sqrt(vel / c2) + eps)
+            vel += np.multiply(np.square(grad, out=tmp), 1.0 - beta2, out=tmp)
+            np.sqrt(np.divide(vel, c2, out=tmp), out=tmp)
+            tmp += eps
+            np.divide(mom, c1, out=upd)
+            upd *= lr
+            upd /= tmp
+            theta -= upd
         trace.append(float(np.mean(batch_losses)))
     for layer in layers:  # the returned layers own their arrays
         layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()

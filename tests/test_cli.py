@@ -714,6 +714,37 @@ def test_evaluate_blank_rows_dropped_and_counted(tmp_path):
     assert counts["rows"] == 3 and counts["rows_missing_values"] == 1
 
 
+def test_evaluate_zero_iqr_kde_is_finite(tmp_path, capsys, recwarn):
+    # five errors of +233.3% and one of -133.3%: the IQR is 0, so the
+    # bandwidth falls back to sigma instead of 0
+    pred = tmp_path / "p.csv"
+    pred.write_text("D_mm,L_m\n" + "10.0,3.0\n" * 5 + "-1.0,3.0\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", f"pred_csv={pred}", "pred_col=D_mm", "truth_col=L_m",
+                 f"outdir={out}"]) == 0
+    assert float(_manifest(out)["counts"]["kde_bandwidth_pct"]) > 0.0
+    _, krows = _read_csv(out / "kde.csv")
+    assert len(krows) == 512 and all(math.isfinite(float(r[1])) for r in krows)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_overflowing_cell_gives_no_runtime_warning(tmp_path, capsys, recwarn):
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    row = data.read_text().splitlines()[1].split(",")
+    with data.open("a") as fh:
+        for j in (0, 2, 7):  # D_mm, P_kPa, chf_kW_m2
+            fh.write(",".join(row[:j] + ["1e306"] + row[j + 1:]) + "\n")
+    prep = tmp_path / "prep"
+    assert main(["prepare", f"data={data}", f"outdir={prep}"]) == 0
+    assert _manifest(prep)["counts"]["rows_rejected"] == 3
+    assert main(["evaluate", f"pred_csv={data}", "pred_col=chf_kW_m2", "truth_col=G_kg_m2s",
+                 f"outdir={tmp_path / 'eval'}"]) == 1
+    assert "line 18: chf_kW_m2 1e+306 kW/m2 overflows in W/m2" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # hullcheck
 # ---------------------------------------------------------------------------

@@ -316,7 +316,6 @@ def test_read_columns_first_bad_line_wins_across_columns_and_chunks(tmp_path, mo
         load_columns(str(path), ("a",))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_record_rejects_nonfinite(tmp_path):
     # a value that overflows in SI rejects its row: the measured CHF
     # directly, the exit quality through its heat-balance derivation

@@ -315,3 +315,22 @@ def test_write_kde_csv(tmp_path):
     x0, d0 = lines[1].split(",")
     assert float(x0) == s.grid[0]
     assert float(d0) == s.density[0]
+
+
+def test_kde_zero_iqr_falls_back_to_sigma():
+    e = np.array([100.0 * 7 / 3] * 5 + [-100.0 * 4 / 3])
+    s = kde(e)
+    assert s.bandwidth == pytest.approx(0.9 * float(np.std(e)) * 6 ** (-0.2), rel=1e-12)
+    assert np.all(np.isfinite(s.density)) and np.all(s.density > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 300, 2458])
+def test_kde_blocks_give_unblocked_bits(n):
+    # the grid is evaluated a block of rows at a time; each row's sum
+    # over the errors must be the bits of the whole-grid evaluation
+    e = np.random.default_rng(n).normal(3.0, 15.0, n)
+    s = kde(e)
+    h = s.bandwidth
+    z = (s.grid[:, None] - e[None, :]) / h
+    whole = np.exp(-0.5 * z**2).sum(axis=1) / (e.size * h * math.sqrt(2.0 * math.pi))
+    assert np.array_equal(s.density, whole)
