@@ -13,13 +13,13 @@ the boundary makes the exit quality equal the heat-balance evaluation
 at the full heated length and keeps the exit state independent of the
 node count.
 
-The critical-power search mirrors a power-escalation experiment: walk
-the wall heat flux up until the minimum DNBR crosses 1 (here by
-bisection on a user bracket).  In "hbm" solve mode a node's CHF does
-not depend on the wall flux (node z is rated as the exit of a tube of
-length z with the case's inlet state), so the search computes the node
-CHF vector once and each bisection step only rates it at the trial
-flux.
+Node z is rated as the exit of a tube of length z with the case's inlet
+state (the heat-balance method), so a node's CHF does not depend on the
+wall flux.  The minimum DNBR at wall flux q is then min(node CHF) / q,
+and the critical power — the flux a power-escalation experiment walks
+up to, where the minimum DNBR reaches 1 — is exactly the smallest node
+CHF: ``find_critical_power`` reads it from a profile's node CHF vector
+without re-rating the channel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import fluid
 from .correlations import InletConditions
@@ -69,12 +68,6 @@ class ChannelCase:
         if self.n_axial < 2:
             raise ValueError(f"n_axial must be >= 2, got {self.n_axial}")
 
-    @cached_property
-    def saturation(self) -> fluid.SaturationState:
-        """Saturation state at the case pressure, computed once per case
-        (the channel march and the critical-power search both need it)."""
-        return fluid.saturation_state(self.pressure)
-
     def inlet_conditions(self, heated_length: float | None = None) -> InletConditions:
         return InletConditions(
             diameter=self.diameter,
@@ -89,11 +82,14 @@ class ChannelCase:
 class AxialProfile:
     """Node-wise channel state.
 
-    ``chf_local`` stores dnbr * wall flux (the extraction identity holds
-    bit-exactly), except at zero wall flux, where dnbr is the +inf
-    sentinel and chf_local keeps the predictor's raw value.  Nodes where
-    the predictor produced no usable CHF (nonpositive, or no critical
-    condition) carry dnbr = 0 and appear in ``flagged_nodes``.
+    ``node_chf`` holds the predictor's raw value per node (None where
+    the heat-balance solve finds no critical condition); it does not
+    depend on the wall flux.  ``chf_local`` stores dnbr * wall flux (the
+    extraction identity holds bit-exactly), except at zero wall flux,
+    where dnbr is the +inf sentinel and chf_local keeps the predictor's
+    raw value.  Nodes where the predictor produced no usable CHF
+    (nonpositive, or no critical condition) carry dnbr = 0 and appear
+    in ``flagged_nodes``.
     """
 
     case: ChannelCase
@@ -103,6 +99,7 @@ class AxialProfile:
     dnbr: tuple[float, ...]
     chf_local: tuple[float, ...]      # W/m^2
     flagged_nodes: tuple[int, ...]
+    node_chf: tuple[float | None, ...]  # W/m^2
 
     @property
     def min_dnbr(self) -> float:
@@ -117,18 +114,15 @@ class AxialProfile:
 class CriticalPowerResult:
     """Outcome of a critical-power search.
 
-    ``converged`` is False when ``max_iter`` bisection steps ended with
-    |min DNBR - 1| still at or above the tolerance; the other fields
-    then describe the last step.  ``bracket`` is the final (q_lo, q_hi),
-    W/m^2.
+    ``min_dnbr`` is the profile's minimum DNBR rated at
+    ``wall_heat_flux``, which is 1.0.  ``iterations`` is always 0: the
+    critical flux is a closed form, not a search.
     """
 
     wall_heat_flux: float     # W/m^2 at min-DNBR = 1
     limiting_node: int
     min_dnbr: float
     iterations: int
-    converged: bool
-    bracket: tuple[float, float]
 
 
 class BracketError(ValueError):
@@ -140,25 +134,7 @@ class BracketError(ValueError):
         self.dnbr_hi = dnbr_hi
 
 
-def _node_heights(length: float, n: int) -> tuple[float, ...]:
-    # centers, but the last node is pinned to the exit
-    return tuple(
-        length if i == n - 1 else (i + 0.5) * length / n for i in range(n)
-    )
-
-
-def _march(case: ChannelCase, sat: fluid.SaturationState, q: float
-           ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Node heights, enthalpies and equilibrium qualities at wall flux q."""
-    h_in = sat.h_f - case.inlet_subcooling
-    g, d = case.mass_flux, case.diameter
-    heights = _node_heights(case.heated_length, case.n_axial)
-    enthalpies = tuple(h_in + 4.0 * q * z / (g * d) for z in heights)
-    qualities = tuple((h - sat.h_f) / sat.h_fg for h in enthalpies)
-    return heights, enthalpies, qualities
-
-
-def _rate(chf: list[float | None], q: float) -> tuple[list[float], list[float], list[int]]:
+def _rate(chf: tuple[float | None, ...], q: float) -> tuple[list[float], list[float], list[int]]:
     """Node DNBR, chf_local and flagged nodes for raw node CHF at wall flux q."""
     dnbr: list[float] = []
     chf_local: list[float] = []
@@ -189,75 +165,45 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
 
     DNBR is CHF / wall flux with nonpositive CHF clamped to zero (and
     the node flagged); at zero wall flux every node reports the +inf
-    sentinel.  In "hbm" solve mode each node is treated as the exit of
-    a tube of length z (the critical-length convention); in "dsm" mode
-    the predictor is evaluated at the node's local equilibrium quality.
+    sentinel.  Each node is treated as the exit of a tube of length z
+    (the critical-length convention).
     """
-    sat = case.saturation
-    q = case.wall_heat_flux
-    heights, enthalpies, qualities = _march(case, sat, q)
-    chf = node_chf(pred, case.inlet_conditions(), sat.h_fg, heights, qualities)
+    sat = fluid.saturation_state(case.pressure)
+    q, g, d = case.wall_heat_flux, case.mass_flux, case.diameter
+    n, length = case.n_axial, case.heated_length
+    # centers, but the last node is pinned to the exit
+    heights = tuple(length if i == n - 1 else (i + 0.5) * length / n for i in range(n))
+    h_in = sat.h_f - case.inlet_subcooling
+    enthalpies = tuple(h_in + 4.0 * q * z / (g * d) for z in heights)
+    qualities = tuple((h - sat.h_f) / sat.h_fg for h in enthalpies)
+    chf = tuple(node_chf(pred, case.inlet_conditions(), sat.h_fg, heights))
     dnbr, chf_local, flagged = _rate(chf, q)
     return AxialProfile(
         case=case, heights=heights, enthalpies=enthalpies, qualities=qualities,
         dnbr=tuple(dnbr), chf_local=tuple(chf_local), flagged_nodes=tuple(flagged),
+        node_chf=chf,
     )
 
 
-def find_critical_power(
-    case: ChannelCase,
-    pred: ChfPredictor,
-    bracket: tuple[float, float],
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> CriticalPowerResult:
-    """Wall heat flux at which the channel's minimum DNBR reaches 1.
+def find_critical_power(profile: AxialProfile,
+                        bracket: tuple[float, float]) -> CriticalPowerResult:
+    """Wall heat flux at which the profile's channel reaches min DNBR = 1.
 
-    ``case.wall_heat_flux`` is ignored; the bracket (q_lo, q_hi) must
-    satisfy min-DNBR(q_lo) > 1 > min-DNBR(q_hi).  Bisection to
-    |min DNBR - 1| < tol, at most ``max_iter`` iterations; a search that
-    runs out of iterations returns ``converged=False``.
+    The profile's wall flux does not matter: its node CHF is rated at
+    both ends of the bracket (q_lo, q_hi), which must satisfy
+    min-DNBR(q_lo) > 1 > min-DNBR(q_hi).  The critical flux is then the
+    smallest node CHF and the limiting node the first node that has it.
     """
     q_lo, q_hi = bracket
     if not 0.0 < q_lo < q_hi:
         raise ValueError(f"bracket must satisfy 0 < q_lo < q_hi, got {bracket}")
-
-    sat = case.saturation
-    inlet = case.inlet_conditions()
-    if pred.solve_mode == "hbm":
-        hbm_chf = node_chf(pred, inlet, sat.h_fg,
-                           _node_heights(case.heated_length, case.n_axial), ())
-
-    def min_dnbr_at(q: float) -> tuple[float, int]:
-        if pred.solve_mode == "hbm":
-            chf = hbm_chf
-        else:
-            heights, _, qualities = _march(case, sat, q)
-            chf = node_chf(pred, inlet, sat.h_fg, heights, qualities)
-        dnbr = _rate(chf, q)[0]
-        low = min(dnbr)
-        return low, dnbr.index(low)  # the first node at the minimum
-
-    min_dnbr, node = min_dnbr_at(q_lo)
-    min_dnbr_hi, _ = min_dnbr_at(q_hi)
-    if not (min_dnbr > 1.0 > min_dnbr_hi):
+    chf = profile.node_chf
+    dnbr_lo = min(_rate(chf, q_lo)[0])
+    dnbr_hi = min(_rate(chf, q_hi)[0])
+    if not (dnbr_lo > 1.0 > dnbr_hi):
         raise BracketError("bracket does not straddle the critical condition",
-                           min_dnbr, min_dnbr_hi)
-
-    q_mid = q_lo
-    for it in range(1, max_iter + 1):
-        q_mid = 0.5 * (q_lo + q_hi)
-        min_dnbr, node = min_dnbr_at(q_mid)
-        if abs(min_dnbr - 1.0) < tol:
-            return CriticalPowerResult(
-                wall_heat_flux=q_mid, limiting_node=node, min_dnbr=min_dnbr,
-                iterations=it, converged=True, bracket=(q_lo, q_hi),
-            )
-        if min_dnbr > 1.0:
-            q_lo = q_mid
-        else:
-            q_hi = q_mid
-    return CriticalPowerResult(
-        wall_heat_flux=q_mid, limiting_node=node, min_dnbr=min_dnbr,
-        iterations=max_iter, converged=False, bracket=(q_lo, q_hi),
-    )
+                           dnbr_lo, dnbr_hi)
+    # every node CHF is positive here, else dnbr_lo would be 0
+    q = min(chf)
+    return CriticalPowerResult(wall_heat_flux=q, limiting_node=chf.index(q),
+                               min_dnbr=min(_rate(chf, q)[0]), iterations=0)

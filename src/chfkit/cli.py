@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .channel import BracketError, ChannelCase, find_critical_power, solve_channel
-from .correlations import NoCriticalConditionError
 from .data import (
     FIELDS,
     MODEL_FEATURES,
@@ -604,7 +603,6 @@ def cmd_simulate(cfg: _Config) -> None:
 
     outputs = []
     n_failed = 0
-    n_not_converged = 0
     summary_path = _out(outdir, "summary.csv")
     cp_rows = []
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -633,39 +631,25 @@ def cmd_simulate(cfg: _Config) -> None:
                      f"{len(profile.flagged_nodes)},ok\n")
             if critical:
                 try:
-                    r = find_critical_power(case, predictor, bracket)
-                except (BracketError, NoCriticalConditionError,
-                        FluidRangeError) as e:
+                    r = find_critical_power(profile, bracket)
+                except BracketError as e:
                     n_failed += 1
-                    cp_rows.append(f"{i},,,,,failed: {_csv_safe(e)}")
-                    continue
-                if not r.converged:
-                    n_failed += 1
-                    n_not_converged += 1
-                    lo, hi = (q / 1e3 for q in r.bracket)
-                    reason = (f"no convergence after {r.iterations} iterations; "
-                              f"bracket=({lo!r}, {hi!r}) kW/m2")
-                    cp_rows.append(f"{i},,,,,failed: {_csv_safe(reason)}")
+                    cp_rows.append(f"{i},,,,failed: {_csv_safe(e)}")
                     continue
                 cp_rows.append(f"{i},{r.wall_heat_flux / 1e3!r},"
-                               f"{r.limiting_node},{r.min_dnbr!r},"
-                               f"{r.iterations},ok")
+                               f"{r.limiting_node},{r.min_dnbr!r},ok")
     outputs.append(summary_path)
 
     if critical:
         cp_path = _out(outdir, "critical_power.csv")
         with open(cp_path, "w", encoding="utf-8") as fh:
-            fh.write("case,critical_flux_kW_m2,limiting_node,min_dnbr,"
-                     "iterations,status\n")
+            fh.write("case,critical_flux_kW_m2,limiting_node,min_dnbr,status\n")
             for row in cp_rows:
                 fh.write(row + "\n")
         outputs.append(cp_path)
 
-    counts = {"failed": n_failed}
-    if critical:
-        counts["cp_not_converged"] = n_not_converged
     _write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs],
-                    outputs, counts)
+                    outputs, {"failed": n_failed})
 
 
 def cmd_evaluate(cfg: _Config) -> None:

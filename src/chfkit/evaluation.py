@@ -117,13 +117,16 @@ def _nearest_rank_keep_mask(abs_e: np.ndarray, quantile: float) -> np.ndarray:
     return abs_e <= threshold
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_report(
     pred: Sequence[float], truth: Sequence[float], trim_quantile: float = 0.995
 ) -> EvalReport:
     """Six-metric report with outlier trimming.
 
     Only the mean, standard deviation and rRMSE are trimmed; the max
-    and both threshold fractions always use every evaluated row.
+    and both threshold fractions always use every evaluated row.  A
+    metric that overflows float64 (relative errors near 1e154 % and
+    beyond) raises a ValueError naming it.
     """
     if not 0.0 < trim_quantile <= 1.0:
         raise ValueError(f"trim_quantile must be in (0, 1], got {trim_quantile}")
@@ -151,6 +154,14 @@ def compute_report(
         mean_rel = float(np.mean(np.abs(kept)))
         std_rel = float(np.std(kept))  # population convention
         rrmse = float(np.sqrt(np.mean(kept**2)))
+    # overflow gives inf; nan stays the "no eligible row" value
+    overflowed = [name for name, value in (("mean_rel_error", mean_rel),
+                                           ("max_rel_error", max_rel),
+                                           ("std_rel_error", std_rel), ("rrmse", rrmse))
+                  if math.isinf(value)]
+    if overflowed:
+        raise ValueError(f"{', '.join(overflowed)} overflow float64 "
+                         f"(largest relative error {max_rel:.6g} %)")
 
     return EvalReport(
         mean_rel_error=mean_rel,

@@ -17,14 +17,10 @@ its distinct pressures, one heat-balance solve on its columns
 
 * ``predict_batch`` resolves the base correlation with the heat-balance
   solve (the critical length equals the heated length), one outcome per
-  row; ``predict`` is its one-row call on an ``InletConditions``.  With
-  nothing but inlet conditions there is no operating heat flux to
-  define local conditions, so this surface is the same for both solve
-  modes.
-* ``node_chf`` rates every node of a channel march at once.  In "hbm"
-  solve mode node z is the exit of a tube of length z; in "dsm" mode
-  the base correlation is evaluated directly at the node's local
-  quality, one branch evaluation over the nodes.
+  row; ``predict`` is its one-row call on an ``InletConditions``.
+* ``node_chf`` rates every node of a channel march at once: node z is
+  the exit of a tube of length z with the channel's inlet state, so its
+  value does not depend on the wall flux.
 * ``build_residual_dataset`` takes the base CHF of every row from the
   same solve and returns the residual table as one (m, 8) array.
 """
@@ -38,14 +34,9 @@ import numpy as np
 
 from . import fluid
 from .correlations import (
-    QUALITY_MAX,
-    QUALITY_MIN,
     HbmSolution,
     InletConditions,
-    _branches,
-    _flux,
     _HbmColumns,
-    _row,
     _solve_columns,
     _valid_inlet_rows,
 )
@@ -53,7 +44,6 @@ from .mlp import Mlp, forward_batch
 
 __all__ = [
     "PREDICTOR_KINDS",
-    "SOLVE_MODES",
     "ChfPredictor",
     "Prediction",
     "ResidualBuildReport",
@@ -64,7 +54,6 @@ __all__ = [
 ]
 
 PREDICTOR_KINDS = ("base_biasi", "base_bowring", "pure_ml", "hybrid_biasi", "hybrid_bowring")
-SOLVE_MODES = ("hbm", "dsm")
 
 _BASE_OF_KIND = {
     "base_biasi": "biasi",
@@ -80,13 +69,10 @@ class ChfPredictor:
 
     kind: str
     model: Mlp | None = None
-    solve_mode: str = "hbm"
 
     def __post_init__(self) -> None:
         if self.kind not in PREDICTOR_KINDS:
             raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {self.kind!r}")
-        if self.solve_mode not in SOLVE_MODES:
-            raise ValueError(f"solve_mode must be one of {SOLVE_MODES}, got {self.solve_mode!r}")
         if self.kind.startswith("base_"):
             if self.model is not None:
                 raise ValueError(f"kind {self.kind!r} takes no model")
@@ -220,38 +206,24 @@ def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
 
 
 def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
-             heights: Sequence[float], qualities: Sequence[float]) -> list[float | None]:
+             heights: Sequence[float]) -> list[float | None]:
     """Raw CHF, W/m2, at every node of a channel march.
 
     ``c`` holds the channel's inlet conditions and ``h_fg`` the latent
-    heat at its pressure, J/kg.  In "hbm" mode node i is the exit of a
-    tube of length ``heights[i]`` (the critical-length convention), so
-    its value does not depend on the wall flux; it is that tube's
-    ``predict_batch`` value, or None where the heat-balance solve finds
-    no critical condition, and all nodes are solved in one call.  In
-    "dsm" mode the base correlation is evaluated at ``qualities[i]``
-    clipped to its validity window [-0.5, 1.0], in one call over the
-    nodes; the network features are the inlet conditions, so the
-    network runs on one row.  Each mode reads only its own node
-    sequence.  Values may be nonpositive (callers clamp and flag); for
-    hybrid kinds each is base + residual.
+    heat at its pressure, J/kg.  Node i is the exit of a tube of length
+    ``heights[i]`` (the critical-length convention), so its value does
+    not depend on the wall flux; it is that tube's ``predict_batch``
+    value, or None where the heat-balance solve finds no critical
+    condition, and all nodes are solved in one call.  Values may be
+    nonpositive (callers clamp and flag); for hybrid kinds each is
+    base + residual.
     """
-    row = np.array([astuple(c)], dtype=np.float64)
-    if p.solve_mode == "hbm":
-        x = np.repeat(row, len(heights), axis=0)
-        x[:, 1] = heights
-        x = _inlet_matrix(x)
-        net = _network(p, x)
-        if p.kind == "pure_ml":
-            return net
-        sol = _solve_rows(_BASE_OF_KIND[p.kind], x, {c.pressure: h_fg})
-        return [None if failed else chf + r
-                for chf, failed, r in zip(sol.chf.tolist(), sol.failed.tolist(), net)]
-    r = _network(p, row)[0]
+    x = np.repeat(np.array([astuple(c)], dtype=np.float64), len(heights), axis=0)
+    x[:, 1] = heights
+    x = _inlet_matrix(x)
+    net = _network(p, x)
     if p.kind == "pure_ml":
-        return [r] * len(qualities)
-    branches = _branches(_BASE_OF_KIND[p.kind], *_row(c.diameter, c.mass_flux, c.pressure, h_fg))
-    x_clip = np.minimum(np.maximum(np.array(qualities, dtype=np.float64), QUALITY_MIN),
-                        QUALITY_MAX)
-    values = _flux(branches, x_clip).tolist()
-    return values if p.model is None else [v + r for v in values]
+        return net
+    sol = _solve_rows(_BASE_OF_KIND[p.kind], x, {c.pressure: h_fg})
+    return [None if failed else chf + r
+            for chf, failed, r in zip(sol.chf.tolist(), sol.failed.tolist(), net)]

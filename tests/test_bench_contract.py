@@ -60,6 +60,7 @@ def test_traced_stages_give_strict_json_metrics(tmp_path):
     values = layers.per_layer(tracer, {})
     assert values.keys() == layers.metric_units().keys()
     json.dumps(values, allow_nan=False)
-    for name in ("mlp.train.self_s", "mlp.forward_batch.rows", "channel.cp_iterations.max",
-                 "validity.classify_batch.queries", "data.ingest.rows"):
+    for name in ("mlp.train.self_s", "mlp.forward_batch.rows",
+                 "channel.find_critical_power.calls", "validity.classify_batch.queries",
+                 "data.ingest.rows"):
         assert values[name] > 0, name

@@ -1,5 +1,6 @@
 """Tests for the 1-D heated-channel solver: enthalpy march, node
-convention, DNBR policies, CHF extraction and critical-power search."""
+convention, DNBR policies, CHF extraction and the closed-form critical
+power."""
 
 import math
 from dataclasses import replace
@@ -34,13 +35,13 @@ def _const_predictor(value: float) -> ChfPredictor:
     return ChfPredictor(kind="pure_ml", model=model)
 
 
-def _neg_residual_predictor(offset: float, solve_mode="hbm") -> ChfPredictor:
+def _neg_residual_predictor(offset: float) -> ChfPredictor:
     model = Mlp(
         layers=[DenseLayer(np.zeros((1, 5)), np.array([offset]), "identity")],
         input_scaler=Scaler.identity(5), output_scaler=Scaler.identity(1),
         mode="residual", base_model="bowring",
     )
-    return ChfPredictor(kind="hybrid_bowring", model=model, solve_mode=solve_mode)
+    return ChfPredictor(kind="hybrid_bowring", model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +91,8 @@ def test_node_to_node_rises_telescope_to_outlet_rise():
 # DNBR policies
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("solve_mode", ["hbm", "dsm"])
-def test_min_dnbr_at_exit_for_base_bowring(solve_mode):
-    pred = ChfPredictor(kind="base_bowring", solve_mode=solve_mode)
+def test_min_dnbr_at_exit_for_base_bowring():
+    pred = ChfPredictor(kind="base_bowring")
     prof = solve_channel(BENNETT_CASE, pred)
     assert prof.flagged_nodes == ()
     assert prof.min_dnbr_node == BENNETT_CASE.n_axial - 1
@@ -114,6 +114,7 @@ def test_no_critical_condition_nodes_flagged():
     prof = solve_channel(case, ChfPredictor(kind="base_bowring"))
     assert prof.flagged_nodes == tuple(range(case.n_axial))
     assert set(prof.dnbr) == {0.0}
+    assert set(prof.node_chf) == {None}
 
 
 def test_zero_wall_flux_sentinel():
@@ -131,6 +132,7 @@ def test_dnbr_values_hbm_match_per_node_solves():
     prof = solve_channel(case, pred)
     for i, z in enumerate(prof.heights):
         chf = solve_hbm("bowring", case.inlet_conditions(heated_length=z)).chf
+        assert prof.node_chf[i] == chf
         assert prof.dnbr[i] == chf / case.wall_heat_flux
         assert prof.chf_local[i] == prof.dnbr[i] * case.wall_heat_flux
 
@@ -140,10 +142,12 @@ def test_dnbr_values_hbm_match_per_node_solves():
 # ---------------------------------------------------------------------------
 
 def test_critical_power_constant_predictor_analytic():
-    res = find_critical_power(BENNETT_CASE, _const_predictor(3.0e6), (1.0e6, 9.0e6))
-    assert res.wall_heat_flux == pytest.approx(3.0e6, rel=1e-6)
-    assert abs(res.min_dnbr - 1.0) < 1e-6
-    assert res.iterations <= 100
+    prof = solve_channel(BENNETT_CASE, _const_predictor(3.0e6))
+    res = find_critical_power(prof, (1.0e6, 9.0e6))
+    assert res.wall_heat_flux == 3.0e6
+    assert res.min_dnbr == 1.0
+    assert res.limiting_node == 0  # every node ties; the first one limits
+    assert res.iterations == 0
 
 
 def test_march_and_search_share_one_saturation_state(monkeypatch):
@@ -151,75 +155,68 @@ def test_march_and_search_share_one_saturation_state(monkeypatch):
     sat = fluid.saturation_state
     monkeypatch.setattr(fluid, "saturation_state", lambda p: pressures.append(p) or sat(p))
     case = replace(BENNETT_CASE, pressure=7.0e6)
-    pred = ChfPredictor(kind="base_bowring")
-    solve_channel(case, pred)
-    find_critical_power(case, pred, (4.0e5, 4.0e6))
+    find_critical_power(solve_channel(case, ChfPredictor(kind="base_bowring")),
+                        (4.0e5, 4.0e6))
     assert pressures == [7.0e6]
+
+
+def test_critical_power_ignores_profile_wall_flux():
+    pred = ChfPredictor(kind="base_bowring")
+    results = {find_critical_power(solve_channel(replace(BENNETT_CASE, wall_heat_flux=q), pred),
+                                   (4.0e5, 4.0e6))
+               for q in (0.0, 5.0e5, 3.0e6)}
+    assert len(results) == 1
 
 
 def test_critical_power_constant_predictor_ignores_mass_flux():
     pred = _const_predictor(3.0e6)
-    a = find_critical_power(BENNETT_CASE, pred, (1.0e6, 9.0e6))
-    b = find_critical_power(replace(BENNETT_CASE, mass_flux=2000.0), pred, (1.0e6, 9.0e6))
+    a = find_critical_power(solve_channel(BENNETT_CASE, pred), (1.0e6, 9.0e6))
+    b = find_critical_power(solve_channel(replace(BENNETT_CASE, mass_flux=2000.0), pred),
+                            (1.0e6, 9.0e6))
     assert a.wall_heat_flux == b.wall_heat_flux
 
 
 def test_critical_power_matches_fine_grid_scan():
-    # quality feedback makes min-DNBR strictly decreasing in wall flux,
-    # so the crossing is unique; a dense scan brackets the same root
-    pred = ChfPredictor(kind="base_bowring", solve_mode="dsm")
+    # node CHF does not depend on the wall flux, so min-DNBR = min(chf) / q
+    # is strictly decreasing and the crossing is unique; a dense scan
+    # brackets the same root
+    pred = ChfPredictor(kind="base_bowring")
     lo, hi = 4.0e5, 4.0e6
-    res = find_critical_power(BENNETT_CASE, pred, (lo, hi))
-    assert abs(res.min_dnbr - 1.0) < 1e-6
+    res = find_critical_power(solve_channel(BENNETT_CASE, pred), (lo, hi))
+    assert res.min_dnbr == 1.0
 
     qs = np.linspace(lo, hi, 2001)
     mins = [solve_channel(replace(BENNETT_CASE, wall_heat_flux=q), pred).min_dnbr
             for q in qs]
-    # strictly decreasing until the nonpositive-CHF clamp pins it at 0
-    assert all(a >= b for a, b in zip(mins, mins[1:]))
-    assert all(a > b for a, b in zip(mins, mins[1:]) if a > 0.0)
+    assert all(a > b for a, b in zip(mins, mins[1:]))
     crossing = next(i for i in range(len(qs) - 1) if mins[i] > 1.0 >= mins[i + 1])
-    step = qs[1] - qs[0]
-    assert qs[crossing] - step <= res.wall_heat_flux <= qs[crossing + 1] + step
+    assert qs[crossing] < res.wall_heat_flux <= qs[crossing + 1]
     assert res.limiting_node == BENNETT_CASE.n_axial - 1
 
 
-def test_critical_power_reports_no_convergence():
-    pred = ChfPredictor(kind="base_bowring")
-    lo, hi = 4.0e5, 4.0e6
-    done = find_critical_power(BENNETT_CASE, pred, (lo, hi))
-    assert done.converged
-    assert done.wall_heat_flux == 0.5 * (done.bracket[0] + done.bracket[1])
-
-    res = find_critical_power(BENNETT_CASE, pred, (lo, hi), max_iter=3)
-    assert not res.converged
-    assert res.iterations == 3
-    assert abs(res.min_dnbr - 1.0) >= 1e-6
-    q_lo, q_hi = res.bracket
-    assert q_hi - q_lo == (hi - lo) / 8
-    assert res.wall_heat_flux in res.bracket
-    # the final bracket still straddles the critical condition
-    at = [solve_channel(replace(BENNETT_CASE, wall_heat_flux=q), pred).min_dnbr
-          for q in res.bracket]
-    assert at[0] > 1.0 > at[1]
-
-
 def test_critical_power_bad_bracket_reports_endpoint_dnbrs():
-    pred = _const_predictor(3.0e6)
+    prof = solve_channel(BENNETT_CASE, _const_predictor(3.0e6))
     with pytest.raises(BracketError) as exc:
-        find_critical_power(BENNETT_CASE, pred, (1.0e5, 2.0e5))  # both DNBR > 1
-    assert exc.value.dnbr_lo > 1.0 and exc.value.dnbr_hi > 1.0
+        find_critical_power(prof, (1.0e5, 2.0e5))  # both DNBR > 1
+    assert exc.value.dnbr_lo == 3.0e6 / 1.0e5 and exc.value.dnbr_hi == 3.0e6 / 2.0e5
     with pytest.raises(ValueError, match="bracket"):
-        find_critical_power(BENNETT_CASE, pred, (2.0e6, 1.0e6))
+        find_critical_power(prof, (2.0e6, 1.0e6))
+
+
+def test_critical_power_flagged_node_misses_bracket():
+    # a node with no usable CHF rates DNBR 0 at every flux
+    prof = solve_channel(BENNETT_CASE, _neg_residual_predictor(-1.0e9))
+    with pytest.raises(BracketError) as exc:
+        find_critical_power(prof, (1.0e5, 2.0e5))
+    assert (exc.value.dnbr_lo, exc.value.dnbr_hi) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Grid convergence
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("solve_mode", ["hbm", "dsm"])
-def test_exit_dnbr_independent_of_node_count(solve_mode):
-    pred = ChfPredictor(kind="base_bowring", solve_mode=solve_mode)
+def test_exit_dnbr_independent_of_node_count():
+    pred = ChfPredictor(kind="base_bowring")
     coarse = solve_channel(replace(BENNETT_CASE, n_axial=60), pred)
     fine = solve_channel(replace(BENNETT_CASE, n_axial=240), pred)
     # the exit node is pinned to z = L, so its state cannot depend on

@@ -1,11 +1,12 @@
-"""Property tests: the batched channel march and the cached critical-power
-search against the per-node reference loop.
+"""Property tests: the batched channel march and the closed-form critical
+power against the per-node reference loop and a reference bisection.
 
 The reference below is the earlier implementation, kept as the oracle:
-every node is rated by its own heat-balance solve (hbm) or by the
-correlation's direct-substitution function (dsm), plus a single-row
+every node is rated by its own heat-balance solve plus a single-row
 network call, and the critical-power search re-solves the whole channel
-at every bisection step.  The fast path must reproduce it to the bit.
+at every bisection step until |min DNBR - 1| < 1e-6.  The march must
+reproduce it to the bit; the closed-form critical flux (the smallest
+node CHF) must land within the bisection's tolerance of its result.
 """
 
 import math
@@ -24,36 +25,14 @@ from chfkit.channel import (
     find_critical_power,
     solve_channel,
 )
-from chfkit.correlations import (
-    QUALITY_MAX,
-    QUALITY_MIN,
-    InletConditions,
-    LocalConditions,
-    NoCriticalConditionError,
-    biasi_dsm,
-    bowring_dsm,
-    solve_hbm,
-)
+from chfkit.correlations import InletConditions, NoCriticalConditionError, solve_hbm
 from chfkit.data import TABLE1_ENVELOPE
-from chfkit.hybrid import PREDICTOR_KINDS, SOLVE_MODES, ChfPredictor
+from chfkit.hybrid import PREDICTOR_KINDS, ChfPredictor
 from chfkit.mlp import Scaler, forward, init_mlp
 
 # ---------------------------------------------------------------------------
 # Reference: one solve and one network row per node, one channel solve per step
 # ---------------------------------------------------------------------------
-
-
-def _ref_at_quality(p: ChfPredictor, c: InletConditions, quality: float) -> float:
-    feats = (c.diameter, c.heated_length, c.pressure, c.mass_flux, c.inlet_subcooling)
-    if p.kind == "pure_ml":
-        return forward(p.model, feats)
-    x = min(max(quality, QUALITY_MIN), QUALITY_MAX)
-    local = LocalConditions(diameter=c.diameter, pressure=c.pressure,
-                            mass_flux=c.mass_flux, quality=x)
-    base = (biasi_dsm if p.kind.endswith("biasi") else bowring_dsm)(local)
-    if p.kind.startswith("base_"):
-        return base
-    return base + forward(p.model, feats)
 
 
 def _ref_exit_chf(p: ChfPredictor, c: InletConditions) -> float:
@@ -76,18 +55,17 @@ def _ref_solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     enthalpies = tuple(h_in + 4.0 * q * z / (g * d) for z in heights)
     qualities = tuple((h - sat.h_f) / sat.h_fg for h in enthalpies)
 
-    dnbr, chf_local, flagged = [], [], []
+    dnbr, chf_local, flagged, raw = [], [], [], []
     for i, z in enumerate(heights):
         try:
-            if pred.solve_mode == "dsm":
-                chf = _ref_at_quality(pred, case.inlet_conditions(), qualities[i])
-            else:
-                chf = _ref_exit_chf(pred, case.inlet_conditions(heated_length=z))
+            chf = _ref_exit_chf(pred, case.inlet_conditions(heated_length=z))
         except NoCriticalConditionError:
+            raw.append(None)
             flagged.append(i)
             dnbr.append(0.0)
             chf_local.append(0.0)
             continue
+        raw.append(chf)
         if q == 0.0:
             dnbr.append(math.inf)
             chf_local.append(chf)
@@ -103,11 +81,14 @@ def _ref_solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     return AxialProfile(
         case=case, heights=heights, enthalpies=enthalpies, qualities=qualities,
         dnbr=tuple(dnbr), chf_local=tuple(chf_local), flagged_nodes=tuple(flagged),
+        node_chf=tuple(raw),
     )
 
 
 def _ref_critical_power(case, pred, bracket, tol=1e-6, max_iter=100):
-    """(flux, limiting node, min DNBR, iterations) of the reference search."""
+    """(flux, nodes at the minimum DNBR) of the reference bisection, from
+    the profile of its last step; the first of those nodes is its
+    limiting node."""
     q_lo, q_hi = bracket
 
     def min_dnbr_at(q):
@@ -118,18 +99,18 @@ def _ref_critical_power(case, pred, bracket, tol=1e-6, max_iter=100):
     if not (lo_prof.min_dnbr > 1.0 > hi_prof.min_dnbr):
         raise BracketError("bracket does not straddle the critical condition",
                            lo_prof.min_dnbr, hi_prof.min_dnbr)
-    best = lo_prof
-    q_mid = q_lo
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         q_mid = 0.5 * (q_lo + q_hi)
         best = min_dnbr_at(q_mid)
         if abs(best.min_dnbr - 1.0) < tol:
-            return q_mid, best.min_dnbr_node, best.min_dnbr, it
+            break
         if best.min_dnbr > 1.0:
             q_lo = q_mid
         else:
             q_hi = q_mid
-    return q_mid, best.min_dnbr_node, best.min_dnbr, max_iter
+    else:
+        raise AssertionError(f"reference bisection did not converge on {bracket}")
+    return q_mid, tuple(i for i, d in enumerate(best.dnbr) if d == best.min_dnbr)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +129,9 @@ _ENVELOPE_SCALER = Scaler(
 )
 
 
-def _predictor(kind: str, solve_mode: str, seed: int) -> ChfPredictor:
+def _predictor(kind: str, seed: int) -> ChfPredictor:
     if kind.startswith("base_"):
-        return ChfPredictor(kind=kind, solve_mode=solve_mode)
+        return ChfPredictor(kind=kind)
     if kind == "pure_ml":
         mode, base, out = "direct", "none", Scaler(np.array([3.0e6]), np.array([2.0e6]))
     else:
@@ -158,7 +139,7 @@ def _predictor(kind: str, solve_mode: str, seed: int) -> ChfPredictor:
                                                                  np.array([5.0e5]))
     model = init_mlp(5, (4,), "tanh", seed=seed, input_scaler=_ENVELOPE_SCALER,
                      output_scaler=out, mode=mode, base_model=base)
-    return ChfPredictor(kind=kind, model=model, solve_mode=solve_mode)
+    return ChfPredictor(kind=kind, model=model)
 
 
 def _envelope(name: str):
@@ -177,36 +158,38 @@ _CASES = st.builds(
 )
 
 
-def _outcome(fn, *args):
-    """repr of the result, or of the BracketError endpoint DNBRs."""
-    try:
-        return repr(fn(*args))
-    except BracketError as e:
-        return f"BracketError({e.dnbr_lo!r}, {e.dnbr_hi!r})"
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("solve_mode", SOLVE_MODES)
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
 @settings(max_examples=12)
 @given(case=_CASES, seed=st.integers(0, 2**16),
        lo=st.floats(0.05, 0.95), hi=st.floats(1.05, 20.0))
-def test_fast_march_and_search_match_reference(kind, solve_mode, case, seed, lo, hi):
-    pred = _predictor(kind, solve_mode, seed)
+def test_fast_march_and_search_match_reference(kind, case, seed, lo, hi):
+    pred = _predictor(kind, seed)
+    profile = solve_channel(case, pred)
     # repr compares every field to the bit, -0.0 against 0.0 included
-    assert repr(solve_channel(case, pred)) == repr(_ref_solve_channel(case, pred))
-
-    def fast(*args):
-        r = find_critical_power(*args)
-        return r.wall_heat_flux, r.limiting_node, r.min_dnbr, r.iterations
+    assert repr(profile) == repr(_ref_solve_channel(case, pred))
 
     # bracket around the smallest raw node CHF (zero wall flux keeps the
     # raw values), so that most searches run; some still do not straddle
     raw = _ref_solve_channel(replace(case, wall_heat_flux=0.0), pred).chf_local
     q_c = min((c for c in raw if c > 0.0), default=1.0e6)
     bracket = (lo * q_c, hi * q_c)
-    assert _outcome(fast, case, pred, bracket) == \
-        _outcome(_ref_critical_power, case, pred, bracket)
+    try:
+        ref_q, ref_nodes = _ref_critical_power(case, pred, bracket)
+    except BracketError as ref:
+        with pytest.raises(BracketError) as fast:
+            find_critical_power(profile, bracket)
+        assert repr((fast.value.dnbr_lo, fast.value.dnbr_hi)) == \
+            repr((ref.dnbr_lo, ref.dnbr_hi))
+        return
+    r = find_critical_power(profile, bracket)
+    # the bisection stops at |min(chf) / q - 1| < 1e-6
+    assert abs(r.wall_heat_flux - ref_q) < 1e-6 * ref_q
+    # the reference's limiting node, or another node its DNBRs tie with
+    assert r.limiting_node in ref_nodes
+    assert r.min_dnbr == 1.0
+    at_q = solve_channel(replace(case, wall_heat_flux=r.wall_heat_flux), pred)
+    assert abs(at_q.min_dnbr - 1.0) <= 1e-15

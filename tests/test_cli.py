@@ -582,29 +582,10 @@ def test_simulate_critical_power_constant_predictor(tmp_path):
     assert main(["simulate", f"cases={cases}", "kind=pure_ml",
                  f"model={model}", f"outdir={out}", "critical_power=true",
                  "bracket_lo_kW_m2=100", "bracket_hi_kW_m2=10000"]) == 0
-    _, rows = _read_csv(out / "critical_power.csv")
-    assert rows[0][-1] == "ok"
-    assert float(rows[0][1]) == pytest.approx(3000.0, rel=1e-5)
-    assert _manifest(out)["counts"] == {"failed": 0, "cp_not_converged": 0}
-
-
-def test_simulate_unconverged_critical_power_is_failed_row(tmp_path, monkeypatch):
-    from chfkit import cli
-    from chfkit.channel import find_critical_power
-
-    monkeypatch.setattr(cli, "find_critical_power",
-                        lambda *a: find_critical_power(*a, max_iter=3))
-    cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,40"])
-    out = tmp_path / "sim"
-    assert main(["simulate", f"cases={cases}", "kind=base_bowring",
-                 f"outdir={out}", "critical_power=true",
-                 "bracket_lo_kW_m2=400", "bracket_hi_kW_m2=4000"]) == 0
-    _, rows = _read_csv(out / "critical_power.csv")
-    assert rows == [["0", "", "", "", "", "failed: no convergence after 3 iterations; "
-                     "bracket=(400.0; 850.0) kW/m2"]]
-    _, srows = _read_csv(out / "summary.csv")
-    assert srows[0][-1] == "ok"
-    assert _manifest(out)["counts"] == {"failed": 1, "cp_not_converged": 1}
+    header, rows = _read_csv(out / "critical_power.csv")
+    assert header == ["case", "critical_flux_kW_m2", "limiting_node", "min_dnbr", "status"]
+    assert rows == [["0", "3000.0", "0", "1.0", "ok"]]
+    assert _manifest(out)["counts"] == {"failed": 0}
 
 
 def test_simulate_unbracketed_critical_power_logged(tmp_path):
@@ -614,8 +595,39 @@ def test_simulate_unbracketed_critical_power_logged(tmp_path):
                  f"outdir={out}", "critical_power=true",
                  "bracket_lo_kW_m2=1", "bracket_hi_kW_m2=2"]) == 0
     _, rows = _read_csv(out / "critical_power.csv")
-    assert rows[0][-1].startswith("failed:")
+    assert rows[0][:4] == ["0", "", "", ""]
+    assert rows[0][-1].startswith("failed: bracket does not straddle")
     assert _manifest(out)["counts"]["failed"] == 1
+
+
+@pytest.mark.parametrize("kind", ["base_biasi", "hybrid_bowring"])
+def test_simulate_critical_power_rerun_is_byte_identical(tmp_path, kind):
+    from chfkit.mlp import Scaler, init_mlp, save_model
+
+    extra = []
+    if kind == "hybrid_bowring":
+        model = tmp_path / "model.chfmlp"
+        net = init_mlp(5, (6,), "tanh", seed=3,
+                       input_scaler=Scaler(np.array([0.01, 3.0, 7.0e6, 1500.0, 1.5e5]),
+                                           np.array([0.003, 2.0, 3.0e6, 1000.0, 1.0e5])),
+                       output_scaler=Scaler(np.array([0.0]), np.array([2.0e5])),
+                       mode="residual", base_model="bowring")
+        save_model(net, str(model))
+        extra = [f"model={model}"]
+    cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,40",
+                                  "10.0,3.0,7000,1500,150,800,",
+                                  "8.0,0.5,3000,5000,400,900,25",  # above the bracket
+                                  "12.62,5.56,6895,1000,100,500,2.5"])
+    out = tmp_path / "sim"
+    argv = ["simulate", f"cases={cases}", f"kind={kind}", *extra, f"outdir={out}",
+            "critical_power=true", "bracket_lo_kW_m2=100", "bracket_hi_kW_m2=4000"]
+    assert main(argv) == 0
+    snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
+    _, rows = _read_csv(out / "critical_power.csv")
+    assert [r[-1].split(":")[0] for r in rows] == ["ok", "ok", "failed"]
+    assert _manifest(out)["counts"] == {"failed": 2}
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +754,19 @@ def test_overflowing_cell_gives_no_runtime_warning(tmp_path, capsys, recwarn):
     assert main(["evaluate", f"pred_csv={data}", "pred_col=chf_kW_m2", "truth_col=G_kg_m2s",
                  f"outdir={tmp_path / 'eval'}"]) == 1
     assert "line 18: chf_kW_m2 1e+306 kW/m2 overflows in W/m2" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_evaluate_overflowing_metric_is_error(tmp_path, capsys, recwarn):
+    # finite errors whose squares overflow: std and rRMSE cannot be formed
+    data = tmp_path / "p.csv"
+    data.write_text("p,t\n1e300,1\n2,1\n3,1\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", f"pred_csv={data}", "pred_col=p", "truth_col=t",
+                 f"outdir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: std_rel_error, rrmse overflow float64"), err
+    assert not (out / "report.csv").exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -175,6 +175,15 @@ def test_report_quantile_validation():
         compute_report([1.0], [1.0], trim_quantile=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_report_overflow_names_the_metric():
+    with pytest.raises(ValueError, match=r"^std_rel_error, rrmse overflow"):
+        compute_report([1e300, 2.0, 3.0], [1.0, 1.0, 1.0])
+    # relative errors that are themselves infinite
+    with pytest.raises(ValueError, match=r"^mean_rel_error, max_rel_error, "):
+        compute_report([1.7e308, -1.7e308], [-1e-3, 1e-3])
+
+
 # ---------------------------------------------------------------------------
 # KDE
 # ---------------------------------------------------------------------------

@@ -9,10 +9,7 @@ import pytest
 from chfkit import fluid, hybrid
 from chfkit.correlations import (
     InletConditions,
-    LocalConditions,
     NoCriticalConditionError,
-    biasi_dsm,
-    bowring_dsm,
     solve_hbm,
 )
 from chfkit.hybrid import (
@@ -60,7 +57,7 @@ def _residuals(conds, measured, base):
 
 def test_base_kinds_take_no_model():
     ChfPredictor(kind="base_biasi")
-    ChfPredictor(kind="base_bowring", solve_mode="dsm")
+    ChfPredictor(kind="base_bowring")
     with pytest.raises(ValueError, match="takes no model"):
         ChfPredictor(kind="base_biasi", model=_const_model(0.0))
 
@@ -102,8 +99,8 @@ def test_model_must_take_five_inputs():
 def test_kind_and_mode_validated():
     with pytest.raises(ValueError, match="kind"):
         ChfPredictor(kind="w3")
-    with pytest.raises(ValueError, match="solve_mode"):
-        ChfPredictor(kind="base_biasi", solve_mode="direct")
+    with pytest.raises(TypeError, match="solve_mode"):
+        ChfPredictor(kind="base_biasi", solve_mode="dsm")
 
 
 # ---------------------------------------------------------------------------
@@ -260,44 +257,18 @@ def test_hbm_failure_propagates_for_base_and_hybrid_only():
 
 
 # ---------------------------------------------------------------------------
-# node_chf in dsm mode: local-conditions surface
+# node_chf: every node rated as the exit of a tube of its own length
 # ---------------------------------------------------------------------------
 
-def _at_quality(p: ChfPredictor, quality: float) -> float:
-    """node_chf of one node at the given local quality."""
+def test_node_chf_is_the_prediction_at_each_node_length():
+    p = ChfPredictor(kind="hybrid_bowring", model=_const_model(2.0e5))
+    heights = (1.0, 3.0, BENNETT_LIKE.heated_length)
     h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
-    return node_chf(p, BENNETT_LIKE, h_fg, (BENNETT_LIKE.heated_length,), (quality,))[0]
-
-
-def test_local_base_matches_dsm_functions_bitwise():
-    for kind, fn in (("base_biasi", biasi_dsm), ("base_bowring", bowring_dsm)):
-        p = ChfPredictor(kind=kind, solve_mode="dsm")
-        for x in (-0.1, 0.0, 0.25, 0.7):
-            want = fn(LocalConditions(diameter=BENNETT_LIKE.diameter,
-                                      pressure=BENNETT_LIKE.pressure,
-                                      mass_flux=BENNETT_LIKE.mass_flux,
-                                      quality=x))
-            assert _at_quality(p, x) == want
-
-
-def test_local_quality_clipped_to_validity_window():
-    p = ChfPredictor(kind="base_bowring", solve_mode="dsm")
-    assert _at_quality(p, -0.9) == _at_quality(p, -0.5)
-    assert _at_quality(p, 1.3) == _at_quality(p, 1.0)
-
-
-def test_local_hybrid_decomposition():
-    p = ChfPredictor(kind="hybrid_bowring", model=_const_model(2.0e5), solve_mode="dsm")
-    local = LocalConditions(diameter=BENNETT_LIKE.diameter, pressure=BENNETT_LIKE.pressure,
-                            mass_flux=BENNETT_LIKE.mass_flux, quality=0.4)
-    assert _at_quality(p, 0.4) == bowring_dsm(local) + 2.0e5
-
-
-def test_local_pure_ml_ignores_quality():
-    p = ChfPredictor(kind="pure_ml",
-                     model=_const_model(3.0e6, mode="direct", base_model="none"),
-                     solve_mode="dsm")
-    assert _at_quality(p, 0.1) == _at_quality(p, 0.9) == 3.0e6
+    assert node_chf(p, BENNETT_LIKE, h_fg, heights) == [
+        predict(p, replace(BENNETT_LIKE, heated_length=z)).value for z in heights]
+    h_fg = fluid.saturation_state(UNSOLVABLE.pressure).h_fg
+    assert node_chf(ChfPredictor(kind="base_bowring"), UNSOLVABLE, h_fg, (1.0, 2.0)) == \
+        [None, None]
 
 
 def test_trained_residual_model_roundtrip():
