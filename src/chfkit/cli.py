@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .channel import BracketError, ChannelCase, find_critical_power, solve_channel
 from .data import (
+    CSV_HEADER,
     FIELDS,
     MODEL_FEATURES,
     TABLE1_ENVELOPE,
@@ -41,9 +42,10 @@ from .data import (
     feature_matrix,
     ingest,
     load_columns,
+    record_columns,
     split,
     write_columns,
-    write_records,
+    write_csvs,
 )
 from .evaluation import (
     compute_report,
@@ -396,27 +398,31 @@ def cmd_prepare(cfg: _Config) -> None:
                     "split_sizes": {name: len(part) for name, part in splits}}
     outputs, failures = [], []
     for name, part in splits:
-        path = _out(outdir, f"{name}.csv")
-        write_records(part, path)
-        pure = [getattr(part, f) for f in (*MODEL_FEATURES, "measured_chf")]
-        outputs += [path, write_columns(_out(outdir, f"pure_{name}.csv"),
-                                        f"{_FEATURE_HEADER},target_W_m2", pure)]
+        # {name}.csv's columns, then SI diameter, pressure, subcooling and CHF
+        # (8-11); its L_m and G_kg_m2s (1, 3) are SI already, so all print them
+        columns = [*record_columns(part), part.diameter, part.pressure,
+                   part.inlet_subcooling, part.measured_chf]
+        features = [8, 1, 9, 3, 10]
+        files = [(_out(outdir, f"{name}.csv"), CSV_HEADER, range(8), None),
+                 (_out(outdir, f"pure_{name}.csv"), f"{_FEATURE_HEADER},target_W_m2",
+                  [*features, 11], None)]
         if base != "none":
             resid, rep = build_residual_dataset(feature_matrix(part), part.measured_chf, base)
             # the record's line in {name}.csv: one header line, no blank lines
-            failures.extend((name, i + 2, msg) for i, msg in rep.failures)
-            outputs.append(write_columns(
-                _out(outdir, f"residual_{name}.csv"),
-                f"{_FEATURE_HEADER},base_chf_W_m2,measured_chf_W_m2,residual_W_m2",
-                list(resid.T)))
+            failures.extend((name, str(i + 2), _csv_safe(msg)) for i, msg in rep.failures)
+            solved = ~np.isin(np.arange(len(part)), [i for i, _ in rep.failures])
+            base_chf = np.full(len(part), math.nan)
+            base_chf[solved] = resid[:, 5]
+            columns += [base_chf, part.measured_chf - base_chf]
+            files.append((_out(outdir, f"residual_{name}.csv"),
+                          f"{_FEATURE_HEADER},base_chf_W_m2,measured_chf_W_m2,residual_W_m2",
+                          [*features, 12, 11, 13], solved))
+        write_csvs(columns, files, nan="")
+        outputs += [path for path, *_ in files]
 
     if base != "none":
-        fail_path = _out(outdir, "hbm_failures.csv")
-        with open(fail_path, "w", encoding="utf-8") as fh:
-            fh.write("split,row,reason\n")
-            for name, line_no, msg in failures:
-                fh.write(f"{name},{line_no},{_csv_safe(msg)}\n")
-        outputs.append(fail_path)
+        outputs.append(write_columns(_out(outdir, "hbm_failures.csv"), "split,row,reason",
+                                     [list(c) for c in zip(*failures)] or [[]] * 3))
         counts["hbm_failures"] = len(failures)
 
     _write_manifest(outdir, "prepare", cfg, [data_path], outputs, counts)
@@ -531,6 +537,15 @@ def cmd_tune(cfg: _Config) -> None:
     _write_manifest(outdir, "tune", cfg, [train_path], [winner_path], counts)
 
 
+def _prediction_cells(p) -> tuple[str, ...]:
+    """The predictions.csv cells of an outcome but its row and measured CHF."""
+    if isinstance(p, Exception):
+        return "", "", "", "", f"failed: {_csv_safe(p)}"
+    return (repr(p.value / 1e3), "" if p.base_chf is None else repr(p.base_chf / 1e3),
+            "" if p.ml_residual is None else repr(p.ml_residual / 1e3),
+            "" if p.base_solution is None else str(int(p.base_solution.quality_excursion)), "ok")
+
+
 def cmd_predict(cfg: _Config) -> None:
     outdir = cfg.outdir()
     data_path = cfg.path_in("data")
@@ -538,32 +553,17 @@ def cmd_predict(cfg: _Config) -> None:
     predictor, extra_inputs = _load_predictor(cfg)
     table, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
-    outcomes = predict_batch(predictor, feature_matrix(table))
-
-    out_path = _out(outdir, "predictions.csv")
-    n_failed = n_excursions = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
-                 "measured_chf_kW_m2,quality_excursion,status\n")
-        for line_no, measured, p in zip(table.lines.tolist(),
-                                        (table.measured_chf / 1e3).tolist(), outcomes):
-            if isinstance(p, Exception):
-                n_failed += 1
-                fh.write(f"{line_no},,,,{measured!r},,failed: {_csv_safe(p)}\n")
-                continue
-            base = "" if p.base_chf is None else repr(p.base_chf / 1e3)
-            resid = "" if p.ml_residual is None else repr(p.ml_residual / 1e3)
-            excursion = "" if p.base_solution is None else int(p.base_solution.quality_excursion)
-            n_excursions += excursion == 1
-            fh.write(f"{line_no},{p.value / 1e3!r},{base},{resid},"
-                     f"{measured!r},{excursion},ok\n")
-
-    _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs],
-                    [out_path],
-                    {**_ingest_counts(report),
-                     "predicted": len(table) - n_failed,
-                     "failed": n_failed,
-                     "quality_excursions": n_excursions})
+    cells = map(_prediction_cells, predict_batch(predictor, feature_matrix(table)))
+    pred, base, resid, excursion, status = [list(c) for c in zip(*cells)] or [[]] * 5
+    out_path = write_columns(_out(outdir, "predictions.csv"),
+                             "row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
+                             "measured_chf_kW_m2,quality_excursion,status",
+                             [list(map(str, table.lines.tolist())), pred, base, resid,
+                              table.measured_chf / 1e3, excursion, status])
+    _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs], [out_path],
+                    {**_ingest_counts(report), "predicted": status.count("ok"),
+                     "failed": len(status) - status.count("ok"),
+                     "quality_excursions": excursion.count("1")})
 
 
 def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
@@ -634,19 +634,16 @@ def cmd_simulate(cfg: _Config) -> None:
                     r = find_critical_power(profile, bracket)
                 except BracketError as e:
                     n_failed += 1
-                    cp_rows.append(f"{i},,,,failed: {_csv_safe(e)}")
+                    cp_rows.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
                     continue
-                cp_rows.append(f"{i},{r.wall_heat_flux / 1e3!r},"
-                               f"{r.limiting_node},{r.min_dnbr!r},ok")
+                cp_rows.append((str(i), repr(r.wall_heat_flux / 1e3), str(r.limiting_node),
+                                repr(r.min_dnbr), "ok"))
     outputs.append(summary_path)
 
     if critical:
-        cp_path = _out(outdir, "critical_power.csv")
-        with open(cp_path, "w", encoding="utf-8") as fh:
-            fh.write("case,critical_flux_kW_m2,limiting_node,min_dnbr,status\n")
-            for row in cp_rows:
-                fh.write(row + "\n")
-        outputs.append(cp_path)
+        outputs.append(write_columns(_out(outdir, "critical_power.csv"),
+                                     "case,critical_flux_kW_m2,limiting_node,min_dnbr,status",
+                                     [list(c) for c in zip(*cp_rows)] or [[]] * 5))
 
     _write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs],
                     outputs, {"failed": n_failed})

@@ -23,12 +23,14 @@ A row whose blanks cannot be derived, or whose inlet conditions
 row in strict mode and merely flag it otherwise; either way the report
 carries the file line number and a reason.
 
-``load_columns`` reads every numeric CSV input and ``write_columns``
-writes the numeric CSV outputs, one pass over each column.
+``load_columns`` reads every numeric CSV input; ``write_csvs`` writes the
+CSV outputs, several files in lockstep, each column formatted once a chunk.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import NoReturn, Sequence
@@ -50,6 +52,8 @@ __all__ = [
     "ingest",
     "load_columns",
     "write_columns",
+    "write_csvs",
+    "record_columns",
     "write_records",
     "split",
     "feature_matrix",
@@ -77,7 +81,7 @@ MODEL_FEATURES = (
 )
 
 # rows whose cells are held as strings at once while reading or writing
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 2048
 
 
 class IngestError(ValueError):
@@ -320,29 +324,51 @@ def _repr_column(values: np.ndarray, nan: str) -> list[str]:
     return cells
 
 
-def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],
-                  nan: str = "nan") -> str:
-    """Write the columns, each a list of cells or a float64 array (its
-    values' repr, ``nan`` for NaN), under ``header``; returns ``path``.
-    Cells are formatted a chunk of rows at a time, so a column's strings
-    are never all alive at once."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+def write_csvs(columns: Sequence[np.ndarray | list[str]],
+               files: Sequence[tuple[str, str, Sequence[int], np.ndarray | None]],
+               nan: str) -> None:
+    """Write each file ``(path, header, column indices, kept-row mask or None
+    for all rows)`` from one list of columns, each a list of cells or a float64
+    array (its values' repr, ``nan`` for NaN).  Each column is formatted once
+    per chunk of rows, however many files print it; a file whose columns differ
+    in length (its mask included) raises ValueError."""
+    for path, _, cols, keep in files:
+        lengths = sorted({len(c) for c in [*(columns[j] for j in cols), keep] if c is not None})
+        if len(lengths) > 1:
+            raise ValueError(f"{path}: columns differ in length: {lengths}")
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                   for path, *_ in files]
+        for fh, (_, header, *_) in zip(handles, files):
+            fh.write(header + "\n")
+        for start in range(0, max(map(len, columns), default=0), _CHUNK_ROWS):
             cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, list)
                      else _repr_column(c[start:start + _CHUNK_ROWS], nan) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            for fh, (*_, cols, keep) in zip(handles, files):
+                rows = zip(*(cells[j] for j in cols))
+                if keep is not None:
+                    rows = itertools.compress(rows, keep[start:start + _CHUNK_ROWS].tolist())
+                fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],
+                  nan: str = "nan") -> str:
+    """``write_csvs`` of one file, every column and row; returns ``path``."""
+    write_csvs(columns, [(path, header, range(len(columns)), None)], nan)
     return path
+
+
+def record_columns(table: ChfTable) -> list[np.ndarray]:
+    """The table's columns in the file schema, ``CSV_HEADER``."""
+    return [table.diameter * 1e3, table.heated_length, table.pressure / 1e3, table.mass_flux,
+            table.exit_quality, table.inlet_subcooling / 1e3, table.inlet_temperature - 273.15,
+            table.measured_chf / 1e3]
 
 
 def write_records(table: ChfTable, path: str) -> None:
     """Export to the file schema; re-ingesting reproduces the SI values
     to better than 1e-12 relative (shortest round-trip decimals)."""
-    write_columns(path, CSV_HEADER, [
-        table.diameter * 1e3, table.heated_length, table.pressure / 1e3, table.mass_flux,
-        table.exit_quality, table.inlet_subcooling / 1e3, table.inlet_temperature - 273.15,
-        table.measured_chf / 1e3,
-    ], nan="")  # no inlet temperature
+    write_columns(path, CSV_HEADER, record_columns(table), nan="")  # no inlet temperature
 
 
 def split(table: ChfTable, seed: int) -> DatasetSplit:

@@ -35,7 +35,6 @@ from .data import write_columns
 __all__ = [
     "EvalReport",
     "KdeSeries",
-    "ParityRow",
     "relative_errors",
     "compute_report",
     "kde",
@@ -79,13 +78,6 @@ class KdeSeries:
     grid: np.ndarray       # percent
     density: np.ndarray    # 1/percent
     bandwidth: float
-
-
-@dataclass(frozen=True)
-class ParityRow:
-    truth: float
-    pred: float
-    rel_err_pct: float  # NaN when truth == 0
 
 
 def relative_errors(
@@ -215,8 +207,9 @@ def kde(
 
 def parity_series(
     pred: Sequence[float], truth: Sequence[float]
-) -> list[ParityRow]:
-    """One row per input point, input order; zero truth gives NaN error."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truth, prediction and signed percent error as float64 columns, input
+    order; zero truth gives NaN error."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
     if p.shape != t.shape or p.ndim != 1:
@@ -224,7 +217,7 @@ def parity_series(
     e, zero_idx = relative_errors(p, t)
     errs = np.full(p.size, math.nan)
     errs[np.setdiff1d(np.arange(p.size), np.array(zero_idx, dtype=int))] = e
-    return [ParityRow(float(ti), float(pi), float(ei)) for ti, pi, ei in zip(t, p, errs)]
+    return t, p, errs
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +253,10 @@ def write_report_text(report: EvalReport, path: str) -> None:
         fh.write(f"{'Zero-truth rows excluded':<{width}}  {report.n_zero_truth:10d}\n")
 
 
-def write_parity_csv(rows: Sequence[ParityRow], path: str) -> None:
-    """Parity export; truth/pred are W/m^2 in, kW/m^2 in the file."""
+def write_parity_csv(series: tuple[np.ndarray, np.ndarray, np.ndarray], path: str) -> None:
+    """Parity export of ``parity_series``; truth/pred are W/m^2 in, kW/m^2 in the file."""
     write_columns(path, "truth_kW_m2,pred_kW_m2,rel_err_pct",
-                  [np.array([r.truth for r in rows]) / 1e3, np.array([r.pred for r in rows]) / 1e3,
-                   np.array([r.rel_err_pct for r in rows])], nan="")
+                  [series[0] / 1e3, series[1] / 1e3, series[2]], nan="")
 
 
 def write_kde_csv(series: KdeSeries, path: str) -> None:

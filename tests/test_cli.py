@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import chfkit
+from chfkit import data as chfdata
 from chfkit.cli import HULL_FEATURES_DEFAULT, ConfigError, main, parse_config_text
 from chfkit.correlations import InletConditions, bowring_inlet, heat_balance_quality
 from chfkit.data import ingest
@@ -148,6 +149,26 @@ def test_prepare_rerun_is_byte_identical(tmp_path):
     assert main(args) == 0
     for p in out.iterdir():
         assert p.read_bytes() == snapshot[p.name], p.name
+
+
+@pytest.mark.parametrize("base,per_chunk", [("bowring", 14), ("none", 12)])
+def test_prepare_formats_each_distinct_column_once_per_chunk(tmp_path, monkeypatch, base,
+                                                             per_chunk):
+    # a split's three files print 22 columns (14 without residuals) of
+    # which 14 (12) are distinct: L and G are shared by all three, the SI
+    # features and the measured CHF by pure_ and residual_
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=40, seed=3)
+    monkeypatch.setattr(chfdata, "_CHUNK_ROWS", 3)
+    formatted = []
+    real = chfdata._repr_column
+    monkeypatch.setattr(chfdata, "_repr_column",
+                        lambda values, nan: formatted.append(len(values)) or real(values, nan))
+    out = tmp_path / "out"
+    assert main(["prepare", f"data={data}", f"outdir={out}", f"base={base}"]) == 0
+    sizes = _manifest(out)["counts"]["split_sizes"].values()
+    assert len(formatted) == per_chunk * sum(-(-n // 3) for n in sizes)
+    assert sum(formatted) == per_chunk * sum(sizes)
 
 
 def test_manifests_count_derived_fields(tmp_path):

@@ -21,6 +21,8 @@ from chfkit.data import (
     ingest,
     load_columns,
     split,
+    write_columns,
+    write_csvs,
     write_records,
 )
 from chfkit.mlp import Scaler
@@ -357,6 +359,22 @@ def test_write_then_ingest_roundtrip(tmp_path):
     for name in FIELDS:  # NaN (no inlet temperature) must stay NaN
         np.testing.assert_allclose(getattr(second, name), getattr(first, name),
                                    rtol=1e-12, err_msg=name)
+
+
+def test_writer_rejects_columns_of_different_lengths(tmp_path):
+    # zip would cut every column to the shortest and drop rows unnoticed
+    path = str(tmp_path / "t.csv")
+    with pytest.raises(ValueError, match=r"t\.csv: columns differ in length: \[2, 3\]"):
+        write_columns(path, "a,b", [np.array([1.0, 2.0, 3.0]), ["x", "y"]])
+    with pytest.raises(ValueError, match=r"columns differ in length: \[2, 3\]"):
+        write_csvs([np.array([1.0, 2.0, 3.0])],
+                   [(path, "a", [0], np.array([True, False]))], nan="")
+    # lengths are checked per file: files may differ from one another
+    short, long_ = str(tmp_path / "short.csv"), str(tmp_path / "long.csv")
+    write_csvs([np.array([1.0]), np.array([2.0, 3.0])],
+               [(short, "a", [0], None), (long_, "b", [1], None)], nan="")
+    assert (tmp_path / "short.csv").read_text() == "a\n1.0\n"
+    assert (tmp_path / "long.csv").read_text() == "b\n2.0\n3.0\n"
 
 
 # ---------------------------------------------------------------------------

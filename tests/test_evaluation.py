@@ -255,26 +255,27 @@ def test_kde_degenerate_inputs():
 
 def test_parity_identity_on_diagonal():
     truth = [1.0e6, 2.0e6, 3.0e6]
-    rows = parity_series(truth, truth)
-    assert len(rows) == 3
-    for r, t in zip(rows, truth):
-        assert r.truth == t and r.pred == t and r.rel_err_pct == 0.0
+    t, p, e = parity_series(truth, truth)
+    for column in (t, p, e):
+        assert column.dtype == np.float64 and column.shape == (3,)
+    assert t.tolist() == truth and p.tolist() == truth and e.tolist() == [0.0] * 3
 
 
 def test_parity_preserves_order_and_matches_relative_errors():
     truth = np.array([1.0e6, 8.0e5, 2.5e6, 4.0e5])
     pred = np.array([1.1e6, 7.0e5, 2.5e6, 6.0e5])
-    rows = parity_series(pred, truth)
+    t, p, errs = parity_series(pred, truth)
     e, _ = relative_errors(pred, truth)
-    assert [r.truth for r in rows] == truth.tolist()
-    assert [r.pred for r in rows] == pred.tolist()
-    assert [r.rel_err_pct for r in rows] == e.tolist()
+    assert t.tolist() == truth.tolist()
+    assert p.tolist() == pred.tolist()
+    assert errs.tolist() == e.tolist()
 
 
 def test_parity_zero_truth_row_kept_with_nan():
-    rows = parity_series([5.0, 6.0], [0.0, 3.0])
-    assert math.isnan(rows[0].rel_err_pct)
-    assert rows[1].rel_err_pct == pytest.approx(100.0, rel=1e-12)
+    t, p, e = parity_series([5.0, 6.0], [0.0, 3.0])
+    assert t.tolist() == [0.0, 3.0] and p.tolist() == [5.0, 6.0]
+    assert math.isnan(e[0])
+    assert e[1] == pytest.approx(100.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +304,9 @@ def test_write_report_text_contains_all_metrics(tmp_path):
 
 
 def test_write_parity_csv_kilowatt_units(tmp_path):
-    rows = parity_series([1.5e6, 3.0e6], [1.0e6, 0.0])
+    series = parity_series([1.5e6, 3.0e6], [1.0e6, 0.0])
     p = tmp_path / "parity.csv"
-    write_parity_csv(rows, str(p))
+    write_parity_csv(series, str(p))
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "truth_kW_m2,pred_kW_m2,rel_err_pct"
     t, pr, e = lines[1].split(",")
