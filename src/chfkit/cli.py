@@ -537,15 +537,6 @@ def cmd_tune(cfg: _Config) -> None:
     _write_manifest(outdir, "tune", cfg, [train_path], [winner_path], counts)
 
 
-def _prediction_cells(p) -> tuple[str, ...]:
-    """The predictions.csv cells of an outcome but its row and measured CHF."""
-    if isinstance(p, Exception):
-        return "", "", "", "", f"failed: {_csv_safe(p)}"
-    return (repr(p.value / 1e3), "" if p.base_chf is None else repr(p.base_chf / 1e3),
-            "" if p.ml_residual is None else repr(p.ml_residual / 1e3),
-            "" if p.base_solution is None else str(int(p.base_solution.quality_excursion)), "ok")
-
-
 def cmd_predict(cfg: _Config) -> None:
     outdir = cfg.outdir()
     data_path = cfg.path_in("data")
@@ -553,13 +544,22 @@ def cmd_predict(cfg: _Config) -> None:
     predictor, extra_inputs = _load_predictor(cfg)
     table, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
-    cells = map(_prediction_cells, predict_batch(predictor, feature_matrix(table)))
-    pred, base, resid, excursion, status = [list(c) for c in zip(*cells)] or [[]] * 5
+    preds = predict_batch(predictor, feature_matrix(table))
+    failed = preds.failed
+    status = [f"failed: {_csv_safe(preds.base.error(i))}" if f else "ok"
+              for i, f in enumerate(failed.tolist())]
+    if preds.base is None:  # pure_ml has no decomposition
+        base = resid = excursion = [""] * len(preds)
+    else:
+        base = np.where(failed, math.nan, preds.base.chf) / 1e3
+        resid = np.where(failed, math.nan, preds.ml_residual) / 1e3
+        flags = preds.base.quality_excursion.astype(int).astype(str)
+        excursion = np.where(failed, "", flags).tolist()
     out_path = write_columns(_out(outdir, "predictions.csv"),
                              "row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
                              "measured_chf_kW_m2,quality_excursion,status",
-                             [list(map(str, table.lines.tolist())), pred, base, resid,
-                              table.measured_chf / 1e3, excursion, status])
+                             [list(map(str, table.lines.tolist())), preds.value / 1e3, base,
+                              resid, table.measured_chf / 1e3, excursion, status], nan="")
     _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs], [out_path],
                     {**_ingest_counts(report), "predicted": status.count("ok"),
                      "failed": len(status) - status.count("ok"),
@@ -752,10 +752,10 @@ def cmd_hullcheck(cfg: _Config) -> None:
     labels = ["train"] * len(train) + ["query"] * len(query)
     write_projection_csv(pca, stacked, labels, proj_path)
 
-    pivots = [v.pivots for v in verdicts]
     counts.update(n_inside=summary.n_inside, n_outside=summary.n_outside,
-                  simplex_pivots_total=sum(pivots), simplex_pivots_max=max(pivots),
-                  simplex_bland_pivots=sum(v.bland_pivots for v in verdicts))
+                  simplex_pivots_total=int(verdicts.pivots.sum()),
+                  simplex_pivots_max=int(verdicts.pivots.max()),
+                  simplex_bland_pivots=int(verdicts.bland_pivots.sum()))
     _write_manifest(outdir, "hullcheck", cfg, [train_path, query_path],
                     [verdict_path, proj_path], counts)
 

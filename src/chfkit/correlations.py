@@ -393,13 +393,6 @@ class _HbmColumns:
                    if all(map(math.isfinite, residuals)) else "non-finite residual")
         return NoCriticalConditionError(message, HBM_FLUX_BRACKET, residuals)
 
-    def outcomes(self) -> list[HbmSolution | NoCriticalConditionError]:
-        """Per row, in order, its HbmSolution or its error."""
-        rows = zip(self.chf.tolist(), self.critical_quality.tolist(), self.residual.tolist(),
-                   self.quality_excursion.tolist(), self.failed.tolist())
-        return [self.error(i) if failed else HbmSolution(chf, x_cr, 0, residual, excursion)
-                for i, (chf, x_cr, residual, excursion, failed) in enumerate(rows)]
-
 
 def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
     """Critical heat flux by the heat-balance method, in closed form.
@@ -429,11 +422,12 @@ def solve_hbm(correlation: str, c: InletConditions) -> HbmSolution:
         at either end of the bracket.
     """
     h_fg = fluid.saturation_state(c.pressure).h_fg
-    (out,) = _solve_columns(correlation, *_row(c.diameter, c.heated_length, c.pressure,
-                                               c.mass_flux, c.inlet_subcooling, h_fg)).outcomes()
-    if isinstance(out, NoCriticalConditionError):
-        raise out
-    return out
+    sol = _solve_columns(correlation, *_row(c.diameter, c.heated_length, c.pressure,
+                                            c.mass_flux, c.inlet_subcooling, h_fg))
+    if sol.failed[0]:
+        raise sol.error(0)
+    return HbmSolution(sol.chf[0].item(), sol.critical_quality[0].item(), 0,
+                       sol.residual[0].item(), sol.quality_excursion[0].item())
 
 
 def _solve_columns(correlation: str, d: np.ndarray, length: np.ndarray, p: np.ndarray,

@@ -139,7 +139,6 @@ class DatasetSplit:
     validation: ChfTable
     test: ChfTable
     seed: int
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
 
 def envelope_violations(

@@ -70,7 +70,6 @@ class EvalReport:
     n_trimmed: int
     n_zero_pred: int
     n_zero_truth: int
-    trimmed_metric_mask: tuple[str, ...] = TRIMMED_METRICS
 
 
 @dataclass(frozen=True)
@@ -244,8 +243,7 @@ def write_report_text(report: EvalReport, path: str) -> None:
     width = max(len(label) for _, label in _METRIC_ORDER)
     with open(path, "w", encoding="utf-8") as fh:
         for name, label in _METRIC_ORDER:
-            trimmed = "  (trimmed)" if name in report.trimmed_metric_mask and \
-                report.n_trimmed > 0 else ""
+            trimmed = "  (trimmed)" if name in TRIMMED_METRICS and report.n_trimmed > 0 else ""
             fh.write(f"{label:<{width}}  {getattr(report, name):10.4f}{trimmed}\n")
         fh.write(f"{'Evaluated rows':<{width}}  {report.n_total:10d}\n")
         fh.write(f"{'Trimmed rows':<{width}}  {report.n_trimmed:10d}\n")

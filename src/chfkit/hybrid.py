@@ -16,8 +16,9 @@ its distinct pressures, one heat-balance solve on its columns
 (``correlations._solve_columns``) and one network batch.
 
 * ``predict_batch`` resolves the base correlation with the heat-balance
-  solve (the critical length equals the heated length), one outcome per
-  row; ``predict`` is its one-row call on an ``InletConditions``.
+  solve (the critical length equals the heated length) and returns
+  ``Predictions``, one column per field; ``predict`` is its one-row
+  call on an ``InletConditions``.
 * ``node_chf`` rates every node of a channel march at once: node z is
   the exit of a tube of length z with the channel's inlet state, so its
   value does not depend on the wall flux.
@@ -34,7 +35,6 @@ import numpy as np
 
 from . import fluid
 from .correlations import (
-    HbmSolution,
     InletConditions,
     _HbmColumns,
     _solve_columns,
@@ -45,7 +45,7 @@ from .mlp import Mlp, forward_batch
 __all__ = [
     "PREDICTOR_KINDS",
     "ChfPredictor",
-    "Prediction",
+    "Predictions",
     "ResidualBuildReport",
     "build_residual_dataset",
     "predict",
@@ -101,20 +101,26 @@ class ChfPredictor:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """A CHF value plus its decomposition.
+class Predictions:
+    """The CHF predictions of a batch of rows, one column per field, W/m2.
 
-    For hybrid kinds ``value = base_chf + ml_residual`` holds bit-exactly
-    (the value is computed as that sum).  Base kinds report a zero
-    residual; pure-ML predictions have no decomposition and carry None.
-    ``base_solution`` holds the heat-balance solve diagnostics when one
-    was performed.
+    ``value`` is base CHF + ``ml_residual`` for hybrid kinds (computed as
+    that sum), the base CHF for base kinds (whose residual is 0) and the
+    network output for pure_ml; it is NaN on the rows whose heat-balance
+    solve failed.  ``base`` holds the columns of that solve, None for
+    pure_ml: its ``failed`` mask, and ``error(i)`` for a failed row.
     """
 
-    value: float
-    base_chf: float | None
-    ml_residual: float | None
-    base_solution: HbmSolution | None = None
+    value: np.ndarray
+    ml_residual: np.ndarray
+    base: _HbmColumns | None
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.zeros(len(self), dtype=bool) if self.base is None else self.base.failed
 
 
 @dataclass(frozen=True)
@@ -158,15 +164,6 @@ def build_residual_dataset(x, measured, base: str) -> tuple[np.ndarray, Residual
         n_records=len(x), n_failed=len(failures), failures=failures)
 
 
-def _network(p: ChfPredictor, x: np.ndarray) -> list[float]:
-    """The network's output for each row of the feature matrix x, zeros
-    for base kinds, as Python floats (whose repr the CSV writers print)."""
-    if p.model is None or not len(x):
-        return [0.0] * len(x)
-    # one batch: the forward pass is bit-stable across batch sizes
-    return forward_batch(p.model, x).tolist()
-
-
 def _solve_rows(base: str, x: np.ndarray, h_fg: dict[float, float]) -> _HbmColumns:
     """Heat-balance solve of ``base`` on every row of the feature matrix x
     (valid rows); ``h_fg`` maps pressure to latent heat, J/kg, and gains
@@ -180,29 +177,32 @@ def _solve_rows(base: str, x: np.ndarray, h_fg: dict[float, float]) -> _HbmColum
                           np.array([h_fg[v] for v in pressures], dtype=np.float64))
 
 
-def predict_batch(p: ChfPredictor, x) -> list[Prediction | Exception]:
+def _predictions(p: ChfPredictor, x, h_fg: dict[float, float]) -> Predictions:
+    """``predict_batch`` with ``h_fg`` as in ``_solve_rows``."""
+    x = _inlet_matrix(x)
+    # one batch: the forward pass is bit-stable across batch sizes
+    net = forward_batch(p.model, x) if p.model is not None and len(x) else np.zeros(len(x))
+    if p.kind == "pure_ml":
+        return Predictions(value=net, ml_residual=net, base=None)
+    sol = _solve_rows(_BASE_OF_KIND[p.kind], x, h_fg)
+    # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
+    return Predictions(value=np.where(sol.failed, np.nan, sol.chf + net), ml_residual=net,
+                       base=sol)
+
+
+def predict_batch(p: ChfPredictor, x) -> Predictions:
     """CHF from inlet conditions, given as the rows of an (n, 5) model-feature
     matrix (diameter, heated length, pressure, mass flux, inlet subcooling;
-    SI): per row, in order, a Prediction or the NoCriticalConditionError
-    its heat-balance solve raised.  One saturation-state call over the
-    distinct pressures, one heat-balance solve on columns, one network
-    batch."""
-    x = _inlet_matrix(x)
-    net = _network(p, x)
-    if p.kind == "pure_ml":
-        return [Prediction(value=r, base_chf=None, ml_residual=None) for r in net]
-    # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
-    return [s if isinstance(s, Exception) else
-            Prediction(value=s.chf + r, base_chf=s.chf, ml_residual=r, base_solution=s)
-            for s, r in zip(_solve_rows(_BASE_OF_KIND[p.kind], x, {}).outcomes(), net)]
+    SI): one saturation-state call, one heat-balance solve, one network batch."""
+    return _predictions(p, x, {})
 
 
-def predict(p: ChfPredictor, c: InletConditions) -> Prediction:
-    """``predict_batch`` on one row, raising the row's error."""
-    (out,) = predict_batch(p, [astuple(c)])
-    if isinstance(out, Exception):
-        raise out
-    return out
+def predict(p: ChfPredictor, c: InletConditions) -> float:
+    """``predict_batch`` on one row: its value, or its error raised."""
+    out = predict_batch(p, [astuple(c)])
+    if out.failed[0]:
+        raise out.base.error(0)
+    return out.value[0].item()
 
 
 def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
@@ -220,10 +220,5 @@ def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
     """
     x = np.repeat(np.array([astuple(c)], dtype=np.float64), len(heights), axis=0)
     x[:, 1] = heights
-    x = _inlet_matrix(x)
-    net = _network(p, x)
-    if p.kind == "pure_ml":
-        return net
-    sol = _solve_rows(_BASE_OF_KIND[p.kind], x, {c.pressure: h_fg})
-    return [None if failed else chf + r
-            for chf, failed, r in zip(sol.chf.tolist(), sol.failed.tolist(), net)]
+    out = _predictions(p, x, {c.pressure: h_fg})
+    return [None if failed else v for v, failed in zip(out.value.tolist(), out.failed.tolist())]

@@ -159,6 +159,8 @@ class Scaler:
                 f"scaler mean/std must be matching 1-D arrays, got "
                 f"{self.mean.shape} and {self.std.shape}"
             )
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ModelValidationError("scaler mean and std entries must be finite")
         if np.any(self.std <= 0.0):
             raise ValueError("scaler std entries must be positive")
 
@@ -258,6 +260,9 @@ class Mlp:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ModelValidationError("network needs at least one layer")
+        for k, layer in enumerate(self.layers):
+            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+                raise ModelValidationError(f"layer {k} has a non-finite weight or bias")
         for k, (a, b) in enumerate(zip(self.layers, self.layers[1:])):
             if b.in_dim != a.out_dim:
                 raise ModelValidationError(
@@ -638,6 +643,12 @@ def _fit_and_score(
     return float(np.mean((pred - y_val) ** 2))
 
 
+# each rung keeps the best 1/_REDUCTION of its candidates and trains them
+# _REDUCTION times longer; _VAL_FRACTION of the rows is held out to score
+_REDUCTION = 3
+_VAL_FRACTION = 0.2
+
+
 def tune(
     space: SearchSpace,
     x_std: np.ndarray,
@@ -645,19 +656,18 @@ def tune(
     budget: int,
     n_configs: int = 16,
     rung0_epochs: int = 10,
-    reduction: int = 3,
-    val_fraction: float = 0.2,
     decay_rate: float = 0.99,
     seed: int = 0,
 ) -> TuneResult:
     """Successive-halving search over sampled candidates.
 
     ``budget`` is a total-epochs allowance.  Rung k trains every
-    surviving candidate from scratch for ``rung0_epochs * reduction**k``
-    epochs and keeps the top third by validation MSE on an internal
-    split carved from the supplied (standardized) training data.  The
-    search stops when one survivor remains or the next rung no longer
-    fits the budget; the winner is the best scorer of the last rung.
+    surviving candidate from scratch for ``rung0_epochs * _REDUCTION**k``
+    epochs and keeps the top third by validation MSE on an internal split
+    (``_VAL_FRACTION`` of the rows) carved from the supplied
+    (standardized) training data.  The search stops when one survivor
+    remains or the next rung no longer fits the budget; the winner is the
+    best scorer of the last rung.
     """
     x_std = np.asarray(x_std, dtype=np.float64)
     y_std = np.asarray(y_std, dtype=np.float64).reshape(-1)
@@ -669,7 +679,7 @@ def tune(
             f"{n_configs} candidates"
         )
     n = x_std.shape[0]
-    n_val = max(1, int(n * val_fraction))
+    n_val = max(1, int(n * _VAL_FRACTION))
     if n_val >= n:
         raise ValueError(f"{n} samples are too few to carve a validation split")
     order = np.random.default_rng(seed).permutation(n)
@@ -685,7 +695,7 @@ def tune(
     last_scores: dict[int, float] = {}
     epochs_last = 0
     while True:
-        epochs_k = rung0_epochs * reduction**rung
+        epochs_k = rung0_epochs * _REDUCTION**rung
         cost = len(survivors) * epochs_k
         if cost > remaining:
             break
@@ -703,7 +713,7 @@ def tune(
         if len(survivors) == 1:
             break
         ranked = sorted(survivors, key=lambda i: (scores[i], i))
-        survivors = ranked[: max(1, math.ceil(len(survivors) / reduction))]
+        survivors = ranked[: max(1, math.ceil(len(survivors) / _REDUCTION))]
         rung += 1
 
     winner = min(last_scores, key=lambda i: (last_scores[i], i))
@@ -777,7 +787,8 @@ def load_model(path: str) -> Mlp:
 
     Raises ModelFormatError (with a byte offset) for malformed files or
     unknown format versions, and ModelValidationError when the parsed
-    network violates a structural invariant.
+    network violates a structural invariant or holds a non-finite weight,
+    bias or scaler entry.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

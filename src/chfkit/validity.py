@@ -17,6 +17,10 @@ every pivot is deterministic; an LP ending without a sound optimal basis
 raises SimplexError.  Facet enumeration of the hull is avoided: in seven
 dimensions over tens of thousands of points it explodes combinatorially.
 
+``classify_batch`` returns ``HullVerdicts``, one array per field, and
+keeps no certificate: at paper scale the convex weights alone would be
+one float per training row per query.
+
 Features are standardized internally by the training statistics before
 the test.  Convex-hull membership is invariant under feature-wise
 positive rescaling and shifts, so the verdict is identical either way;
@@ -42,10 +46,8 @@ __all__ = [
     "PcaModel",
     "fit_pca",
     "transform",
-    "Separation",
     "SimplexError",
-    "HullVerdict",
-    "hull_contains",
+    "HullVerdicts",
     "ClassificationSummary",
     "classify_batch",
     "write_verdicts_csv",
@@ -159,46 +161,21 @@ class SimplexError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Separation:
-    """Witness that a query lies outside the hull.
+class HullVerdicts:
+    """Membership verdicts of a batch of queries, one array per field.
 
-    In standardized coordinates, ``normal . x + offset <= 0`` for every
-    training point while ``normal . q + offset`` equals the reported
-    slack (> 0).  Extracted from the phase-1 dual solution.
+    ``slack`` is each query's optimal phase-1 objective, the L1 residual of
+    the best convex combination in standardized coordinates; ``pivots``
+    counts its simplex pivots, ``bland_pivots`` those Bland's rule chose.
     """
 
-    normal: np.ndarray
-    offset: float
+    inside: np.ndarray
+    slack: np.ndarray
+    pivots: np.ndarray
+    bland_pivots: np.ndarray
 
-
-@dataclass(frozen=True)
-class HullVerdict:
-    """Membership verdict with its certificate.
-
-    ``slack`` is the optimal phase-1 objective: the L1 residual of the
-    best convex combination in standardized coordinates.  Inside
-    verdicts carry nonnegative ``weights`` summing to one; outside
-    verdicts carry a ``separation`` witness instead.  ``pivots`` counts the
-    query's simplex pivots, ``bland_pivots`` those Bland's rule chose.
-    """
-
-    inside: bool
-    slack: float
-    weights: np.ndarray | None = None
-    separation: Separation | None = None
-    pivots: int = 0
-    bland_pivots: int = 0
-
-    def __post_init__(self):
-        if self.inside:
-            if self.weights is None:
-                raise ValueError("inside verdict requires weights")
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-9:
-                raise ValueError("weights must be a convex combination")
-            object.__setattr__(self, "weights", w)
-        elif self.separation is None:
-            raise ValueError("outside verdict requires a separation witness")
+    def __len__(self) -> int:
+        return len(self.slack)
 
 
 @dataclass(frozen=True)
@@ -277,15 +254,9 @@ def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
     return float(np.sum(xb[~orig])), x, y, pivots, bland
 
 
-def hull_contains(train: np.ndarray, query: np.ndarray,
-                  tol: float = FEASIBILITY_TOL) -> HullVerdict:
-    """Decide whether one query point lies in the hull of the rows of train."""
-    return classify_batch(train, np.asarray(query, dtype=float).reshape(1, -1), tol)[0][0]
-
-
 def classify_batch(train: np.ndarray, queries: np.ndarray,
                    tol: float = FEASIBILITY_TOL, scaler: Scaler | None = None,
-                   ) -> tuple[tuple[HullVerdict, ...], ClassificationSummary]:
+                   ) -> tuple[HullVerdicts, ClassificationSummary]:
     """Classify every query row; standardization and A are built once.
 
     ``scaler`` standardizes both matrices; by default it is fitted to
@@ -299,31 +270,27 @@ def classify_batch(train: np.ndarray, queries: np.ndarray,
     if scaler is None:
         scaler = Scaler.fit(train)
     a = np.vstack([scaler.transform(train).T, np.ones(train.shape[0])])
-    verdicts = []
+    n = queries.shape[0]
+    slack, (pivots, bland) = np.empty(n), np.empty((2, n), dtype=np.int64)
     for row, q in enumerate(scaler.transform(queries)):
         try:
-            obj, lam, y, pivots, bland = _phase1(a, np.append(q, 1.0))
+            slack[row], _, _, pivots[row], bland[row] = _phase1(a, np.append(q, 1.0))
         except SimplexError as e:
             raise SimplexError(f"hull query row {row}: {e}") from None
-        inside = obj <= tol
-        verdicts.append(HullVerdict(
-            inside=inside, slack=obj, pivots=pivots, bland_pivots=bland,
-            weights=np.maximum(lam, 0.0) if inside else None,
-            separation=None if inside else Separation(normal=y[:-1], offset=float(y[-1]))))
-    n_in = sum(1 for v in verdicts if v.inside)
-    return tuple(verdicts), ClassificationSummary(n_inside=n_in,
-                                                  n_outside=len(verdicts) - n_in)
+    inside = slack <= tol
+    n_in = int(np.count_nonzero(inside))
+    return HullVerdicts(inside, slack, pivots, bland), ClassificationSummary(n_in, n - n_in)
 
 
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------
 
-def write_verdicts_csv(verdicts, path: str) -> None:
+def write_verdicts_csv(verdicts: HullVerdicts, path: str) -> None:
     """Write one `row,inside,slack` line per verdict (0-based rows)."""
     write_columns(path, "row,inside,slack", [list(map(str, range(len(verdicts)))),
-                                             [str(int(v.inside)) for v in verdicts],
-                                             [repr(v.slack) for v in verdicts]])
+                                             list(map(str, verdicts.inside.astype(int).tolist())),
+                                             verdicts.slack])
 
 
 def write_projection_csv(model: PcaModel, x: np.ndarray, labels,

@@ -5,7 +5,8 @@ and fills its counters from their return values.  A hook that fails on a
 changed return shape, or a counter that reads NaN or infinity, spoils
 that line (``json.dumps`` prints ``NaN``, which is not JSON).  This test
 runs every CLI stage of the four workloads on tiny inputs under the
-same tracer and requires clean hooks and strictly serializable metrics.
+same tracer and requires every traced function present, clean hooks and
+strictly serializable metrics with no null among them.
 """
 
 import json
@@ -56,9 +57,13 @@ def test_traced_stages_give_strict_json_metrics(tmp_path):
     finally:
         tracer.uninstall()
 
+    # a traced function the package no longer has, or a hook that fails on a
+    # changed return shape, reads null in the result line
+    assert not tracer.absent
     assert not tracer.hook_errors
     values = layers.per_layer(tracer, {})
     assert values.keys() == layers.metric_units().keys()
+    assert [name for name, v in values.items() if v is None] == []
     json.dumps(values, allow_nan=False)
     for name in ("mlp.train.self_s", "mlp.forward_batch.rows",
                  "channel.find_critical_power.calls", "validity.classify_batch.queries",

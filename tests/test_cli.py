@@ -334,6 +334,21 @@ def test_predict_hybrid_decomposition_sums(tmp_path):
         assert pred == pytest.approx(base + resid, rel=1e-12)
 
 
+def test_predict_with_non_finite_model_is_error(tmp_path, capsys):
+    # one NaN weight would make every prediction NaN with status ok
+    prep = _prepared(tmp_path)
+    model = tmp_path / "const.chfmlp"
+    _save_const_residual_model(model, 1.0)
+    blob = model.read_bytes()
+    model.write_bytes(blob[:-8] + np.array([np.nan], dtype="<f8").tobytes())  # the bias
+    out = tmp_path / "pred"
+    assert main(["predict", f"data={prep / 'test.csv'}", "kind=hybrid_bowring",
+                 f"model={model}", f"outdir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
+    assert not (out / "predictions.csv").exists()
+
+
 def test_predict_kind_model_mismatch(tmp_path, capsys):
     prep = _prepared(tmp_path)
     model = tmp_path / "const.chfmlp"

@@ -170,7 +170,13 @@ def _columns(batch: list[InletConditions]) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _batch_outcomes(name: str, batch: list[InletConditions]) -> list[str]:
-    return [_text(o) for o in correlations._solve_columns(name, *_columns(batch)).outcomes()]
+    """Each row of the solve's columns as the oracle's HbmSolution, or
+    the row's error."""
+    sol = correlations._solve_columns(name, *_columns(batch))
+    return [_text(sol.error(i) if failed else HbmSolution(
+                sol.chf[i].item(), sol.critical_quality[i].item(), 0, sol.residual[i].item(),
+                sol.quality_excursion[i].item()))
+            for i, failed in enumerate(sol.failed.tolist())]
 
 
 def _oracle_outcomes(name: str, batch: list[InletConditions]) -> list[str]:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from chfkit.evaluation import (
-    TRIMMED_METRICS,
     EvalReport,
     compute_report,
     kde,
@@ -124,7 +123,6 @@ def test_report_trims_largest_twelve_of_2458():
     e_actual = (pred - truth) / truth * 100.0
     assert r.max_rel_error == pytest.approx(245.8, rel=1e-12)
     assert r.frac_gt_10 == pytest.approx(np.mean(e_actual > 10.0) * 100.0, rel=1e-12)
-    assert r.trimmed_metric_mask == TRIMMED_METRICS
 
 
 def test_report_trimming_never_raises_rrmse():

@@ -14,7 +14,6 @@ from chfkit.correlations import (
 )
 from chfkit.hybrid import (
     ChfPredictor,
-    Prediction,
     build_residual_dataset,
     node_chf,
     predict,
@@ -199,13 +198,12 @@ def test_feature_matrix_must_have_five_columns(shape):
 def test_base_predictions_bitwise_equal_correlation_solve():
     for kind, corr in (("base_biasi", "biasi"), ("base_bowring", "bowring")):
         p = ChfPredictor(kind=kind)
-        pred = predict(p, BENNETT_LIKE)
         sol = solve_hbm(corr, BENNETT_LIKE)
-        assert pred.value == sol.chf
-        assert pred.base_chf == sol.chf
-        assert pred.ml_residual == 0.0
-        assert pred.base_solution is not None
-        assert pred.base_solution.iterations == sol.iterations
+        assert predict(p, BENNETT_LIKE) == sol.chf
+        pred = predict_batch(p, [astuple(BENNETT_LIKE)])
+        assert pred.value[0] == pred.base.chf[0] == sol.chf
+        assert pred.ml_residual[0] == 0.0
+        assert pred.base.quality_excursion[0] == sol.quality_excursion
 
 
 def test_hybrid_with_zero_model_reduces_to_base():
@@ -214,7 +212,7 @@ def test_hybrid_with_zero_model_reduces_to_base():
     for dh in (5.0e4, 2.0e5, 4.0e5):
         c = InletConditions(diameter=0.01, heated_length=3.0, pressure=10.0e6,
                             mass_flux=2000.0, inlet_subcooling=dh)
-        assert predict(p, c).value == predict(base, c).value
+        assert predict(p, c) == predict(base, c)
 
 
 def test_hybrid_perfect_corrector_recovers_measurement():
@@ -222,28 +220,29 @@ def test_hybrid_perfect_corrector_recovers_measurement():
     measured = 1.1 * base  # within a factor of two: the residual is exact
     r = measured - base
     p = ChfPredictor(kind="hybrid_bowring", model=_const_model(r))
-    assert predict(p, BENNETT_LIKE).value == measured
+    assert predict(p, BENNETT_LIKE) == measured
 
 
 def test_hybrid_decomposition_exact():
     p = ChfPredictor(kind="hybrid_biasi",
                      model=_const_model(-3.7e5, base_model="biasi"))
-    pred = predict(p, BENNETT_LIKE)
-    assert pred.value == pred.base_chf + pred.ml_residual
-    assert pred.ml_residual == -3.7e5
-    assert pred.base_chf == solve_hbm("biasi", BENNETT_LIKE).chf
+    pred = predict_batch(p, [astuple(BENNETT_LIKE)])
+    assert pred.value[0] == pred.base.chf[0] + pred.ml_residual[0]
+    assert pred.ml_residual[0] == -3.7e5
+    assert pred.base.chf[0] == solve_hbm("biasi", BENNETT_LIKE).chf
+    assert predict(p, BENNETT_LIKE) == pred.value[0]
 
 
 def test_pure_ml_and_hybrid_finite_positive():
     pure = ChfPredictor(kind="pure_ml",
                         model=_const_model(2.5e6, mode="direct", base_model="none"))
     hyb = ChfPredictor(kind="hybrid_bowring", model=_const_model(1.0e5))
-    a = predict(pure, BENNETT_LIKE)
-    b = predict(hyb, BENNETT_LIKE)
-    assert a.value > 0 and np.isfinite(a.value)
-    assert b.value > 0 and np.isfinite(b.value)
-    assert a.base_chf is None and a.ml_residual is None
-    assert b.value == b.base_chf + b.ml_residual
+    a = predict_batch(pure, [astuple(BENNETT_LIKE)])
+    b = predict_batch(hyb, [astuple(BENNETT_LIKE)])
+    assert a.value[0] > 0 and np.isfinite(a.value[0])
+    assert b.value[0] > 0 and np.isfinite(b.value[0])
+    assert a.base is None and not a.failed[0]
+    assert b.value[0] == b.base.chf[0] + b.ml_residual[0]
 
 
 def test_hbm_failure_propagates_for_base_and_hybrid_only():
@@ -253,7 +252,17 @@ def test_hbm_failure_propagates_for_base_and_hybrid_only():
         predict(ChfPredictor(kind="hybrid_bowring", model=_const_model(0.0)), UNSOLVABLE)
     pure = ChfPredictor(kind="pure_ml",
                         model=_const_model(1.0e6, mode="direct", base_model="none"))
-    assert predict(pure, UNSOLVABLE).value == 1.0e6
+    assert predict(pure, UNSOLVABLE) == 1.0e6
+
+
+def test_failed_rows_read_nan_and_keep_their_error():
+    p = ChfPredictor(kind="hybrid_bowring", model=_const_model(1.0e5))
+    pred = predict_batch(p, [astuple(BENNETT_LIKE), astuple(UNSOLVABLE)])
+    assert len(pred) == 2 and pred.failed.tolist() == [False, True]
+    assert pred.value[0] == predict(p, BENNETT_LIKE) and np.isnan(pred.value[1])
+    with pytest.raises(NoCriticalConditionError) as exc:
+        predict(p, UNSOLVABLE)
+    assert str(pred.base.error(1)) == str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +274,7 @@ def test_node_chf_is_the_prediction_at_each_node_length():
     heights = (1.0, 3.0, BENNETT_LIKE.heated_length)
     h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
     assert node_chf(p, BENNETT_LIKE, h_fg, heights) == [
-        predict(p, replace(BENNETT_LIKE, heated_length=z)).value for z in heights]
+        predict(p, replace(BENNETT_LIKE, heated_length=z)) for z in heights]
     h_fg = fluid.saturation_state(UNSOLVABLE.pressure).h_fg
     assert node_chf(ChfPredictor(kind="base_bowring"), UNSOLVABLE, h_fg, (1.0, 2.0)) == \
         [None, None]
@@ -300,6 +309,6 @@ def test_trained_residual_model_roundtrip():
                       TrainConfig(epochs=200, batch_size=8, lr0=3e-3, seed=2))
     hyb = ChfPredictor(kind="hybrid_bowring", model=fitted)
     base = ChfPredictor(kind="base_bowring")
-    err_h = [abs(predict(hyb, c).value - m) / m for c, m in zip(cases, measured)]
-    err_b = [abs(predict(base, c).value - m) / m for c, m in zip(cases, measured)]
+    err_h = [abs(predict(hyb, c) - m) / m for c, m in zip(cases, measured)]
+    err_b = [abs(predict(base, c) - m) / m for c, m in zip(cases, measured)]
     assert np.mean(err_h) < 0.3 * np.mean(err_b)

@@ -139,6 +139,14 @@ def test_scaler_validation():
         Scaler(np.zeros(2), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("mean,std", [([0.0, 0.0], [1.0, np.nan]), ([np.inf, 0.0], [1.0, 1.0]),
+                                      ([0.0, np.nan], [1.0, np.inf])])
+def test_scaler_rejects_non_finite_entries(mean, std):
+    # NaN slips past a `std <= 0` test; the transform would give NaN
+    with pytest.raises(ModelValidationError, match="must be finite"):
+        Scaler(np.array(mean), np.array(std))
+
+
 # ---------------------------------------------------------------------------
 # Construction and validation
 # ---------------------------------------------------------------------------
@@ -425,7 +433,7 @@ def test_tune_dominant_config_wins_every_rung():
     x, y = _toy_quadratic()
     seed = 1
     res = tune(TOY_SPACE, x, y, budget=10_000, n_configs=2, rung0_epochs=10,
-               reduction=3, seed=seed)
+               seed=seed)
     cands = sample_configs(TOY_SPACE, 2, seed)
     n_val = max(1, int(x.shape[0] * 0.2))
     order = np.random.default_rng(seed).permutation(x.shape[0])
@@ -450,7 +458,7 @@ def test_tune_sixteen_configs_matches_exhaustive_oracle():
     x, y = _toy_quadratic()
     seed = 3
     res = tune(TOY_SPACE, x, y, budget=10_000, n_configs=16, rung0_epochs=10,
-               reduction=3, seed=seed)
+               seed=seed)
     assert [(e, len(s)) for e, s in res.rungs] == [(10, 16), (30, 6), (90, 2), (270, 1)]
     assert res.epochs_trained == 270
 
@@ -597,6 +605,37 @@ def test_load_structural_tamper_names_layer(tmp_path):
     bad.write_bytes(blob)
     with pytest.raises(ModelValidationError, match="layer 7"):
         load_model(str(bad))
+
+
+def _with_non_finite(blob: bytes, where: str) -> bytes:
+    """A model file with one parameter made non-finite: the first weight,
+    the last bias, or the first entry of a scaler field of the header."""
+    bad = np.array([np.nan], dtype="<f8").tobytes()
+    if where == "weight":
+        cut = blob.index(b"end_header\n") + len(b"end_header\n")
+        return blob[:cut] + bad + blob[cut + 8:]
+    if where == "bias":
+        return blob[:-8] + bad
+    line = next(l for l in blob.split(b"\n") if l.startswith(where.encode() + b": "))
+    key, values = line.split(b": ", 1)
+    return blob.replace(line, key + b": " + b",".join([b"nan", *values.split(b",")[1:]]), 1)
+
+
+@pytest.mark.parametrize("where", ["weight", "bias", "input_mean", "input_std",
+                                   "output_mean", "output_std"])
+def test_load_rejects_non_finite_parameter(tmp_path, where):
+    m, path = _trained_reference(tmp_path)
+    bad = tmp_path / "nonfinite.chfmlp"
+    bad.write_bytes(_with_non_finite(path.read_bytes(), where))
+    with pytest.raises(ModelValidationError, match="finite"):
+        load_model(str(bad))
+
+
+def test_mlp_rejects_non_finite_weight_or_bias():
+    for w, b in ((np.array([[np.nan]]), np.zeros(1)), (np.ones((1, 1)), np.array([np.inf]))):
+        with pytest.raises(ModelValidationError, match="layer 0 has a non-finite"):
+            Mlp(layers=[DenseLayer(w, b, "identity")], input_scaler=Scaler.identity(1),
+                output_scaler=Scaler.identity(1))
 
 
 def test_load_mode_base_inconsistency_rejected(tmp_path):

@@ -3,10 +3,13 @@ per-row reference.
 
 The reference below is the earlier implementation, kept as the oracle:
 every row makes its own heat-balance solve (with its own saturation
-state) and its own single-row network call.  ``predict_batch`` must
-reproduce it to the bit, failures included.
+state) and its own single-row network call.  Every row of the
+``Predictions`` columns must reproduce it to the bit: the value, the
+base solve's fields and the residual, or on a failed row a NaN value and
+the error's message.
 """
 
+import math
 from dataclasses import astuple
 from unittest import mock
 
@@ -16,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chfkit import fluid
-from chfkit.correlations import InletConditions, solve_hbm
+from chfkit.correlations import HbmSolution, InletConditions, solve_hbm
 from chfkit.data import MODEL_FEATURES, TABLE1_ENVELOPE
-from chfkit.hybrid import PREDICTOR_KINDS, ChfPredictor, Prediction, predict, predict_batch
+from chfkit.hybrid import PREDICTOR_KINDS, ChfPredictor, Predictions, predict, predict_batch
 from chfkit.mlp import Scaler, forward, init_mlp
 
 # ---------------------------------------------------------------------------
@@ -26,32 +29,52 @@ from chfkit.mlp import Scaler, forward, init_mlp
 # ---------------------------------------------------------------------------
 
 
-def _ref_predict(p: ChfPredictor, c: InletConditions) -> Prediction:
+def _ref_predict(p: ChfPredictor, c: InletConditions) -> tuple:
+    """(value, base CHF, residual, HbmSolution) of one row; the base
+    fields are None for pure_ml."""
     feats = (c.diameter, c.heated_length, c.pressure, c.mass_flux, c.inlet_subcooling)
     if p.kind == "pure_ml":
-        return Prediction(value=forward(p.model, feats), base_chf=None, ml_residual=None)
+        r = forward(p.model, feats)
+        return r, None, r, None
     sol = solve_hbm("biasi" if p.kind.endswith("biasi") else "bowring", c)
     if p.kind.startswith("base_"):
-        return Prediction(value=sol.chf, base_chf=sol.chf, ml_residual=0.0,
-                          base_solution=sol)
+        return sol.chf, sol.chf, 0.0, sol
     r = forward(p.model, feats)
-    return Prediction(value=sol.chf + r, base_chf=sol.chf, ml_residual=r,
-                      base_solution=sol)
+    return sol.chf + r, sol.chf, r, sol
 
 
 def _outcome(result) -> str:
-    """repr of a Prediction (every field to the bit), or an error's type
-    and message."""
+    """repr of a result (every field to the bit), or an error's type and
+    message."""
     if isinstance(result, Exception):
         return f"{type(result).__name__}: {result}"
     return repr(result)
 
 
-def _ref_outcome(p: ChfPredictor, c: InletConditions) -> str:
+def _ref_outcome(p: ChfPredictor, c: InletConditions, value_only: bool = False) -> str:
     try:
-        return _outcome(_ref_predict(p, c))
+        out = _ref_predict(p, c)
     except Exception as e:  # noqa: BLE001 - the outcome records any error
         return _outcome(e)
+    return _outcome(out[0] if value_only else out)
+
+
+def _row_outcomes(out: Predictions) -> list[str]:
+    """Each row of the columns as ``_ref_predict`` would give it."""
+    rows = []
+    for i, failed in enumerate(out.failed.tolist()):
+        value, r = out.value[i].item(), out.ml_residual[i].item()
+        if failed:
+            assert math.isnan(value)
+            rows.append(_outcome(out.base.error(i)))
+        elif out.base is None:
+            rows.append(_outcome((value, None, r, None)))
+        else:
+            b = out.base
+            sol = HbmSolution(b.chf[i].item(), b.critical_quality[i].item(), 0,
+                              b.residual[i].item(), b.quality_excursion[i].item())
+            rows.append(_outcome((value, b.chf[i].item(), r, sol)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +143,13 @@ def test_predict_batch_matches_per_row_reference(kind, batch, seed):
         ((pressures,), _) = sat.call_args
         assert sat.call_count == 1
         assert sorted(pressures.tolist()) == sorted({c.pressure for c in batch})
-    assert [_outcome(o) for o in fast] == [_ref_outcome(pred, c) for c in batch]
+    assert len(fast) == len(batch)
+    assert _row_outcomes(fast) == [_ref_outcome(pred, c) for c in batch]
 
-    # the one-row form returns the outcome or raises it
+    # the one-row form returns the value or raises the error
     for c in batch[:3]:
         try:
             one = _outcome(predict(pred, c))
         except Exception as e:  # noqa: BLE001
             one = _outcome(e)
-        assert one == _ref_outcome(pred, c)
+        assert one == _ref_outcome(pred, c, value_only=True)

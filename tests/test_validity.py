@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from chfkit import validity
+from chfkit.mlp import Scaler
 from chfkit.validity import (
     FEASIBILITY_TOL,
     ClassificationSummary,
-    HullVerdict,
+    HullVerdicts,
     PcaModel,
     classify_batch,
     fit_pca,
-    hull_contains,
     transform,
     write_projection_csv,
     write_verdicts_csv,
@@ -31,6 +31,24 @@ EXACT_COV_DESIGN = np.array([
 ])
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _inside(train, query) -> bool:
+    """The verdict of one query point."""
+    return bool(classify_batch(train, [query])[0].inside[0])
+
+
+def _certificate(train, query):
+    """(slack, weights, normal, offset) of one query from ``_phase1`` on
+    the standardized A and b that classify_batch builds: the convex
+    weights over the training rows (clipped at zero) and the separating
+    hyperplane read from the duals."""
+    train = np.asarray(train, dtype=float)
+    scaler = Scaler.fit(train)
+    a = np.vstack([scaler.transform(train).T, np.ones(len(train))])
+    b = np.append(scaler.transform(np.asarray(query, dtype=float).reshape(1, -1))[0], 1.0)
+    slack, x, y, _, _ = validity._phase1(a, b)
+    return slack, np.maximum(x, 0.0), y[:-1], y[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +161,11 @@ def test_pca_validation_errors():
 # ---------------------------------------------------------------------------
 
 def test_hull_square_center_inside_with_certificate():
-    v = hull_contains(UNIT_SQUARE, [0.5, 0.5])
-    assert v.inside
-    assert v.slack <= FEASIBILITY_TOL
-    w = v.weights
+    verdicts, _ = classify_batch(UNIT_SQUARE, [[0.5, 0.5]])
+    assert verdicts.inside[0]
+    assert verdicts.slack[0] <= FEASIBILITY_TOL
+    slack, w, _, _ = _certificate(UNIT_SQUARE, [0.5, 0.5])
+    assert slack == verdicts.slack[0]
     assert np.all(w >= 0.0)
     assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-9)
     recon = w @ UNIT_SQUARE
@@ -154,33 +173,32 @@ def test_hull_square_center_inside_with_certificate():
 
 
 def test_hull_square_far_point_outside():
-    v = hull_contains(UNIT_SQUARE, [2.0, 2.0])
-    assert not v.inside
-    assert v.slack > FEASIBILITY_TOL
-    assert v.weights is None and v.separation is not None
+    verdicts, _ = classify_batch(UNIT_SQUARE, [[2.0, 2.0]])
+    assert not verdicts.inside[0]
+    assert verdicts.slack[0] > FEASIBILITY_TOL
 
 
 def test_hull_vertices_count_as_inside():
     for vertex in UNIT_SQUARE:
-        v = hull_contains(UNIT_SQUARE, vertex)
-        assert v.inside, vertex
-        assert v.weights @ UNIT_SQUARE == pytest.approx(vertex, abs=1e-9)
+        assert _inside(UNIT_SQUARE, vertex), vertex
+        _, w, _, _ = _certificate(UNIT_SQUARE, vertex)
+        assert w @ UNIT_SQUARE == pytest.approx(vertex, abs=1e-9)
 
 
 def test_hull_edge_midpoint_inside():
-    assert hull_contains(UNIT_SQUARE, [0.5, 0.0]).inside
+    assert _inside(UNIT_SQUARE, [0.5, 0.0])
 
 
 def test_hull_separation_certificate_is_valid():
     q = np.array([2.0, 2.0])
-    v = hull_contains(UNIT_SQUARE, q)
-    sep = v.separation
+    slack, _, normal, offset = _certificate(UNIT_SQUARE, q)
+    assert slack == classify_batch(UNIT_SQUARE, [q])[0].slack[0]
     mean = UNIT_SQUARE.mean(axis=0)
     std = UNIT_SQUARE.std(axis=0)
-    train_side = (UNIT_SQUARE - mean) / std @ sep.normal + sep.offset
-    query_side = (q - mean) / std @ sep.normal + sep.offset
+    train_side = (UNIT_SQUARE - mean) / std @ normal + offset
+    query_side = (q - mean) / std @ normal + offset
     assert np.max(train_side) <= 1e-8
-    assert query_side == pytest.approx(v.slack, rel=1e-9)
+    assert query_side == pytest.approx(slack, rel=1e-9)
     assert query_side > 0.0
 
 
@@ -190,9 +208,9 @@ def test_hull_inside_weights_reconstruct_random_queries():
     for _ in range(20):
         lam = rng.dirichlet(np.ones(40))
         q = lam @ train
-        v = hull_contains(train, q)
-        assert v.inside
-        recon = v.weights @ train
+        assert _inside(train, q)
+        _, w, _, _ = _certificate(train, q)
+        recon = w @ train
         assert np.max(np.abs(recon - q)) <= 1e-7 * max(1.0, np.max(np.abs(q)))
 
 
@@ -206,23 +224,23 @@ def test_hull_affine_invariance():
             q = rng.dirichlet(np.ones(30)) @ train
         else:
             q = rng.uniform(-1.0, 2.0, 4)
-        a = hull_contains(train, q)
-        b = hull_contains(train * scale + shift, q * scale + shift)
-        assert a.inside == b.inside
-        assert b.slack == pytest.approx(a.slack, rel=1e-6, abs=1e-9)
+        a, _ = classify_batch(train, [q])
+        b, _ = classify_batch(train * scale + shift, [q * scale + shift])
+        assert a.inside[0] == b.inside[0]
+        assert b.slack[0] == pytest.approx(a.slack[0], rel=1e-6, abs=1e-9)
 
 
 def test_hull_single_training_point():
     with pytest.warns(UserWarning, match=r"constant feature column\(s\) \[0, 1\]"):
-        assert hull_contains([[3.0, 4.0]], [3.0, 4.0]).inside
-        assert not hull_contains([[3.0, 4.0]], [3.0, 5.0]).inside
+        assert _inside([[3.0, 4.0]], [3.0, 4.0])
+        assert not _inside([[3.0, 4.0]], [3.0, 5.0])
 
 
 def test_hull_constant_feature_column():
     train = np.array([[0.0, 2.0], [1.0, 2.0], [0.5, 2.0]])
     with pytest.warns(UserWarning, match=r"constant feature column\(s\) \[1\]"):
-        assert hull_contains(train, [0.5, 2.0]).inside
-        assert not hull_contains(train, [0.5, 2.5]).inside
+        assert _inside(train, [0.5, 2.0])
+        assert not _inside(train, [0.5, 2.5])
 
 
 def test_hull_matches_reference_lp_solver():
@@ -238,7 +256,7 @@ def test_hull_matches_reference_lp_solver():
             q = rng.uniform(-1.0, 2.0, 7)
         else:
             q = train[int(rng.integers(50))] + rng.normal(0.0, 0.15, 7)
-        mine = hull_contains(train, q).inside
+        mine = _inside(train, q)
         a_eq = np.vstack([train.T, np.ones(50)])
         b_eq = np.concatenate([q, [1.0]])
         ref = linprog(np.zeros(50), A_eq=a_eq, b_eq=b_eq,
@@ -261,21 +279,20 @@ def test_hull_matches_triangulation_oracle_2d():
             q = lam @ train
         else:
             q = rng.uniform(1.5, 3.0, 2)
-        assert hull_contains(train, q).inside == (tri.find_simplex(q) >= 0)
+        assert _inside(train, q) == (tri.find_simplex(q) >= 0)
 
 
 def test_hull_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        hull_contains(UNIT_SQUARE, [0.5, 0.5, 0.5])
+        classify_batch(UNIT_SQUARE, [[0.5, 0.5, 0.5]])
 
 
-def test_hull_verdict_validation():
-    with pytest.raises(ValueError, match="weights"):
-        HullVerdict(inside=True, slack=0.0)
-    with pytest.raises(ValueError, match="convex combination"):
-        HullVerdict(inside=True, slack=0.0, weights=np.array([0.7, 0.7]))
-    with pytest.raises(ValueError, match="separation"):
-        HullVerdict(inside=False, slack=1.0)
+def test_hull_verdicts_are_columns():
+    verdicts, _ = classify_batch(UNIT_SQUARE, [[0.5, 0.5], [2.0, 2.0], [1.0, 1.0]])
+    assert isinstance(verdicts, HullVerdicts) and len(verdicts) == 3
+    assert verdicts.inside.tolist() == [True, False, True]
+    assert verdicts.inside.tolist() == (verdicts.slack <= FEASIBILITY_TOL).tolist()
+    assert np.all(verdicts.bland_pivots <= verdicts.pivots)
 
 
 def test_hull_pivot_cap_names_the_query_row(monkeypatch):
@@ -285,7 +302,7 @@ def test_hull_pivot_cap_names_the_query_row(monkeypatch):
                        match=r"^hull query row 1: .*pivot cap \(1 pivots taken\)"):
         classify_batch(UNIT_SQUARE, [[3.0, 3.0], [0.5, 0.5]])
     with pytest.raises(ArithmeticError, match="^hull query row 0: "):
-        hull_contains(UNIT_SQUARE, [0.5, 0.5])
+        classify_batch(UNIT_SQUARE, [[0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +315,7 @@ def test_classify_batch_convex_combinations_all_inside():
     queries = rng.dirichlet(np.ones(30), size=20) @ train
     verdicts, summary = classify_batch(train, queries)
     assert summary == ClassificationSummary(n_inside=20, n_outside=0)
-    assert all(v.inside for v in verdicts)
+    assert verdicts.inside.all()
 
 
 def test_classify_batch_training_rows_all_inside():
@@ -307,7 +324,7 @@ def test_classify_batch_training_rows_all_inside():
     verdicts, summary = classify_batch(train, train)
     assert summary.n_inside == 15 and summary.n_outside == 0
     assert summary.n_total == 15
-    assert all(v.inside for v in verdicts)
+    assert verdicts.inside.all()
 
 
 def test_classify_batch_mixed_counts_and_order():
@@ -317,8 +334,7 @@ def test_classify_batch_mixed_counts_and_order():
     outside_q = rng.uniform(5.0, 6.0, (3, 3))
     queries = np.vstack([inside_q[:2], outside_q[:1], inside_q[2:], outside_q[1:]])
     verdicts, summary = classify_batch(train, queries)
-    assert [v.inside for v in verdicts] == [True, True, False, True, True,
-                                            False, False]
+    assert verdicts.inside.tolist() == [True, True, False, True, True, False, False]
     assert summary.n_inside == 4 and summary.n_outside == 3
 
 
@@ -327,10 +343,10 @@ def test_classify_batch_agrees_with_single_calls():
     train = rng.uniform(0.0, 1.0, (12, 2))
     queries = np.vstack([train[3], [[4.0, 4.0]]])
     verdicts, _ = classify_batch(train, queries)
-    singles = [hull_contains(train, q) for q in queries]
-    for v, s in zip(verdicts, singles):
-        assert v.inside == s.inside
-        assert v.slack == s.slack
+    for i, q in enumerate(queries):
+        single, _ = classify_batch(train, [q])
+        assert verdicts.inside[i] == single.inside[0]
+        assert verdicts.slack[i] == single.slack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +363,7 @@ def test_write_verdicts_csv(tmp_path):
     r1 = lines[2].split(",")
     assert r0[0] == "0" and r0[1] == "1"
     assert r1[0] == "1" and r1[1] == "0"
-    assert float(r1[2]) == verdicts[1].slack
+    assert r1[2] == repr(verdicts.slack[1].item())
 
 
 def test_write_projection_csv(tmp_path):

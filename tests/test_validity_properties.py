@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from chfkit.mlp import Scaler
-from chfkit.validity import FEASIBILITY_TOL, classify_batch
+from chfkit.validity import FEASIBILITY_TOL, _phase1, classify_batch
 
 SLACK_TOL = 1e-12
 
@@ -154,27 +154,34 @@ def hull_cases(draw):
 
 
 def _assert_matches_oracle(train, queries):
-    """Classify in one batch; compare each query with the tableau code.
-    Returns the verdicts."""
+    """Classify in one batch; compare each query with the tableau code,
+    and check its certificate from ``_phase1`` on the same standardized
+    A and b.  Returns the verdicts."""
     scaler = Scaler.fit(train)
     train_std = scaler.transform(train)
+    a = np.vstack([train_std.T, np.ones(len(train_std))])
     verdicts, summary = classify_batch(train, queries)
-    assert summary.n_total == len(queries)
-    for q, v in zip(scaler.transform(queries), verdicts):
+    assert summary.n_total == len(verdicts) == len(queries)
+    assert summary.n_inside == np.count_nonzero(verdicts.inside)
+    for q, v_in, v_slack, pivots, bland in zip(
+            scaler.transform(queries), verdicts.inside.tolist(), verdicts.slack.tolist(),
+            verdicts.pivots.tolist(), verdicts.bland_pivots.tolist()):
         inside, slack = ref_hull(train_std, q)
-        if v.inside != inside:
-            assert v.inside == highs_inside(train_std, q)
+        if v_in != inside:
+            assert v_in == highs_inside(train_std, q)
         else:
             # absolute up to 1; beyond, the ulp of the slack is the limit (a
             # near-constant column standardizes a query to some 3e4)
-            assert abs(v.slack - slack) <= SLACK_TOL * max(1.0, abs(slack)), (v.slack, slack)
-        assert v.bland_pivots <= v.pivots
-        if v.inside:
-            assert np.max(np.abs(v.weights @ train_std - q)) <= 1e-9
+            assert abs(v_slack - slack) <= SLACK_TOL * max(1.0, abs(slack)), (v_slack, slack)
+        assert bland <= pivots
+        obj, x, y, *counts = _phase1(a, np.append(q, 1.0))
+        assert (obj, counts) == (v_slack, [pivots, bland])
+        if v_in:
+            assert np.max(np.abs(np.maximum(x, 0.0) @ train_std - q)) <= 1e-9
         else:
-            sep = v.separation
-            assert np.max(train_std @ sep.normal + sep.offset) <= 1e-9
-            assert q @ sep.normal + sep.offset == pytest.approx(v.slack, rel=1e-9)
+            normal, offset = y[:-1], y[-1]
+            assert np.max(train_std @ normal + offset) <= 1e-9
+            assert q @ normal + offset == pytest.approx(v_slack, rel=1e-9)
     return verdicts
 
 
@@ -194,8 +201,8 @@ def test_bland_fallback_on_degenerate_cube_vertices():
     queries = np.vstack([train[:6], 0.5 * (train[:6] + train[6:12]),
                          train.mean(axis=0), train[0] + 1.0])
     verdicts = _assert_matches_oracle(train, queries)
-    assert [v.inside for v in verdicts] == [True] * 13 + [False]
-    assert sum(v.bland_pivots for v in verdicts) > 0
+    assert verdicts.inside.tolist() == [True] * 13 + [False]
+    assert verdicts.bland_pivots.sum() > 0
 
 
 def test_near_duplicate_vertex_query():
@@ -211,8 +218,7 @@ def test_near_duplicate_vertex_query():
         [0.0, -0.6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0, 0.0],
     ])
     query = np.array([[1e-15, 1e-05, 3.0, -7.920736484008394e-09, 0.0]])
-    (v,) = _assert_matches_oracle(train, query)
-    assert v.inside
+    assert _assert_matches_oracle(train, query).inside.tolist() == [True]
 
 
 @pytest.mark.filterwarnings("ignore:constant feature column")
@@ -226,5 +232,4 @@ def test_highs_settles_a_wrong_tableau_verdict():
     scaler = Scaler.fit(train)
     inside, _ = ref_hull(scaler.transform(train), scaler.transform(query)[0])
     assert not inside
-    (v,) = _assert_matches_oracle(train, query)
-    assert v.inside
+    assert _assert_matches_oracle(train, query).inside.tolist() == [True]
