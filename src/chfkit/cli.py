@@ -546,7 +546,7 @@ def cmd_predict(cfg: _Config) -> None:
 
     preds = predict_batch(predictor, feature_matrix(table))
     failed = preds.failed
-    status = [f"failed: {_csv_safe(preds.base.error(i))}" if f else "ok"
+    status = [f"failed: {_csv_safe(preds.error(i))}" if f else "ok"
               for i, f in enumerate(failed.tolist())]
     if preds.base is None:  # pure_ml has no decomposition
         base = resid = excursion = [""] * len(preds)

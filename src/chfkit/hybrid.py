@@ -106,9 +106,10 @@ class Predictions:
 
     ``value`` is base CHF + ``ml_residual`` for hybrid kinds (computed as
     that sum), the base CHF for base kinds (whose residual is 0) and the
-    network output for pure_ml; it is NaN on the rows whose heat-balance
-    solve failed.  ``base`` holds the columns of that solve, None for
-    pure_ml: its ``failed`` mask, and ``error(i)`` for a failed row.
+    network output for pure_ml; it is NaN on the rows that failed: their
+    heat-balance solve failed, or the sum or network output is not
+    finite; ``error(i)`` says which.  ``base`` holds the columns of that
+    solve, None for pure_ml.
     """
 
     value: np.ndarray
@@ -120,7 +121,13 @@ class Predictions:
 
     @property
     def failed(self) -> np.ndarray:
-        return np.zeros(len(self), dtype=bool) if self.base is None else self.base.failed
+        return np.isnan(self.value)
+
+    def error(self, i: int) -> Exception:
+        """Why row i failed."""
+        if self.base is not None and self.base.failed[i]:
+            return self.base.error(i)
+        return FloatingPointError(f"non-finite network output ({self.ml_residual[i].item()!r})")
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,10 @@ def _predictions(p: ChfPredictor, x, h_fg: dict[float, float]) -> Predictions:
     x = _inlet_matrix(x)
     # one batch: the forward pass is bit-stable across batch sizes
     net = forward_batch(p.model, x) if p.model is not None and len(x) else np.zeros(len(x))
-    if p.kind == "pure_ml":
-        return Predictions(value=net, ml_residual=net, base=None)
-    sol = _solve_rows(_BASE_OF_KIND[p.kind], x, h_fg)
+    sol = None if p.kind == "pure_ml" else _solve_rows(_BASE_OF_KIND[p.kind], x, h_fg)
     # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
-    return Predictions(value=np.where(sol.failed, np.nan, sol.chf + net), ml_residual=net,
+    value = net if sol is None else np.where(sol.failed, np.nan, sol.chf + net)
+    return Predictions(value=np.where(np.isfinite(value), value, np.nan), ml_residual=net,
                        base=sol)
 
 
@@ -201,7 +207,7 @@ def predict(p: ChfPredictor, c: InletConditions) -> float:
     """``predict_batch`` on one row: its value, or its error raised."""
     out = predict_batch(p, [astuple(c)])
     if out.failed[0]:
-        raise out.base.error(0)
+        raise out.error(0)
     return out.value[0].item()
 
 
@@ -213,10 +219,10 @@ def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
     heat at its pressure, J/kg.  Node i is the exit of a tube of length
     ``heights[i]`` (the critical-length convention), so its value does
     not depend on the wall flux; it is that tube's ``predict_batch``
-    value, or None where the heat-balance solve finds no critical
-    condition, and all nodes are solved in one call.  Values may be
-    nonpositive (callers clamp and flag); for hybrid kinds each is
-    base + residual.
+    value, or None where it failed (the heat-balance solve finds no
+    critical condition, or the network output is not finite), and all
+    nodes are solved in one call.  Values may be nonpositive (callers
+    clamp and flag); for hybrid kinds each is base + residual.
     """
     x = np.repeat(np.array([astuple(c)], dtype=np.float64), len(heights), axis=0)
     x[:, 1] = heights

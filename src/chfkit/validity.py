@@ -7,15 +7,20 @@ otherwise.  Membership is decided by linear-programming feasibility
     exists lambda >= 0,  sum(lambda) = 1,  sum(lambda_i x_i) = q
 
 solved with a revised phase-1 simplex (Chvatal, *Linear Programming*,
-1983, ch. 7).  The (d+1) x n constraint matrix is built once per batch;
-each query inverts its (d+1) x (d+1) basis matrix at every pivot and
-prices every column with one matrix-vector product.  The entering
+1983, ch. 7).  The (d+1) x n constraint matrix is built once per batch,
+and the simplexes of all queries step in lockstep: each step inverts the
+(d+1) x (d+1) bases of the still-active queries in one stacked call and
+runs their ratio tests as whole-array expressions, while each query
+prices every column with its own matrix-vector product.  The stacked
+calls give each query the bits of its own one-matrix calls, so its
+slack and pivots do not depend on the rest of the batch.  The entering
 column has the most negative reduced cost (Dantzig's rule, lowest index
 on ties); after a fixed run of degenerate pivots Bland's rule (Bland,
 1977), which cannot cycle, takes over until the objective drops, so
 every pivot is deterministic; an LP ending without a sound optimal basis
-raises SimplexError.  Facet enumeration of the hull is avoided: in seven
-dimensions over tens of thousands of points it explodes combinatorially.
+raises SimplexError for the lowest such query row.  Facet enumeration of
+the hull is avoided: in seven dimensions over tens of thousands of
+points it explodes combinatorially.
 
 ``classify_batch`` returns ``HullVerdicts``, one array per field, and
 keeps no certificate: at paper scale the convex weights alone would be
@@ -188,80 +193,18 @@ class ClassificationSummary:
         return self.n_inside + self.n_outside
 
 
-def _phase1(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, int, int]:
-    """Minimize the sum of artificial variables for A x = b, x >= 0.
-
-    The artificial column of row i is sign(b_i) e_i, so the all-artificial
-    start is feasible without flipping A.  Returns (objective, x, y,
-    pivots, bland_pivots): the primal solution over the columns of A, the
-    duals of the equality constraints and the pivot counts.
-    """
-    m, n = a.shape
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    artificial = np.diag(sign)
-    bmat = artificial.copy()
-    basis = np.arange(n, n + m)
-    cb = np.ones(m)
-    red = np.empty(n + m)
-    pivots = bland = degenerate = 0
-    while True:
-        # inverted afresh: an updated inverse keeps the error of one
-        # ill-conditioned basis in the well-conditioned ones after it
-        try:
-            binv = np.linalg.inv(bmat)
-        except np.linalg.LinAlgError:
-            raise SimplexError(f"singular basis ({pivots} pivots taken)") from None
-        xb = binv @ b
-        y = cb @ binv
-        np.matmul(-y, a, out=red[:n])
-        red[n:] = 1.0 - y * sign
-        red[basis] = 0.0
-        use_bland = degenerate >= _DEGENERATE_RUN
-        # argmin and argmax both return the lowest index on ties
-        e = int(np.argmax(red < -_PIVOT_TOL) if use_bland else np.argmin(red))
-        if red[e] >= -_PIVOT_TOL:
-            break
-        if pivots >= _MAX_PIVOTS:
-            raise SimplexError(f"phase-1 simplex hit the pivot cap ({pivots} pivots taken)")
-        a_e = a[:, e] if e < n else artificial[:, e - n]
-        alpha = binv @ a_e
-        ok = alpha > _PIVOT_TOL
-        if not ok.any():
-            raise SimplexError(f"phase-1 LP unbounded ({pivots} pivots taken)")
-        # basic values rounded below zero count as zero; ratio ties go to the
-        # largest pivot element, which keeps the basis well conditioned, then
-        # to the lowest basic index (under Bland's rule: lowest of all ties)
-        ratio = np.where(ok, np.maximum(xb, 0.0) / np.where(ok, alpha, 1.0), np.inf)
-        ties = np.flatnonzero(ratio <= ratio.min() + _TIE_TOL)
-        if not use_bland:
-            ties = ties[alpha[ties] == alpha[ties].max()]
-        r = ties[np.argmin(basis[ties])]
-        degenerate = 0 if ratio[r] > _TIE_TOL else degenerate + 1
-        pivots += 1
-        bland += use_bland
-        bmat[:, r] = a_e
-        basis[r] = e
-        cb[r] = float(e >= n)
-    # solved, not multiplied by the inverse (backward stable on a near-singular
-    # basis); LAPACK factors bmat as it did for the inverse, so it cannot fail
-    xb = np.linalg.solve(bmat, b)
-    if xb.min() < -_NEGATIVE_TOL * max(1.0, float(np.abs(b).max())):
-        raise SimplexError(f"infeasible final basis, a basic value of {xb.min():.3g} "
-                           f"({pivots} pivots taken)")
-    orig = basis < n
-    x = np.zeros(n)
-    x[basis[orig]] = xb[orig]
-    return float(np.sum(xb[~orig])), x, y, pivots, bland
-
-
 def classify_batch(train: np.ndarray, queries: np.ndarray,
                    tol: float = FEASIBILITY_TOL, scaler: Scaler | None = None,
                    ) -> tuple[HullVerdicts, ClassificationSummary]:
     """Classify every query row; standardization and A are built once.
 
     ``scaler`` standardizes both matrices; by default it is fitted to
-    ``train``.  Raises SimplexError naming the 0-based query row when a
-    query's LP stops without an optimal basis.
+    ``train``.  Each query minimizes the sum of its artificial variables
+    for A x = b, x >= 0, where b is the standardized query with a trailing
+    1 and the artificial column of row i is sign(b_i) e_i, so the
+    all-artificial start is feasible without flipping A.  Raises
+    SimplexError naming the lowest 0-based query row whose LP stops
+    without an optimal basis.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -270,16 +213,102 @@ def classify_batch(train: np.ndarray, queries: np.ndarray,
     if scaler is None:
         scaler = Scaler.fit(train)
     a = np.vstack([scaler.transform(train).T, np.ones(train.shape[0])])
-    n = queries.shape[0]
-    slack, (pivots, bland) = np.empty(n), np.empty((2, n), dtype=np.int64)
-    for row, q in enumerate(scaler.transform(queries)):
+    m, n = a.shape
+    b = np.column_stack([scaler.transform(queries), np.ones(len(queries))])
+    nq = len(b)
+    slack, (pivots, bland) = np.empty(nq), np.zeros((2, nq), dtype=np.int64)
+    errors: dict[int, str] = {}
+    # the state of the still-active queries, one leading entry each
+    rows, sign = np.arange(nq), np.where(b < 0.0, -1.0, 1.0)
+    bmat = np.zeros((nq, m, m))
+    bmat[:, np.arange(m), np.arange(m)] = sign
+    basis, cb = np.tile(np.arange(n, n + m), (nq, 1)), np.ones((nq, m))
+    degenerate = np.zeros(nq, dtype=np.int64)
+    red = np.empty(n + m)
+    while rows.size:
+        live, taken = np.ones(rows.size, dtype=bool), pivots[rows]
+        # inverted afresh: an updated inverse keeps the error of one
+        # ill-conditioned basis in the well-conditioned ones after it
         try:
-            slack[row], _, _, pivots[row], bland[row] = _phase1(a, np.append(q, 1.0))
-        except SimplexError as e:
-            raise SimplexError(f"hull query row {row}: {e}") from None
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:  # the stack fails as a whole
+            binv = np.zeros_like(bmat)
+            for i, mat in enumerate(bmat):
+                try:
+                    binv[i] = np.linalg.inv(mat)
+                except np.linalg.LinAlgError:
+                    live[i] = False
+                    errors[int(rows[i])] = f"singular basis ({taken[i]} pivots taken)"
+        xb = (binv @ b[:, :, None])[:, :, 0]
+        y = (cb[:, None, :] @ binv)[:, 0, :]
+        use_bland = degenerate >= _DEGENERATE_RUN
+        # priced one query at a time: one gemv each, its argmin taken while
+        # the n reduced costs are in cache
+        e, cost = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
+        for i, (neg_y, art, on, bl) in enumerate(zip(-y, 1.0 - y * sign, basis,
+                                                       use_bland.tolist())):
+            np.matmul(neg_y, a, out=red[:n])
+            red[n:] = art
+            red[on] = 0.0
+            # argmin and argmax both return the lowest index on ties
+            e[i] = j = np.argmax(red < -_PIVOT_TOL) if bl else np.argmin(red)
+            cost[i] = red[j]
+        for i in np.flatnonzero(live & (cost >= -_PIVOT_TOL)).tolist():
+            live[i] = False
+            try:
+                slack[rows[i]] = _final_slack(bmat[i], b[i], basis[i] >= n, taken[i])
+            except SimplexError as exc:
+                errors[int(rows[i])] = str(exc)
+        for i in np.flatnonzero(live & (taken >= _MAX_PIVOTS)).tolist():
+            live[i] = False
+            errors[int(rows[i])] = f"phase-1 simplex hit the pivot cap ({taken[i]} pivots taken)"
+        # entering columns: of A, or the artificial sign_i e_i
+        a_e = np.where((e < n)[:, None], a[:, np.minimum(e, n - 1)].T, 0.0)
+        artificial = np.flatnonzero(e >= n)
+        a_e[artificial, e[artificial] - n] = sign[artificial, e[artificial] - n]
+        alpha = (binv @ a_e[:, :, None])[:, :, 0]
+        ok = alpha > _PIVOT_TOL
+        for i in np.flatnonzero(live & ~ok.any(axis=1)).tolist():
+            live[i] = False
+            errors[int(rows[i])] = f"phase-1 LP unbounded ({taken[i]} pivots taken)"
+        # basic values rounded below zero count as zero; ratio ties go to the
+        # largest pivot element, which keeps the basis well conditioned, then
+        # to the lowest basic index (under Bland's rule: lowest of all ties)
+        ratio = np.where(ok, np.maximum(xb, 0.0) / np.where(ok, alpha, 1.0), np.inf)
+        ties = ratio <= ratio.min(axis=1, keepdims=True) + _TIE_TOL
+        ties &= use_bland[:, None] | (alpha == np.where(ties, alpha, -np.inf).max(
+            axis=1, keepdims=True))
+        r = np.where(ties, basis, n + m).argmin(axis=1)
+        degenerate = np.where(ratio[np.arange(rows.size), r] > _TIE_TOL, 0, degenerate + 1)
+        if errors:  # rows above the lowest failing one cannot change the error raised
+            live &= rows < min(errors)
+        g = np.flatnonzero(live)
+        pivots[rows[g]] += 1
+        bland[rows[g]] += use_bland[g]
+        bmat[g, :, r[g]] = a_e[g]
+        basis[g, r[g]] = e[g]
+        cb[g, r[g]] = e[g] >= n
+        if g.size < rows.size:
+            rows, b, sign, bmat, basis, cb, degenerate = (
+                v[g] for v in (rows, b, sign, bmat, basis, cb, degenerate))
+    if errors:
+        row = min(errors)
+        raise SimplexError(f"hull query row {row}: {errors[row]}")
     inside = slack <= tol
     n_in = int(np.count_nonzero(inside))
-    return HullVerdicts(inside, slack, pivots, bland), ClassificationSummary(n_in, n - n_in)
+    return HullVerdicts(inside, slack, pivots, bland), ClassificationSummary(n_in, nq - n_in)
+
+
+def _final_slack(bmat: np.ndarray, b: np.ndarray, artificial: np.ndarray,
+                 pivots: int) -> float:
+    """The objective of an optimal basis: the sum of its artificial values."""
+    # solved, not multiplied by the inverse (backward stable on a near-singular
+    # basis); LAPACK factors bmat as it did for the inverse, so it cannot fail
+    xb = np.linalg.solve(bmat, b)
+    if xb.min() < -_NEGATIVE_TOL * max(1.0, float(np.abs(b).max())):
+        raise SimplexError(f"infeasible final basis, a basic value of {xb.min():.3g} "
+                           f"({pivots} pivots taken)")
+    return float(np.sum(xb[artificial]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ from chfkit.correlations import (InletConditions, LocalConditions, biasi_dsm,
 from chfkit.evaluation import compute_report
 from chfkit.hybrid import ChfPredictor, predict
 from chfkit.mlp import (DenseLayer, Mlp, Scaler, TrainConfig, forward,
-                        forward_batch, gradient_check, init_mlp, load_model,
+                        forward_batch, init_mlp, load_model,
                         save_model, train)
 from chfkit.validity import classify_batch
+
+from gradcheck import gradient_check
 
 # hidden widths of the deployed CHF network
 TABLE_WIDTHS = (44, 64, 41, 26, 67, 10, 17)

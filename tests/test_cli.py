@@ -349,6 +349,36 @@ def test_predict_with_non_finite_model_is_error(tmp_path, capsys):
     assert not (out / "predictions.csv").exists()
 
 
+def test_predict_overflowing_model_rows_are_failed(tmp_path):
+    # finite parameters whose forward pass overflows on the rows above the
+    # median pressure: relu(1e308 * (p - p_mid)) is inf there, 0 elsewhere
+    from chfkit.data import feature_matrix
+    from chfkit.mlp import DenseLayer, Mlp, Scaler, save_model
+
+    data = tmp_path / "data.csv"
+    write_dataset(data, n=6, seed=13)
+    pressure = feature_matrix(ingest(str(data))[0])[:, 2]
+    p_mid = float(np.median(pressure))
+    model = tmp_path / "overflow.chfmlp"
+    save_model(Mlp(layers=[DenseLayer(np.array([[0.0, 0.0, 1e308, 0.0, 0.0]]), np.zeros(1),
+                                      "relu"),
+                           DenseLayer(np.ones((1, 1)), np.array([1000.0]), "identity")],
+                   input_scaler=Scaler(np.array([0.0, 0.0, p_mid, 0.0, 0.0]), np.ones(5)),
+                   output_scaler=Scaler.identity(1), mode="direct", base_model="none"),
+               str(model))
+    out = tmp_path / "pred"
+    assert main(["predict", f"data={data}", "kind=pure_ml", f"model={model}",
+                 f"outdir={out}"]) == 0
+    _, rows = _read_csv(out / "predictions.csv")
+    over = (pressure > p_mid).tolist()
+    assert 0 < sum(over) < len(over)
+    assert [r[1] for r in rows] == ["" if o else "1.0" for o in over]
+    assert [r[-1] for r in rows] == ["failed: non-finite network output (inf)" if o else "ok"
+                                     for o in over]
+    counts = _manifest(out)["counts"]
+    assert (counts["predicted"], counts["failed"]) == (len(over) - sum(over), sum(over))
+
+
 def test_predict_kind_model_mismatch(tmp_path, capsys):
     prep = _prepared(tmp_path)
     model = tmp_path / "const.chfmlp"

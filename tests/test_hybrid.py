@@ -265,6 +265,33 @@ def test_failed_rows_read_nan_and_keep_their_error():
     assert str(pred.base.error(1)) == str(exc.value)
 
 
+def _overflowing_model(mode="residual", base_model="bowring") -> Mlp:
+    """Finite parameters whose forward pass overflows: a relu layer of
+    1e308 weights on raw inputs of order 1e6."""
+    return Mlp(
+        layers=[DenseLayer(np.full((1, 5), 1e308), np.zeros(1), "relu"),
+                DenseLayer(np.ones((1, 1)), np.zeros(1), "identity")],
+        input_scaler=Scaler.identity(5),
+        output_scaler=Scaler.identity(1),
+        mode=mode,
+        base_model=base_model,
+    )
+
+
+@pytest.mark.parametrize("kind", ["pure_ml", "hybrid_bowring"])
+def test_non_finite_network_output_fails_the_row(kind):
+    model = (_overflowing_model("direct", "none") if kind == "pure_ml"
+             else _overflowing_model())
+    p = ChfPredictor(kind=kind, model=model)
+    pred = predict_batch(p, [astuple(BENNETT_LIKE)])
+    assert pred.failed.tolist() == [True] and np.isnan(pred.value[0])
+    assert str(pred.error(0)) == "non-finite network output (inf)"
+    with pytest.raises(FloatingPointError, match=r"^non-finite network output \(inf\)$"):
+        predict(p, BENNETT_LIKE)
+    h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
+    assert node_chf(p, BENNETT_LIKE, h_fg, (1.0, 2.0)) == [None, None]
+
+
 # ---------------------------------------------------------------------------
 # node_chf: every node rated as the exit of a tube of its own length
 # ---------------------------------------------------------------------------

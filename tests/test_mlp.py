@@ -21,7 +21,6 @@ from chfkit.mlp import (
     candidate_seed,
     forward,
     forward_batch,
-    gradient_check,
     init_mlp,
     load_model,
     sample_configs,
@@ -30,6 +29,8 @@ from chfkit.mlp import (
     tune,
 )
 from chfkit.mlp import _fit_and_score  # noqa: F401  (oracle replication)
+
+from gradcheck import gradient_check
 
 # Hand-computed 2-2-1 tanh network output (plain-python arithmetic,
 # see test_forward_hand_computed_2_2_1 for the full chain)

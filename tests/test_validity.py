@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from chfkit import validity
-from chfkit.mlp import Scaler
 from chfkit.validity import (
     FEASIBILITY_TOL,
     ClassificationSummary,
@@ -21,6 +20,8 @@ from chfkit.validity import (
     write_projection_csv,
     write_verdicts_csv,
 )
+
+from simplex_oracle import classify_rows, phase1, standardized_lp
 
 # mean-zero rows whose population covariance is exactly diag(4, 1, 0.25)
 EXACT_COV_DESIGN = np.array([
@@ -39,15 +40,12 @@ def _inside(train, query) -> bool:
 
 
 def _certificate(train, query):
-    """(slack, weights, normal, offset) of one query from ``_phase1`` on
-    the standardized A and b that classify_batch builds: the convex
-    weights over the training rows (clipped at zero) and the separating
-    hyperplane read from the duals."""
-    train = np.asarray(train, dtype=float)
-    scaler = Scaler.fit(train)
-    a = np.vstack([scaler.transform(train).T, np.ones(len(train))])
-    b = np.append(scaler.transform(np.asarray(query, dtype=float).reshape(1, -1))[0], 1.0)
-    slack, x, y, _, _ = validity._phase1(a, b)
+    """(slack, weights, normal, offset) of one query from the per-query
+    oracle on the standardized A and b that classify_batch builds: the
+    convex weights over the training rows (clipped at zero) and the
+    separating hyperplane read from the duals."""
+    a, (b,) = standardized_lp(train, [query])
+    slack, x, y, _, _ = phase1(a, b)
     return slack, np.maximum(x, 0.0), y[:-1], y[-1]
 
 
@@ -303,6 +301,32 @@ def test_hull_pivot_cap_names_the_query_row(monkeypatch):
         classify_batch(UNIT_SQUARE, [[3.0, 3.0], [0.5, 0.5]])
     with pytest.raises(ArithmeticError, match="^hull query row 0: "):
         classify_batch(UNIT_SQUARE, [[0.5, 0.5]])
+
+
+# rows 3 and 4 are near-duplicates of rows 1 and 0, row 5 of row 2
+NEAR_TWINS = np.array([
+    [0.0, 1.0, -1.0, -2.0], [2.0, 0.0, 2.0, 0.0], [-2.0, 2.0, 0.0, 1.0],
+    [2.0, 7.735561045589452e-09, 2.0, 0.0], [0.0, 1.0000000196026806, -1.0, -2.0],
+    [-1.9999995152180288, 2.0, 0.0, 1.0],
+])
+
+
+def test_hull_lowest_failing_row_wins_over_an_earlier_failure(monkeypatch):
+    # the vertex query on row 2 ends on an infeasible basis after 3 pivots,
+    # at the 4th step; the centroid needs 6 pivots, so with a cap of 4 it
+    # fails at the 5th.  The lower row's error is the one raised.
+    vertex = r"infeasible final basis, a basic value of -\S+ \(3 pivots taken\)$"
+    with pytest.raises(validity.SimplexError, match="^hull query row 0: " + vertex):
+        classify_batch(NEAR_TWINS, NEAR_TWINS[[2]])
+    assert classify_rows(NEAR_TWINS, [NEAR_TWINS.mean(axis=0)])[1].tolist() == [6]
+    monkeypatch.setattr(validity, "_MAX_PIVOTS", 4)
+    queries = [NEAR_TWINS.mean(axis=0), NEAR_TWINS[2]]
+    with pytest.raises(validity.SimplexError) as oracle:
+        classify_rows(NEAR_TWINS, queries)
+    assert str(oracle.value) == "hull query row 0: phase-1 simplex hit the pivot cap (4 pivots taken)"
+    with pytest.raises(validity.SimplexError) as batch:
+        classify_batch(NEAR_TWINS, queries)
+    assert str(batch.value) == str(oracle.value)
 
 
 # ---------------------------------------------------------------------------

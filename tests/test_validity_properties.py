@@ -1,5 +1,10 @@
-"""Property tests: the revised simplex against the tableau simplex it
-replaced.
+"""Property tests: the lockstep simplex against the per-query simplex it
+replaced, and both against the tableau simplex before them.
+
+``classify_batch`` steps every query's revised simplex together.  On any
+batch it must give the per-query oracle's slack, pivots and Bland pivots
+bit for bit, or raise the oracle's first error, message and row alike
+(tests/simplex_oracle.py).
 
 The oracle below is the earlier phase-1 code: a full tableau rebuilt per
 query, every column updated on every pivot, Bland's rule for the
@@ -30,8 +35,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from chfkit import validity
 from chfkit.mlp import Scaler
-from chfkit.validity import FEASIBILITY_TOL, _phase1, classify_batch
+from chfkit.validity import FEASIBILITY_TOL, SimplexError, classify_batch
+
+from simplex_oracle import classify_rows, phase1
 
 SLACK_TOL = 1e-12
 
@@ -155,8 +163,8 @@ def hull_cases(draw):
 
 def _assert_matches_oracle(train, queries):
     """Classify in one batch; compare each query with the tableau code,
-    and check its certificate from ``_phase1`` on the same standardized
-    A and b.  Returns the verdicts."""
+    and check its certificate from the per-query oracle on the same
+    standardized A and b.  Returns the verdicts."""
     scaler = Scaler.fit(train)
     train_std = scaler.transform(train)
     a = np.vstack([train_std.T, np.ones(len(train_std))])
@@ -174,7 +182,7 @@ def _assert_matches_oracle(train, queries):
             # near-constant column standardizes a query to some 3e4)
             assert abs(v_slack - slack) <= SLACK_TOL * max(1.0, abs(slack)), (v_slack, slack)
         assert bland <= pivots
-        obj, x, y, *counts = _phase1(a, np.append(q, 1.0))
+        obj, x, y, *counts = phase1(a, np.append(q, 1.0))
         assert (obj, counts) == (v_slack, [pivots, bland])
         if v_in:
             assert np.max(np.abs(np.maximum(x, 0.0) @ train_std - q)) <= 1e-9
@@ -233,3 +241,135 @@ def test_highs_settles_a_wrong_tableau_verdict():
     inside, _ = ref_hull(scaler.transform(train), scaler.transform(query)[0])
     assert not inside
     assert _assert_matches_oracle(train, query).inside.tolist() == [True]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep against the per-query oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cube_cases(draw):
+    """(train, queries): vertices of the 7-D unit cube, some twice, with
+    vertex, edge-midpoint, centroid and outside queries: long runs of
+    degenerate pivots, where Bland's rule takes over."""
+    n = draw(st.integers(16, 30))
+    train = np.array(draw(st.lists(st.lists(st.integers(0, 1).map(float), min_size=7,
+                                            max_size=7), min_size=n, max_size=n)))
+    index = st.integers(0, n - 1)
+    train = np.vstack([train, train[draw(st.lists(index, min_size=1, max_size=6))]])
+    queries = []
+    for kind in draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)):
+        if kind == 0:
+            queries.append(train[draw(index)])
+        elif kind == 1:
+            queries.append(0.5 * (train[draw(index)] + train[draw(index)]))
+        elif kind == 2:
+            queries.append(train.mean(axis=0))
+        else:
+            queries.append(train[draw(index)] + 1.0)
+    return train, np.array(queries)
+
+
+@st.composite
+def lockstep_batches(draw):
+    """A hull case whose queries (inside, outside, on the boundary) come
+    again in the same batch, in a drawn order."""
+    train, queries = draw(st.one_of(hull_cases(), cube_cases()))
+    again = draw(st.lists(st.integers(0, len(queries) - 1), max_size=4))
+    queries = np.vstack([queries, queries[again]])
+    return train, queries[draw(st.permutations(range(len(queries))))]
+
+
+def _assert_lockstep_matches_per_query(train, queries):
+    """``classify_batch`` against the per-query oracle: the same slack bits,
+    pivots and Bland pivots, or the same first error.  Returns the verdicts,
+    or the error's message."""
+    try:
+        slack, pivots, bland = classify_rows(train, queries)
+    except SimplexError as e:
+        with pytest.raises(SimplexError) as batch:
+            classify_batch(train, queries)
+        assert str(batch.value) == str(e)
+        return str(e)
+    verdicts, _ = classify_batch(train, queries)
+    assert verdicts.slack.tobytes() == slack.tobytes()
+    assert verdicts.pivots.tolist() == pivots.tolist()
+    assert verdicts.bland_pivots.tolist() == bland.tolist()
+    return verdicts
+
+
+@pytest.mark.filterwarnings("ignore:constant feature column")
+@settings(max_examples=300)
+@given(case=lockstep_batches())
+def test_lockstep_matches_per_query_oracle(case):
+    _assert_lockstep_matches_per_query(*case)
+
+
+@pytest.mark.filterwarnings("ignore:constant feature column")
+def test_lockstep_runs_blands_rule_beside_dantzig_queries():
+    # 7-D cube vertices, some twice, with vertex, edge-midpoint and centroid
+    # queries: some queries switch to Bland's rule while others price by
+    # Dantzig's in the same steps, and Bland's ratio ties fall to the
+    # lowest basic index whatever their pivot elements
+    rng = np.random.default_rng(0)
+    mixed = 0
+    for _ in range(100):
+        n = int(rng.integers(12, 30))
+        train = rng.integers(0, 2, (n, 7)).astype(float)
+        train = np.vstack([train, train[rng.integers(0, n, int(rng.integers(1, 7)))]])
+        vertices = train[rng.integers(0, len(train), (6, 2))]
+        queries = np.where(rng.integers(0, 3, (6, 1)) == 0, vertices[:, 0],
+                           0.5 * (vertices[:, 0] + vertices[:, 1]))
+        queries[rng.random(6) < 0.3] = train.mean(axis=0)
+        out = _assert_lockstep_matches_per_query(train, queries)
+        if not isinstance(out, str):
+            mixed += bool(out.bland_pivots.any() and not out.bland_pivots.all())
+    assert mixed >= 5
+
+
+def _near_duplicate_batch(rng):
+    """A small hull case with rows copied and one coordinate moved by
+    1e-15 to 1e-6, and queries on its vertices, edges, inside and far out:
+    the stress family on which about 1% of queries end in SimplexError."""
+    d, n = int(rng.integers(2, 8)), int(rng.integers(3, 25))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        train = rng.integers(-2, 3, (n, d)).astype(float)
+    elif kind == 1:
+        train = rng.integers(0, 2, (n, d)).astype(float)
+    else:
+        train = rng.uniform(-3.0, 3.0, (n, d))
+    k = int(rng.integers(1, 6))
+    twins = train[rng.integers(0, n, k)]
+    twins[np.arange(k), rng.integers(0, d, k)] += (rng.choice([-1.0, 1.0], k)
+                                                   * 10.0 ** rng.uniform(-15.0, -6.0, k))
+    train = np.vstack([train, twins])
+    pick = lambda: train[rng.integers(len(train))]  # noqa: E731
+    queries = []
+    for kind in rng.integers(0, 4, int(rng.integers(1, 12))).tolist():
+        if kind == 0:
+            queries.append(pick())
+        elif kind == 1:
+            queries.append(0.5 * (pick() + pick()))
+        elif kind == 2:
+            w = rng.integers(0, 4, len(train)).astype(float)
+            queries.append(w @ train / w.sum() if w.sum() else train[0])
+        else:
+            queries.append(pick() + rng.choice([-10.0, 10.0]))
+    return train, np.array(queries)
+
+
+@pytest.mark.filterwarnings("ignore:constant feature column")
+def test_near_duplicate_family_raises_the_oracles_first_error(monkeypatch):
+    # a noise-driven swap cycle between two near-twin columns runs to the
+    # pivot cap; 500 ends it sooner than 20,000, for both solvers alike
+    monkeypatch.setattr(validity, "_MAX_PIVOTS", 500)
+    rng = np.random.default_rng(0)
+    errors = []
+    for _ in range(200):
+        out = _assert_lockstep_matches_per_query(*_near_duplicate_batch(rng))
+        if isinstance(out, str):
+            errors.append(out)
+    for kind in ("singular basis", "infeasible final basis", "pivot cap (500"):
+        assert any(kind in e for e in errors), kind
