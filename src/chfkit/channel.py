@@ -19,7 +19,8 @@ wall flux.  The minimum DNBR at wall flux q is then min(node CHF) / q,
 and the critical power — the flux a power-escalation experiment walks
 up to, where the minimum DNBR reaches 1 — is exactly the smallest node
 CHF: ``find_critical_power`` reads it from a profile's node CHF vector
-without re-rating the channel.
+(NaN where the predictor failed) without re-rating the channel.  Every
+profile field is a float64 array, each node rated by array expressions.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fluid
 from .correlations import InletConditions
@@ -61,53 +64,49 @@ class ChannelCase:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if not math.isfinite(self.inlet_subcooling):
             raise ValueError(f"inlet_subcooling must be finite, got {self.inlet_subcooling!r}")
-        if not self.wall_heat_flux >= 0.0:
-            raise ValueError(f"wall_heat_flux must be >= 0, got {self.wall_heat_flux!r}")
+        if not 0.0 <= self.wall_heat_flux < math.inf:
+            raise ValueError(f"wall_heat_flux must be >= 0 and finite, got {self.wall_heat_flux!r}")
         if not isinstance(self.n_axial, numbers.Integral):
             raise ValueError(f"n_axial must be an integer, got {self.n_axial!r}")
         if self.n_axial < 2:
             raise ValueError(f"n_axial must be >= 2, got {self.n_axial}")
 
-    def inlet_conditions(self, heated_length: float | None = None) -> InletConditions:
-        return InletConditions(
-            diameter=self.diameter,
-            heated_length=self.heated_length if heated_length is None else heated_length,
-            pressure=self.pressure,
-            mass_flux=self.mass_flux,
-            inlet_subcooling=self.inlet_subcooling,
-        )
+    def inlet_conditions(self) -> InletConditions:
+        return InletConditions(diameter=self.diameter, heated_length=self.heated_length,
+                               pressure=self.pressure, mass_flux=self.mass_flux,
+                               inlet_subcooling=self.inlet_subcooling)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxialProfile:
-    """Node-wise channel state.
+    """Node-wise channel state, one float64 array per field.
 
-    ``node_chf`` holds the predictor's raw value per node (None where
-    the heat-balance solve finds no critical condition); it does not
-    depend on the wall flux.  ``chf_local`` stores dnbr * wall flux (the
-    extraction identity holds bit-exactly), except at zero wall flux,
-    where dnbr is the +inf sentinel and chf_local keeps the predictor's
-    raw value.  Nodes where the predictor produced no usable CHF
-    (nonpositive, or no critical condition) carry dnbr = 0 and appear
-    in ``flagged_nodes``.
+    ``node_chf`` holds the predictor's raw value per node (NaN where the
+    heat-balance solve finds no critical condition or the network output
+    is not finite); it does not depend on the wall flux.  ``chf_local``
+    stores dnbr * wall flux (the extraction identity holds bit-exactly),
+    except at zero wall flux, where dnbr is the +inf sentinel and
+    chf_local keeps the predictor's raw value.  Nodes where the predictor
+    produced no usable CHF (nonpositive, or NaN) carry dnbr = 0 and their
+    indices appear in ``flagged_nodes``.
     """
 
     case: ChannelCase
-    heights: tuple[float, ...]        # m
-    enthalpies: tuple[float, ...]     # J/kg
-    qualities: tuple[float, ...]
-    dnbr: tuple[float, ...]
-    chf_local: tuple[float, ...]      # W/m^2
-    flagged_nodes: tuple[int, ...]
-    node_chf: tuple[float | None, ...]  # W/m^2
+    heights: np.ndarray        # m
+    enthalpies: np.ndarray     # J/kg
+    qualities: np.ndarray
+    dnbr: np.ndarray
+    chf_local: np.ndarray      # W/m^2
+    flagged_nodes: np.ndarray  # int
+    node_chf: np.ndarray       # W/m^2
 
     @property
     def min_dnbr(self) -> float:
-        return min(self.dnbr)
+        return self.dnbr.min().item()
 
     @property
     def min_dnbr_node(self) -> int:
-        return min(range(len(self.dnbr)), key=lambda i: (self.dnbr[i], i))
+        return int(self.dnbr.argmin())  # the first node at the minimum
 
 
 @dataclass(frozen=True)
@@ -134,30 +133,17 @@ class BracketError(ValueError):
         self.dnbr_hi = dnbr_hi
 
 
-def _rate(chf: tuple[float | None, ...], q: float) -> tuple[list[float], list[float], list[int]]:
+def _rate(chf: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node DNBR, chf_local and flagged nodes for raw node CHF at wall flux q."""
-    dnbr: list[float] = []
-    chf_local: list[float] = []
-    flagged: list[int] = []
-    for i, c in enumerate(chf):
-        if c is None:
-            flagged.append(i)
-            dnbr.append(0.0)
-            chf_local.append(0.0)
-            continue
-        if q == 0.0:
-            dnbr.append(math.inf)
-            chf_local.append(c)
-            continue
-        if c <= 0.0:
-            flagged.append(i)
-            dnbr.append(0.0)
-            chf_local.append(0.0)
-            continue
-        ratio = c / q
-        dnbr.append(ratio)
-        chf_local.append(ratio * q)  # chf_local == dnbr * q, bit-exact
-    return dnbr, chf_local, flagged
+    if q == 0.0:
+        flagged = np.isnan(chf)
+        dnbr, chf_local = math.inf, chf
+    else:
+        flagged = ~(chf > 0.0)
+        dnbr = chf / q
+        chf_local = dnbr * q  # chf_local == dnbr * q, bit-exact
+    return (np.where(flagged, 0.0, dnbr), np.where(flagged, 0.0, chf_local),
+            np.flatnonzero(flagged))
 
 
 def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
@@ -166,23 +152,26 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     DNBR is CHF / wall flux with nonpositive CHF clamped to zero (and
     the node flagged); at zero wall flux every node reports the +inf
     sentinel.  Each node is treated as the exit of a tube of length z
-    (the critical-length convention).
+    (the critical-length convention).  A march whose exit state
+    overflows raises FloatingPointError.
     """
     sat = fluid.saturation_state(case.pressure)
     q, g, d = case.wall_heat_flux, case.mass_flux, case.diameter
     n, length = case.n_axial, case.heated_length
     # centers, but the last node is pinned to the exit
-    heights = tuple(length if i == n - 1 else (i + 0.5) * length / n for i in range(n))
+    heights = (np.arange(n) + 0.5) * length / n
+    heights[-1] = length
     h_in = sat.h_f - case.inlet_subcooling
-    enthalpies = tuple(h_in + 4.0 * q * z / (g * d) for z in heights)
-    qualities = tuple((h - sat.h_f) / sat.h_fg for h in enthalpies)
-    chf = tuple(node_chf(pred, case.inlet_conditions(), sat.h_fg, heights))
-    dnbr, chf_local, flagged = _rate(chf, q)
-    return AxialProfile(
-        case=case, heights=heights, enthalpies=enthalpies, qualities=qualities,
-        dnbr=tuple(dnbr), chf_local=tuple(chf_local), flagged_nodes=tuple(flagged),
-        node_chf=chf,
-    )
+    chf = node_chf(pred, case.inlet_conditions(), sat.h_fg, heights)
+    with np.errstate(all="ignore"):  # overflows give inf, as with Python floats
+        enthalpies = h_in + 4.0 * q * heights / (g * d)
+        qualities = (enthalpies - sat.h_f) / sat.h_fg
+        dnbr, chf_local, flagged = _rate(chf, q)
+    if not math.isfinite(qualities[-1]):  # q >= 0: the exit has the largest quality
+        raise FloatingPointError(f"enthalpy march overflows: exit quality {qualities[-1]}")
+    return AxialProfile(case=case, heights=heights, enthalpies=enthalpies,
+                        qualities=qualities, dnbr=dnbr, chf_local=chf_local,
+                        flagged_nodes=flagged, node_chf=chf)
 
 
 def find_critical_power(profile: AxialProfile,
@@ -198,12 +187,13 @@ def find_critical_power(profile: AxialProfile,
     if not 0.0 < q_lo < q_hi:
         raise ValueError(f"bracket must satisfy 0 < q_lo < q_hi, got {bracket}")
     chf = profile.node_chf
-    dnbr_lo = min(_rate(chf, q_lo)[0])
-    dnbr_hi = min(_rate(chf, q_hi)[0])
+    lowest = chf.min().item()  # NaN if a node failed
+    # the min of _rate(chf, q)[0]: rounding keeps chf / q monotone in chf
+    dnbr_lo, dnbr_hi = (lowest / q if lowest > 0.0 else 0.0 for q in bracket)
     if not (dnbr_lo > 1.0 > dnbr_hi):
         raise BracketError("bracket does not straddle the critical condition",
                            dnbr_lo, dnbr_hi)
-    # every node CHF is positive here, else dnbr_lo would be 0
-    q = min(chf)
-    return CriticalPowerResult(wall_heat_flux=q, limiting_node=chf.index(q),
-                               min_dnbr=min(_rate(chf, q)[0]), iterations=0)
+    # every node CHF is positive here, else dnbr_lo would be 0; rated at
+    # q = lowest, the min DNBR is lowest / lowest
+    return CriticalPowerResult(wall_heat_flux=lowest, limiting_node=int(chf.argmin()),
+                               min_dnbr=lowest / lowest, iterations=0)

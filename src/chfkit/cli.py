@@ -601,52 +601,40 @@ def cmd_simulate(cfg: _Config) -> None:
         cfg.check("bracket_hi_kW_m2", bracket[1] > bracket[0],
                   f"above bracket_lo_kW_m2 ({cfg.resolved['bracket_lo_kW_m2']})")
 
-    outputs = []
-    n_failed = 0
-    summary_path = _out(outdir, "summary.csv")
-    cp_rows = []
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("case,min_dnbr,limiting_node,n_flagged,status\n")
-        for i, case in _parse_cases(cases_path):
-            if isinstance(case, str):
-                n_failed += 1
-                fh.write(f"{i},,,,failed: {_csv_safe(case)}\n")
-                continue
+    outputs, summary, cp_rows = [], [], []
+    for i, case in _parse_cases(cases_path):
+        if isinstance(case, str):
+            summary.append((str(i), "", "", "", f"failed: {_csv_safe(case)}"))
+            continue
+        try:
+            profile = solve_channel(case, predictor)
+        except (FluidRangeError, FloatingPointError) as e:
+            summary.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
+            continue
+        flagged = np.bincount(profile.flagged_nodes, minlength=case.n_axial) > 0
+        outputs.append(write_columns(
+            _out(outdir, f"profile_{i}.csv"), "z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged",
+            [profile.heights, profile.enthalpies, profile.qualities, profile.dnbr,
+             profile.chf_local / 1e3, np.where(flagged, "1", "0").tolist()]))
+        summary.append((str(i), repr(profile.min_dnbr), str(profile.min_dnbr_node),
+                        str(len(profile.flagged_nodes)), "ok"))
+        if critical:
             try:
-                profile = solve_channel(case, predictor)
-            except FluidRangeError as e:
-                n_failed += 1
-                fh.write(f"{i},,,,failed: {_csv_safe(e)}\n")
+                r = find_critical_power(profile, bracket)
+            except BracketError as e:
+                cp_rows.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
                 continue
-            prof_path = _out(outdir, f"profile_{i}.csv")
-            with open(prof_path, "w", encoding="utf-8") as pf:
-                pf.write("z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged\n")
-                flagged = set(profile.flagged_nodes)
-                for j in range(len(profile.heights)):
-                    pf.write(f"{profile.heights[j]!r},{profile.enthalpies[j]!r},"
-                             f"{profile.qualities[j]!r},{profile.dnbr[j]!r},"
-                             f"{profile.chf_local[j] / 1e3!r},{int(j in flagged)}\n")
-            outputs.append(prof_path)
-            fh.write(f"{i},{profile.min_dnbr!r},{profile.min_dnbr_node},"
-                     f"{len(profile.flagged_nodes)},ok\n")
-            if critical:
-                try:
-                    r = find_critical_power(profile, bracket)
-                except BracketError as e:
-                    n_failed += 1
-                    cp_rows.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
-                    continue
-                cp_rows.append((str(i), repr(r.wall_heat_flux / 1e3), str(r.limiting_node),
-                                repr(r.min_dnbr), "ok"))
-    outputs.append(summary_path)
-
+            cp_rows.append((str(i), repr(r.wall_heat_flux / 1e3), str(r.limiting_node),
+                            repr(r.min_dnbr), "ok"))
+    outputs.append(write_columns(_out(outdir, "summary.csv"),
+                                 "case,min_dnbr,limiting_node,n_flagged,status",
+                                 [list(c) for c in zip(*summary)] or [[]] * 5))
     if critical:
         outputs.append(write_columns(_out(outdir, "critical_power.csv"),
                                      "case,critical_flux_kW_m2,limiting_node,min_dnbr,status",
                                      [list(c) for c in zip(*cp_rows)] or [[]] * 5))
-
-    _write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs],
-                    outputs, {"failed": n_failed})
+    _write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs], outputs,
+                    {"failed": sum(row[-1] != "ok" for row in summary + cp_rows)})
 
 
 def cmd_evaluate(cfg: _Config) -> None:

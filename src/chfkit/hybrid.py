@@ -19,9 +19,9 @@ its distinct pressures, one heat-balance solve on its columns
   solve (the critical length equals the heated length) and returns
   ``Predictions``, one column per field; ``predict`` is its one-row
   call on an ``InletConditions``.
-* ``node_chf`` rates every node of a channel march at once: node z is
-  the exit of a tube of length z with the channel's inlet state, so its
-  value does not depend on the wall flux.
+* ``node_chf`` rates every node of a channel march at once (NaN on a
+  failed node): node z is the exit of a tube of length z with the
+  channel's inlet state, so its value does not depend on the wall flux.
 * ``build_residual_dataset`` takes the base CHF of every row from the
   same solve and returns the residual table as one (m, 8) array.
 """
@@ -212,19 +212,18 @@ def predict(p: ChfPredictor, c: InletConditions) -> float:
 
 
 def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
-             heights: Sequence[float]) -> list[float | None]:
-    """Raw CHF, W/m2, at every node of a channel march.
+             heights: Sequence[float]) -> np.ndarray:
+    """Raw CHF, W/m2, at every node of a channel march, as a float64 array.
 
     ``c`` holds the channel's inlet conditions and ``h_fg`` the latent
     heat at its pressure, J/kg.  Node i is the exit of a tube of length
     ``heights[i]`` (the critical-length convention), so its value does
     not depend on the wall flux; it is that tube's ``predict_batch``
-    value, or None where it failed (the heat-balance solve finds no
-    critical condition, or the network output is not finite), and all
-    nodes are solved in one call.  Values may be nonpositive (callers
-    clamp and flag); for hybrid kinds each is base + residual.
+    value, NaN where it failed (the heat-balance solve finds no critical
+    condition, or the network output is not finite), and all nodes are
+    solved in one call.  Values may be nonpositive (callers clamp and
+    flag); for hybrid kinds each is base + residual.
     """
     x = np.repeat(np.array([astuple(c)], dtype=np.float64), len(heights), axis=0)
     x[:, 1] = heights
-    out = _predictions(p, x, {c.pressure: h_fg})
-    return [None if failed else v for v, failed in zip(out.value.tolist(), out.failed.tolist())]
+    return _predictions(p, x, {c.pressure: h_fg}).value

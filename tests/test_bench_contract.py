@@ -30,6 +30,8 @@ def test_traced_stages_give_strict_json_metrics(tmp_path):
     gen.write_complete_table(str(tmp_path / "train.csv"), table[:40])
     gen.write_complete_table(str(tmp_path / "query.csv"), table[40:])
     gen.write_cases(str(tmp_path / "cases.csv"), 2, seed=5)
+    with open(tmp_path / "cases.csv", "a", encoding="utf-8") as fh:
+        fh.write("12.62,5.56,20000.0,1000.0,-1200.0,1000.0,12\n")  # flagged nodes
     model = tmp_path / "fit" / "model.chfmlp"
     stages = [
         ("prepare", f"data={tmp_path / 'table.csv'}", "base=bowring",
@@ -67,5 +69,9 @@ def test_traced_stages_give_strict_json_metrics(tmp_path):
     json.dumps(values, allow_nan=False)
     for name in ("mlp.train.self_s", "mlp.forward_batch.rows",
                  "channel.find_critical_power.calls", "validity.classify_batch.queries",
-                 "data.ingest.rows"):
+                 "data.ingest.rows", "channel.flagged_nodes"):
         assert values[name] > 0, name
+    # the channel hooks count every node marched, from the profile arrays
+    marched = sum(len((tmp_path / kind / f"profile_{i}.csv").read_text().splitlines()) - 1
+                  for kind in ("base_biasi", "hybrid_bowring") for i in range(3))
+    assert values["channel.solve_channel.nodes"] == marched

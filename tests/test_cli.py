@@ -613,6 +613,24 @@ def test_simulate_fractional_n_axial_is_failed_row(tmp_path):
     assert len(_read_csv(out / "profile_1.csv")[1]) == 40
 
 
+def test_simulate_overflowing_flux_is_failed_row(tmp_path, capsys):
+    cases = _case_file(tmp_path, [
+        "12.62,5.56,6895,1000,100,1e306,20",  # inf W/m2 after the x1e3
+        "1.0,5.0,6895,1,100,1e304,20",        # finite, but 4 q L / (G D) overflows
+        "12.62,5.56,6895,1000,100,500,20",
+    ])
+    out = tmp_path / "sim"
+    assert main(["simulate", f"cases={cases}", "kind=base_bowring",
+                 f"outdir={out}"]) == 0
+    _, srows = _read_csv(out / "summary.csv")
+    assert [r[-1] for r in srows] == [
+        "failed: wall_heat_flux must be >= 0 and finite; got inf",
+        "failed: enthalpy march overflows: exit quality inf", "ok"]
+    assert _manifest(out)["counts"] == {"failed": 2}
+    assert sorted(p.name for p in out.glob("profile_*.csv")) == ["profile_2.csv"]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("cell", ["inf", "nan"])
 def test_simulate_nonfinite_cell_is_error_naming_line(tmp_path, capsys, cell):
     cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,60",
