@@ -153,7 +153,8 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
     the node flagged); at zero wall flux every node reports the +inf
     sentinel.  Each node is treated as the exit of a tube of length z
     (the critical-length convention).  A march whose exit state
-    overflows raises FloatingPointError.
+    overflows, or a node whose CHF / wall flux overflows, raises
+    FloatingPointError.
     """
     sat = fluid.saturation_state(case.pressure)
     q, g, d = case.wall_heat_flux, case.mass_flux, case.diameter
@@ -169,6 +170,8 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
         dnbr, chf_local, flagged = _rate(chf, q)
     if not math.isfinite(qualities[-1]):  # q >= 0: the exit has the largest quality
         raise FloatingPointError(f"enthalpy march overflows: exit quality {qualities[-1]}")
+    if q > 0.0 and np.isinf(dnbr).any():  # node CHF is finite, so CHF / q overflowed
+        raise FloatingPointError(f"DNBR overflows: node CHF / wall flux {q!r} W/m2")
     return AxialProfile(case=case, heights=heights, enthalpies=enthalpies,
                         qualities=qualities, dnbr=dnbr, chf_local=chf_local,
                         flagged_nodes=flagged, node_chf=chf)

@@ -7,10 +7,12 @@ residual generation), ``train``/``tune``, ``predict``, ``simulate``
 
 Runs are driven by a plain-text ``key=value`` config file; command-line
 ``key=value`` arguments and the ``--seed``/``--strict`` flags override
-it.  Every command writes ``manifest.json`` into its output directory
-echoing the resolved configuration together with SHA-256 hashes of all
-files read and written, and nothing time-dependent, so a rerun with the
-same inputs is byte-identical.
+it.  ``_Config`` records the run: the config it resolves, the files it
+reads (``path_in``) and writes (``out``).  Each ``cmd_*`` returns its
+counts, and ``main`` writes them to ``manifest.json`` in the output
+directory with the resolved config and SHA-256 hashes of every file
+read and written, and nothing time-dependent, so a rerun with the same
+inputs is byte-identical.
 
 Exit status is nonzero only for configuration, format, and I/O
 problems (including a diverged training run).  Per-record scientific
@@ -179,11 +181,14 @@ _REQUIRED = object()
 
 
 class _Config:
-    """Typed access to raw config strings, recording what was resolved."""
+    """Typed access to raw config strings; records what was resolved, read and written."""
 
     def __init__(self, raw: dict[str, str]):
         self._raw = raw
         self.resolved: dict[str, str] = {}
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+        self._outdir: str | None = None
 
     def _text(self, key: str, default) -> str:
         if key in self._raw:
@@ -249,12 +254,21 @@ class _Config:
         v = self._text(key, default)
         if not os.path.isfile(v):
             raise ConfigError(f"config key {key!r}: no such file: {v}")
+        self.inputs.append(v)
         return v
 
     def outdir(self) -> str:
-        d = self._text("outdir", ".")
-        os.makedirs(d, exist_ok=True)
-        return d
+        """The output directory, created on the first call."""
+        if self._outdir is None:
+            self._outdir = self._text("outdir", ".")
+            os.makedirs(self._outdir, exist_ok=True)
+        return self._outdir
+
+    def out(self, name: str) -> str:
+        """Path of the output file ``name``, recorded as an output."""
+        path = os.path.join(self.outdir(), name)
+        self.outputs.append(path)
+        return path
 
     def envelope(self) -> dict[str, tuple[float, float]]:
         env = dict(TABLE1_ENVELOPE)
@@ -268,6 +282,8 @@ class _Config:
                 lo, hi = (float(p) * factor for p in parts)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: not numeric: {parts}") from None
+            self.check(key, lo <= hi and lo < math.inf and hi > -math.inf,
+                       "'lo,hi' with lo <= hi (-inf or inf for no limit on a side)")
             env[field] = (lo, hi)
         return env
 
@@ -284,26 +300,20 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir: str, command: str, cfg: _Config,
+def _write_manifest(outdir: str, command: str, resolved: dict[str, str],
                     inputs: list[str], outputs: list[str],
-                    counts: dict) -> str:
+                    counts: dict) -> None:
     manifest = {
         "command": command,
         "version": __version__,
-        "config": dict(sorted(cfg.resolved.items())),
+        "config": dict(sorted(resolved.items())),
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
         "counts": counts,
     }
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
-
-
-def _out(outdir: str, name: str) -> str:
-    return os.path.join(outdir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +363,24 @@ def _constant_columns_reported(x: np.ndarray, names: tuple[str, ...], path: str,
         yield
 
 
-def _fit_training_scalers(x: np.ndarray, y: np.ndarray, mode: str, path: str,
-                          counts: dict) -> tuple[Scaler, Scaler]:
-    """Input and output scalers of a training table, constant columns reported."""
+def _standardized_training_set(path: str, mode: str, counts: dict
+                               ) -> tuple[np.ndarray, np.ndarray, Scaler, Scaler]:
+    """A training table's standardized features and targets with their
+    scalers; constant columns are reported."""
+    x, y = _training_matrices(path, mode)
+    y = y.reshape(-1, 1)
     names = (*_FEATURE_HEADER.split(","), _TARGET_COLUMN[mode])
     with _constant_columns_reported(np.column_stack([x, y]), names, path, counts):
-        return Scaler.fit(x), Scaler.fit(y.reshape(-1, 1))
+        in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y)
+    return in_scaler.transform(x), out_scaler.transform(y)[:, 0], in_scaler, out_scaler
 
 
-def _load_predictor(cfg: _Config) -> tuple[ChfPredictor, list[str]]:
+def _load_predictor(cfg: _Config) -> ChfPredictor:
     kind = cfg.choice("kind", PREDICTOR_KINDS)
-    inputs = []
-    model = None
-    if kind in ("pure_ml", "hybrid_biasi", "hybrid_bowring"):
-        path = cfg.path_in("model")
-        model = load_model(path)
-        inputs.append(path)
+    model = (load_model(cfg.path_in("model"))
+             if kind in ("pure_ml", "hybrid_biasi", "hybrid_bowring") else None)
     try:
-        return ChfPredictor(kind=kind, model=model), inputs
+        return ChfPredictor(kind=kind, model=model)
     except ValueError as e:
         raise ConfigError(f"predictor/model mismatch: {e}") from None
 
@@ -379,32 +389,29 @@ def _load_predictor(cfg: _Config) -> tuple[ChfPredictor, list[str]]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_prepare(cfg: _Config) -> None:
+def cmd_prepare(cfg: _Config) -> dict:
     data_path = cfg.path_in("data")
-    outdir = cfg.outdir()
     seed = cfg.int_("seed", "0")
     strict = cfg.bool_("strict", "true")
     base = cfg.choice("base", ("none", "biasi", "bowring"), "none")
-    envelope = cfg.envelope()
 
-    table, report = ingest(data_path, envelope=envelope, strict=strict)
+    table, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
     cfg.check("data", len(table) >= 10,
               f"a table with at least 10 usable rows ({len(table)} after ingestion)")
     parts = split(table, seed)
-    splits = (("train", parts.train), ("val", parts.validation),
-              ("test", parts.test))
+    splits = (("train", parts.train), ("val", parts.validation), ("test", parts.test))
 
     counts: dict = {**_ingest_counts(report),
                     "split_sizes": {name: len(part) for name, part in splits}}
-    outputs, failures = [], []
+    failures = []
     for name, part in splits:
         # {name}.csv's columns, then SI diameter, pressure, subcooling and CHF
         # (8-11); its L_m and G_kg_m2s (1, 3) are SI already, so all print them
         columns = [*record_columns(part), part.diameter, part.pressure,
                    part.inlet_subcooling, part.measured_chf]
         features = [8, 1, 9, 3, 10]
-        files = [(_out(outdir, f"{name}.csv"), CSV_HEADER, range(8), None),
-                 (_out(outdir, f"pure_{name}.csv"), f"{_FEATURE_HEADER},target_W_m2",
+        files = [(cfg.out(f"{name}.csv"), CSV_HEADER, range(8), None),
+                 (cfg.out(f"pure_{name}.csv"), f"{_FEATURE_HEADER},target_W_m2",
                   [*features, 11], None)]
         if base != "none":
             resid, rep = build_residual_dataset(feature_matrix(part), part.measured_chf, base)
@@ -414,22 +421,19 @@ def cmd_prepare(cfg: _Config) -> None:
             base_chf = np.full(len(part), math.nan)
             base_chf[solved] = resid[:, 5]
             columns += [base_chf, part.measured_chf - base_chf]
-            files.append((_out(outdir, f"residual_{name}.csv"),
+            files.append((cfg.out(f"residual_{name}.csv"),
                           f"{_FEATURE_HEADER},base_chf_W_m2,measured_chf_W_m2,residual_W_m2",
                           [*features, 12, 11, 13], solved))
         write_csvs(columns, files, nan="")
-        outputs += [path for path, *_ in files]
 
     if base != "none":
-        outputs.append(write_columns(_out(outdir, "hbm_failures.csv"), "split,row,reason",
-                                     [list(c) for c in zip(*failures)] or [[]] * 3))
+        write_columns(cfg.out("hbm_failures.csv"), "split,row,reason",
+                      [list(c) for c in zip(*failures)] or [[]] * 3)
         counts["hbm_failures"] = len(failures)
+    return counts
 
-    _write_manifest(outdir, "prepare", cfg, [data_path], outputs, counts)
 
-
-def cmd_train(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_train(cfg: _Config) -> dict:
     mode = cfg.choice("mode", ("direct", "residual"), "direct")
     base = cfg.choice("base", ("none", "biasi", "bowring"), "none")
     if mode == "residual" and base == "none":
@@ -450,36 +454,26 @@ def cmd_train(cfg: _Config) -> None:
     schedule = TrainConfig(epochs=epochs, batch_size=batch_size, lr0=lr0,
                            decay_rate=decay, seed=seed)
 
-    x, y = _training_matrices(train_path, mode)
     counts: dict = {}
-    in_scaler, out_scaler = _fit_training_scalers(x, y, mode, train_path, counts)
-    net = init_mlp(x.shape[1], hidden, activation, seed=seed,
+    x_std, y_std, in_scaler, out_scaler = _standardized_training_set(train_path, mode, counts)
+    net = init_mlp(x_std.shape[1], hidden, activation, seed=seed,
                    input_scaler=in_scaler, output_scaler=out_scaler,
                    mode=mode, base_model=base, feature_names=MODEL_FEATURES)
-    x_std = in_scaler.transform(x)
-    y_std = out_scaler.transform(y.reshape(-1, 1))[:, 0]
     fitted, trace = train(net, x_std, y_std, schedule)
 
-    model_path = _out(outdir, "model.chfmlp")
-    save_model(fitted, model_path)
-    trace_path = _out(outdir, "loss_trace.csv")
-    write_columns(trace_path, "epoch,loss", [list(map(str, range(len(trace)))), np.array(trace)])
+    save_model(fitted, cfg.out("model.chfmlp"))
+    write_columns(cfg.out("loss_trace.csv"), "epoch,loss",
+                  [list(map(str, range(len(trace)))), np.array(trace)])
 
-    inputs = [train_path]
     counts.update(epochs=schedule.epochs, final_loss=repr(trace[-1]),
                   initial_loss=repr(trace[0]))
     if cfg.has("val_csv"):
-        val_path = cfg.path_in("val_csv")
-        inputs.append(val_path)
-        xv, yv = _training_matrices(val_path, mode, min_rows=1)
-        pv = forward_batch(fitted, xv)
-        counts["val_mse_W2_m4"] = repr(float(np.mean((pv - yv) ** 2)))
-    _write_manifest(outdir, "train", cfg, inputs,
-                    [model_path, trace_path], counts)
+        xv, yv = _training_matrices(cfg.path_in("val_csv"), mode, min_rows=1)
+        counts["val_mse_W2_m4"] = repr(float(np.mean((forward_batch(fitted, xv) - yv) ** 2)))
+    return counts
 
 
-def cmd_tune(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_tune(cfg: _Config) -> dict:
     mode = cfg.choice("mode", ("direct", "residual"), "direct")
     train_path = cfg.path_in("train_csv")
     seed = cfg.int_("seed", "0")
@@ -509,19 +503,15 @@ def cmd_tune(cfg: _Config) -> None:
     for act in space.activations:
         if act not in ACTIVATIONS:
             raise ConfigError(f"config key 'tune_activations': unknown activation {act!r}")
-    x, y = _training_matrices(train_path, mode)
     counts: dict = {}
-    in_scaler, out_scaler = _fit_training_scalers(x, y, mode, train_path, counts)
-    x_std = in_scaler.transform(x)
-    y_std = out_scaler.transform(y.reshape(-1, 1))[:, 0]
+    x_std, y_std, _, _ = _standardized_training_set(train_path, mode, counts)
     try:
         result = tune(space, x_std, y_std, budget, n_configs=n_configs,
                       rung0_epochs=rung0_epochs, decay_rate=decay, seed=seed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
-    winner_path = _out(outdir, "tune_winner.json")
-    with open(winner_path, "w", encoding="utf-8") as fh:
+    with open(cfg.out("tune_winner.json"), "w", encoding="utf-8") as fh:
         json.dump({
             "hidden": ",".join(str(w) for w in result.candidate.hidden_widths),
             "activation": result.candidate.activation,
@@ -534,14 +524,13 @@ def cmd_tune(cfg: _Config) -> None:
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     counts.update(epochs_trained=result.epochs_trained, n_rungs=len(result.rungs))
-    _write_manifest(outdir, "tune", cfg, [train_path], [winner_path], counts)
+    return counts
 
 
-def cmd_predict(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_predict(cfg: _Config) -> dict:
     data_path = cfg.path_in("data")
     strict = cfg.bool_("strict", "false")
-    predictor, extra_inputs = _load_predictor(cfg)
+    predictor = _load_predictor(cfg)
     table, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
 
     preds = predict_batch(predictor, feature_matrix(table))
@@ -555,15 +544,14 @@ def cmd_predict(cfg: _Config) -> None:
         resid = np.where(failed, math.nan, preds.ml_residual) / 1e3
         flags = preds.base.quality_excursion.astype(int).astype(str)
         excursion = np.where(failed, "", flags).tolist()
-    out_path = write_columns(_out(outdir, "predictions.csv"),
-                             "row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
-                             "measured_chf_kW_m2,quality_excursion,status",
-                             [list(map(str, table.lines.tolist())), preds.value / 1e3, base,
-                              resid, table.measured_chf / 1e3, excursion, status], nan="")
-    _write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs], [out_path],
-                    {**_ingest_counts(report), "predicted": status.count("ok"),
-                     "failed": len(status) - status.count("ok"),
-                     "quality_excursions": excursion.count("1")})
+    write_columns(cfg.out("predictions.csv"),
+                  "row,chf_pred_kW_m2,base_chf_kW_m2,ml_residual_kW_m2,"
+                  "measured_chf_kW_m2,quality_excursion,status",
+                  [list(map(str, table.lines.tolist())), preds.value / 1e3, base,
+                   resid, table.measured_chf / 1e3, excursion, status], nan="")
+    return {**_ingest_counts(report), "predicted": status.count("ok"),
+            "failed": len(status) - status.count("ok"),
+            "quality_excursions": excursion.count("1")}
 
 
 def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
@@ -589,10 +577,9 @@ def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
     return out
 
 
-def cmd_simulate(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_simulate(cfg: _Config) -> dict:
     cases_path = cfg.path_in("cases")
-    predictor, extra_inputs = _load_predictor(cfg)
+    predictor = _load_predictor(cfg)
     critical = cfg.bool_("critical_power", "false")
     if critical:
         bracket = (cfg.float_("bracket_lo_kW_m2") * 1e3,
@@ -601,7 +588,7 @@ def cmd_simulate(cfg: _Config) -> None:
         cfg.check("bracket_hi_kW_m2", bracket[1] > bracket[0],
                   f"above bracket_lo_kW_m2 ({cfg.resolved['bracket_lo_kW_m2']})")
 
-    outputs, summary, cp_rows = [], [], []
+    summary, cp_rows = [], []
     for i, case in _parse_cases(cases_path):
         if isinstance(case, str):
             summary.append((str(i), "", "", "", f"failed: {_csv_safe(case)}"))
@@ -612,10 +599,10 @@ def cmd_simulate(cfg: _Config) -> None:
             summary.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
             continue
         flagged = np.bincount(profile.flagged_nodes, minlength=case.n_axial) > 0
-        outputs.append(write_columns(
-            _out(outdir, f"profile_{i}.csv"), "z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged",
+        write_columns(
+            cfg.out(f"profile_{i}.csv"), "z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged",
             [profile.heights, profile.enthalpies, profile.qualities, profile.dnbr,
-             profile.chf_local / 1e3, np.where(flagged, "1", "0").tolist()]))
+             profile.chf_local / 1e3, np.where(flagged, "1", "0").tolist()])
         summary.append((str(i), repr(profile.min_dnbr), str(profile.min_dnbr_node),
                         str(len(profile.flagged_nodes)), "ok"))
         if critical:
@@ -626,24 +613,27 @@ def cmd_simulate(cfg: _Config) -> None:
                 continue
             cp_rows.append((str(i), repr(r.wall_heat_flux / 1e3), str(r.limiting_node),
                             repr(r.min_dnbr), "ok"))
-    outputs.append(write_columns(_out(outdir, "summary.csv"),
-                                 "case,min_dnbr,limiting_node,n_flagged,status",
-                                 [list(c) for c in zip(*summary)] or [[]] * 5))
+    write_columns(cfg.out("summary.csv"), "case,min_dnbr,limiting_node,n_flagged,status",
+                  [list(c) for c in zip(*summary)] or [[]] * 5)
     if critical:
-        outputs.append(write_columns(_out(outdir, "critical_power.csv"),
-                                     "case,critical_flux_kW_m2,limiting_node,min_dnbr,status",
-                                     [list(c) for c in zip(*cp_rows)] or [[]] * 5))
-    _write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs], outputs,
-                    {"failed": sum(row[-1] != "ok" for row in summary + cp_rows)})
+        write_columns(cfg.out("critical_power.csv"),
+                      "case,critical_flux_kW_m2,limiting_node,min_dnbr,status",
+                      [list(c) for c in zip(*cp_rows)] or [[]] * 5)
+    return {"failed": sum(row[-1] != "ok" for row in summary + cp_rows)}
 
 
-def cmd_evaluate(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_evaluate(cfg: _Config) -> dict:
     pred_path = cfg.path_in("pred_csv")
     pred_col = cfg.str_("pred_col", "chf_pred_kW_m2")
-    truth_path = cfg.str_("truth_csv", pred_path)
+    truth_path = cfg.path_in("truth_csv", pred_path)
     truth_col = cfg.str_("truth_col", "measured_chf_kW_m2")
     trim = cfg.float_("trim_quantile", "0.995")
+    window = None
+    if cfg.has("kde_lo_pct") or cfg.has("kde_hi_pct"):
+        lo, hi = window = (cfg.float_("kde_lo_pct"), cfg.float_("kde_hi_pct"))
+        cfg.check("kde_lo_pct", math.isfinite(lo), "finite")
+        cfg.check("kde_hi_pct", lo < hi and math.isfinite(hi - lo),
+                  f"finite and above kde_lo_pct ({cfg.resolved['kde_lo_pct']})")
 
     if truth_path == pred_path:
         (preds, truths), pred_lines = load_columns(pred_path, (pred_col, truth_col))
@@ -674,35 +664,23 @@ def cmd_evaluate(cfg: _Config) -> None:
         report = compute_report(pred, truth, trim_quantile=trim)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    report_csv = _out(outdir, "report.csv")
-    report_txt = _out(outdir, "report.txt")
-    parity_path = _out(outdir, "parity.csv")
-    write_report_csv(report, report_csv)
-    write_report_text(report, report_txt)
-    write_parity_csv(parity_series(pred, truth), parity_path)
-    outputs = [report_csv, report_txt, parity_path]
+    write_report_csv(report, cfg.out("report.csv"))
+    write_report_text(report, cfg.out("report.txt"))
+    write_parity_csv(parity_series(pred, truth), cfg.out("parity.csv"))
 
     counts: dict = {"rows": len(preds), "rows_missing_values": n_missing}
     errors, _ = relative_errors(pred, truth)
-    window = None
-    if cfg.has("kde_lo_pct") or cfg.has("kde_hi_pct"):
-        window = (cfg.float_("kde_lo_pct"), cfg.float_("kde_hi_pct"))
     try:
         series = kde(errors, window=window)
-        kde_path = _out(outdir, "kde.csv")
-        write_kde_csv(series, kde_path)
-        outputs.append(kde_path)
-        counts["kde_bandwidth_pct"] = repr(series.bandwidth)
     except ValueError as e:
         counts["kde"] = f"skipped: {e}"
+    else:
+        write_kde_csv(series, cfg.out("kde.csv"))
+        counts["kde_bandwidth_pct"] = repr(series.bandwidth)
+    return counts
 
-    _write_manifest(outdir, "evaluate", cfg,
-                    [pred_path] + ([truth_path] if truth_path != pred_path else []),
-                    outputs, counts)
 
-
-def cmd_hullcheck(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_hullcheck(cfg: _Config) -> dict:
     train_path = cfg.path_in("train_csv")
     query_path = cfg.path_in("query_csv")
     strict = cfg.bool_("strict", "false")
@@ -710,7 +688,6 @@ def cmd_hullcheck(cfg: _Config) -> None:
     for f in features:
         if f not in FIELDS:
             raise ConfigError(f"config key 'hull_features': unknown field {f!r}")
-
     cfg.check("hull_features", len(features) >= 2, "at least two features")
 
     envelope = cfg.envelope()
@@ -730,31 +707,25 @@ def cmd_hullcheck(cfg: _Config) -> None:
     with _constant_columns_reported(x_train, features, train_path, counts):
         scaler = Scaler.fit(x_train)
     verdicts, summary = classify_batch(x_train, x_query, scaler=scaler)
-    verdict_path = _out(outdir, "verdicts.csv")
-    write_verdicts_csv(verdicts, verdict_path)
+    write_verdicts_csv(verdicts, cfg.out("verdicts.csv"))
 
     # projection of standardized features onto the two leading components
     stacked = scaler.transform(np.vstack([x_train, x_query]))
     pca = fit_pca(stacked[:len(train)])
-    proj_path = _out(outdir, "projection.csv")
     labels = ["train"] * len(train) + ["query"] * len(query)
-    write_projection_csv(pca, stacked, labels, proj_path)
+    write_projection_csv(pca, stacked, labels, cfg.out("projection.csv"))
 
     counts.update(n_inside=summary.n_inside, n_outside=summary.n_outside,
                   simplex_pivots_total=int(verdicts.pivots.sum()),
                   simplex_pivots_max=int(verdicts.pivots.max()),
                   simplex_bland_pivots=int(verdicts.bland_pivots.sum()))
-    _write_manifest(outdir, "hullcheck", cfg, [train_path, query_path],
-                    [verdict_path, proj_path], counts)
+    return counts
 
 
-def cmd_verify_model(cfg: _Config) -> None:
-    outdir = cfg.outdir()
+def cmd_verify_model(cfg: _Config) -> dict:
     path = cfg.path_in("model")
     model = load_model(path)
-    arch = " -> ".join(
-        [str(model.n_inputs)] + [str(l.weights.shape[0]) for l in model.layers]
-    )
+    arch = " -> ".join([str(model.n_inputs)] + [str(l.weights.shape[0]) for l in model.layers])
     acts = ",".join(l.activation for l in model.layers)
     n_params = sum(l.weights.size + l.bias.size for l in model.layers)
     print(f"model: {path}")
@@ -762,8 +733,7 @@ def cmd_verify_model(cfg: _Config) -> None:
     print(f"architecture: {arch}  activations: {acts}")
     print(f"parameters: {n_params}")
     print("format: OK")
-    _write_manifest(outdir, "verify-model", cfg, [path], [],
-                    {"parameters": n_params, "architecture": arch})
+    return {"parameters": n_params, "architecture": arch}
 
 
 # ---------------------------------------------------------------------------
@@ -805,12 +775,12 @@ def main(argv: list[str] | None = None) -> int:
             raw["seed"] = str(args.seed)
         if args.strict:
             raw["strict"] = "true"
-        _COMMANDS[args.command][0](_Config(raw))
+        cfg = _Config(raw)
+        counts = _COMMANDS[args.command][0](cfg)
+        _write_manifest(cfg.outdir(), args.command, cfg.resolved, cfg.inputs, cfg.outputs,
+                        counts)
     except (ConfigError, IngestError, ModelFormatError, ModelValidationError,
-            SimplexError, TrainingDivergedError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+            SimplexError, TrainingDivergedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -178,7 +178,7 @@ def kde(
     standard deviation, or sigma alone when the IQR is 0 (as statsmodels
     does).  Without a window the grid spans the data plus three
     bandwidths each side; density can therefore extend past the data
-    extremes (kernel smoothing).
+    extremes (kernel smoothing).  A window must be finite, with lo < hi.
     """
     e = np.asarray(errors, dtype=np.float64)
     if e.ndim != 1 or e.size < 2:
@@ -193,8 +193,8 @@ def kde(
         lo, hi = float(e.min() - 3.0 * h), float(e.max() + 3.0 * h)
     else:
         lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise ValueError(f"window must satisfy lo < hi, got {window}")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"window must be finite with lo < hi, got {window}")
     grid = np.linspace(lo, hi, 512)
     density = np.empty_like(grid)
     for g0 in range(0, grid.size, 32):  # row blocks: small temporaries, same sums

@@ -95,6 +95,8 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> Profile:
         except NoCriticalConditionError:
             raw.append(None)
     dnbr, chf_local, flagged = rate(raw, q)
+    if q > 0.0 and math.inf in dnbr:
+        raise FloatingPointError(f"DNBR overflows: node CHF / wall flux {q!r} W/m2")
     return Profile(
         case=case, heights=heights, enthalpies=enthalpies, qualities=qualities,
         dnbr=tuple(dnbr), chf_local=tuple(chf_local), flagged_nodes=tuple(flagged),

@@ -618,6 +618,7 @@ def test_simulate_overflowing_flux_is_failed_row(tmp_path, capsys):
         "12.62,5.56,6895,1000,100,1e306,20",  # inf W/m2 after the x1e3
         "1.0,5.0,6895,1,100,1e304,20",        # finite, but 4 q L / (G D) overflows
         "12.62,5.56,6895,1000,100,500,20",
+        "12.62,5.56,6895,1000,100,1e-320,20", # subnormal: node CHF / q overflows
     ])
     out = tmp_path / "sim"
     assert main(["simulate", f"cases={cases}", "kind=base_bowring",
@@ -625,8 +626,9 @@ def test_simulate_overflowing_flux_is_failed_row(tmp_path, capsys):
     _, srows = _read_csv(out / "summary.csv")
     assert [r[-1] for r in srows] == [
         "failed: wall_heat_flux must be >= 0 and finite; got inf",
-        "failed: enthalpy march overflows: exit quality inf", "ok"]
-    assert _manifest(out)["counts"] == {"failed": 2}
+        "failed: enthalpy march overflows: exit quality inf", "ok",
+        f"failed: DNBR overflows: node CHF / wall flux {1e-320 * 1e3!r} W/m2"]
+    assert _manifest(out)["counts"] == {"failed": 3}
     assert sorted(p.name for p in out.glob("profile_*.csv")) == ["profile_2.csv"]
     assert capsys.readouterr().err == ""
 
@@ -1132,3 +1134,131 @@ def test_train_model_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, err
     one, two = ((out / "model.chfmlp").read_bytes() for out, _ in runs)
     assert one == two
+
+
+# ---------------------------------------------------------------------------
+# the run record: what every command reads and writes
+# ---------------------------------------------------------------------------
+
+def _run_record_case(tmp_path, case):
+    """(argv without outdir, files the command reads) of one case."""
+    if case.startswith("prepare"):
+        data = tmp_path / "data.csv"
+        write_dataset(data)
+        return ["prepare", f"data={data}", f"base={case.split('-')[1]}"], [data]
+    if case in ("predict", "simulate", "verify-model"):
+        model = tmp_path / "m.chfmlp"
+        _save_const_residual_model(model, 10.0)
+        if case == "verify-model":
+            return [case, f"model={model}"], [model]
+        if case == "simulate":
+            cases = _case_file(tmp_path, ["12.62,5.56,6895,1000,100,500,20",
+                                          "-1.0,3.0,7000,1500,150,800,40"])
+            return ["simulate", f"cases={cases}", "kind=hybrid_bowring", f"model={model}",
+                    "critical_power=true", "bracket_lo_kW_m2=100",
+                    "bracket_hi_kW_m2=4000"], [cases, model]
+        test = _prepared(tmp_path) / "test.csv"
+        return ["predict", f"data={test}", "kind=hybrid_bowring", f"model={model}"], [test, model]
+    if case.startswith("evaluate"):
+        pred = tmp_path / "p.csv"
+        if case == "evaluate-kde":
+            truth = tmp_path / "t.csv"
+            pred.write_text("chf_pred_kW_m2\n110.0\n120.0\n95.0\n")
+            truth.write_text("measured_chf_kW_m2\n100.0\n100.0\n100.0\n")
+            return ["evaluate", f"pred_csv={pred}", f"truth_csv={truth}"], [pred, truth]
+        pred.write_text("chf_pred_kW_m2,measured_chf_kW_m2\n110.0,100.0\n220.0,200.0\n")
+        return ["evaluate", f"pred_csv={pred}"], [pred]  # zero variance: no KDE
+    prep = _prepared(tmp_path, n=16, seed=31)
+    if case == "hullcheck":
+        return (["hullcheck", f"train_csv={prep / 'train.csv'}",
+                 f"query_csv={prep / 'test.csv'}"], [prep / "train.csv", prep / "test.csv"])
+    if case == "train":
+        return (["train", f"train_csv={prep / 'pure_train.csv'}",
+                 f"val_csv={prep / 'pure_val.csv'}", "hidden=4", "epochs=2", "batch_size=4"],
+                [prep / "pure_train.csv", prep / "pure_val.csv"])
+    return (["tune", f"train_csv={prep / 'pure_train.csv'}", "budget_epochs=4",
+             "n_configs=1", "rung0_epochs=2", "depths=1", "width_min=2", "width_max=3",
+             "batch_sizes=4"], [prep / "pure_train.csv"])
+
+
+@pytest.mark.parametrize("case", ["prepare-none", "prepare-bowring", "train", "tune", "predict",
+                                  "simulate", "evaluate-kde", "evaluate-no-kde", "hullcheck",
+                                  "verify-model"])
+def test_manifest_records_exactly_what_the_command_reads_and_writes(tmp_path, monkeypatch,
+                                                                    case):
+    import builtins
+
+    argv, reads = _run_record_case(tmp_path, case)
+    out = tmp_path / "out"
+    opened = []
+    real_open = builtins.open
+
+    def spying_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            opened.append(os.path.realpath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spying_open)
+    assert main([*argv, f"outdir={out}"]) == 0
+    monkeypatch.undo()
+    manifest = _manifest(out)
+    assert sorted(manifest["outputs"]) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    assert sorted(manifest["inputs"]) == sorted(map(str, reads))
+    # every file opened for reading outside outdir is a recorded input
+    # (main also opens each input to hash it)
+    outside = {p for p in opened if os.path.dirname(p) != os.path.realpath(out)}
+    assert outside == {os.path.realpath(p) for p in reads}
+    assert manifest["config"]["outdir"] == str(out)
+    if case.startswith("evaluate"):
+        assert ("kde.csv" in manifest["outputs"]) == (case == "evaluate-kde")
+
+
+def test_evaluate_missing_truth_file_is_error_naming_key(tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text("chf_pred_kW_m2\n110.0\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", f"pred_csv={pred}", f"truth_csv={tmp_path / 'nope.csv'}",
+                 f"outdir={out}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key 'truth_csv': no such file: {tmp_path / 'nope.csv'}\n")
+    assert not out.exists()  # outdir is made with the first output
+
+
+@pytest.mark.parametrize("lo,hi,key", [
+    ("5", "1", "kde_hi_pct"), ("1", "1", "kde_hi_pct"), ("nan", "5", "kde_lo_pct"),
+    ("-5", "nan", "kde_hi_pct"), ("-inf", "inf", "kde_lo_pct"), ("-5", "inf", "kde_hi_pct"),
+    ("-1e308", "1e308", "kde_hi_pct"),
+])
+def test_evaluate_bad_kde_window_is_error_naming_key(tmp_path, capsys, lo, hi, key):
+    pred = tmp_path / "p.csv"
+    pred.write_text("chf_pred_kW_m2,measured_chf_kW_m2\n110.0,100.0\n120.0,100.0\n"
+                    "95.0,100.0\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", f"pred_csv={pred}", f"kde_lo_pct={lo}", f"kde_hi_pct={hi}",
+                 f"outdir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r}: must be") and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", ["20000,100", "nan,20000", "100,nan", "inf,inf",
+                                    "-inf,-inf"])
+@pytest.mark.parametrize("command", ["prepare", "predict", "hullcheck"])
+def test_bad_envelope_bounds_are_error_naming_key(tmp_path, capsys, command, bounds):
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    argv = {"prepare": ["prepare", f"data={data}"],
+            "predict": ["predict", f"data={data}", "kind=base_bowring"],
+            "hullcheck": ["hullcheck", f"train_csv={data}", f"query_csv={data}"]}[command]
+    assert main([*argv, f"envelope_P_kPa={bounds}", f"outdir={tmp_path / 'out'}"]) == 1
+    assert capsys.readouterr().err.startswith("error: config key 'envelope_P_kPa': must be")
+
+
+def test_infinite_envelope_bound_means_no_limit(tmp_path):
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    out = tmp_path / "prep"
+    assert main(["prepare", f"data={data}", "envelope_P_kPa=-inf,inf",
+                 "envelope_G_kg_m2s=0,inf", f"outdir={out}"]) == 0
+    counts = _manifest(out)["counts"]
+    assert counts["rows_read"] == 14 and counts["rows_rejected"] == 0

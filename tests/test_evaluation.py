@@ -229,8 +229,11 @@ def test_kde_grid_and_window():
     assert s.grid[0] == -50.0 and s.grid[-1] == 50.0
     assert np.all(np.diff(s.grid) > 0)
     assert np.all(s.density >= 0.0)
-    with pytest.raises(ValueError, match="window"):
-        kde(e, window=(5.0, -5.0))
+    # reversed, NaN, infinite, or so wide that the grid step overflows
+    for window in ((5.0, -5.0), (math.nan, 5.0), (-5.0, math.nan), (-math.inf, math.inf),
+                   (-math.inf, 5.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match=r"^window must be finite with lo < hi"):
+            kde(e, window=window)
 
 
 def test_kde_density_extends_past_data():

@@ -47,7 +47,8 @@ def _per_row_predict(cfg):
     outdir = cfg.outdir()
     data_path = cfg.path_in("data")
     strict = cfg.bool_("strict", "false")
-    predictor, extra_inputs = cli._load_predictor(cfg)
+    predictor = cli._load_predictor(cfg)
+    model_paths = [] if predictor.model is None else [cfg.resolved["model"]]
     table, report = ingest(data_path, envelope=cfg.envelope(), strict=strict)
     path = os.path.join(outdir, "predictions.csv")
     statuses, excursions = [], []
@@ -62,7 +63,7 @@ def _per_row_predict(cfg):
             fh.write(f"{line},{pred},{base},{resid},{measured / 1e3!r},{excursion},{status}\n")
             statuses.append(status)
             excursions.append(excursion)
-    cli._write_manifest(outdir, "predict", cfg, [data_path, *extra_inputs], [path],
+    cli._write_manifest(outdir, "predict", cfg.resolved, [data_path, *model_paths], [path],
                         {**cli._ingest_counts(report), "predicted": statuses.count("ok"),
                          "failed": len(statuses) - statuses.count("ok"),
                          "quality_excursions": excursions.count("1")})

@@ -91,7 +91,7 @@ def _per_row_prepare(cfg):
                 fh.write(f"{name},{line_no},{cli._csv_safe(msg)}\n")
         outputs.append(fail_path)
         counts["hbm_failures"] = len(failures)
-    cli._write_manifest(outdir, "prepare", cfg, [data_path], outputs, counts)
+    cli._write_manifest(outdir, "prepare", cfg.resolved, [data_path], outputs, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ into its ``summary.csv`` and ``critical_power.csv`` lines as it comes.
 ``simulate`` rates a case's nodes as arrays and writes its columns
 through the column writer instead; for every predictor kind, on cases
 that take every branch (zero wall flux, flagged nodes of both kinds,
-default and fractional node counts, a pressure outside the fluid range
-and a bracket that misses), every file it writes, the manifest included,
-must keep its bytes.
+default and fractional node counts, a pressure outside the fluid range,
+a wall flux so small that node CHF / flux overflows, and a bracket that
+misses), every file it writes, the manifest included, must keep its
+bytes.
 """
 
 import json
@@ -38,6 +39,7 @@ CASES = [
     "-1.0,3.0,7000,1500,150,800,40",      # rejected by ChannelCase
     "12.62,,6895,1000,100,500,20",        # blank required cell
     "9.0,4.0,10000,2500,250,1200,30",
+    "12.62,5.56,6895,1000,100,1e-320,20",  # subnormal wall flux: DNBR overflows
 ]
 BRACKET = ("bracket_lo_kW_m2=100", "bracket_hi_kW_m2=4000")
 
@@ -52,7 +54,8 @@ def _per_node_simulate(cfg):
     resolved config sorted, so the order the keys are read in is free."""
     outdir = cfg.outdir()
     cases_path = cfg.path_in("cases")
-    predictor, extra_inputs = cli._load_predictor(cfg)
+    predictor = cli._load_predictor(cfg)
+    model_paths = [] if predictor.model is None else [cfg.resolved["model"]]
     bracket = (cfg.float_("bracket_lo_kW_m2") * 1e3, cfg.float_("bracket_hi_kW_m2") * 1e3)
     cfg.bool_("critical_power", "false")
     outputs, n_failed, cp_lines = [], 0, []
@@ -66,7 +69,7 @@ def _per_node_simulate(cfg):
                 continue
             try:
                 profile = channel_oracle.solve_channel(case, predictor)
-            except FluidRangeError as e:
+            except (FluidRangeError, FloatingPointError) as e:
                 n_failed += 1
                 fh.write(f"{i},,,,failed: {cli._csv_safe(e)}\n")
                 continue
@@ -93,7 +96,7 @@ def _per_node_simulate(cfg):
     with open(cp_path, "w", encoding="utf-8") as fh:
         fh.write("case,critical_flux_kW_m2,limiting_node,min_dnbr,status\n")
         fh.writelines(cp_lines)
-    cli._write_manifest(outdir, "simulate", cfg, [cases_path, *extra_inputs],
+    cli._write_manifest(outdir, "simulate", cfg.resolved, [cases_path, *model_paths],
                         [*outputs, summary_path, cp_path], {"failed": n_failed})
 
 
@@ -137,7 +140,8 @@ def test_simulate_writes_the_bytes_of_the_per_node_formatter(tmp_path, kind):
     summary = _read_rows(want / "summary.csv")
     statuses = [row[-1].split(":")[0] for row in summary]
     assert statuses == ["ok", "ok", "ok", "failed", "ok", "ok", "failed", "failed",
-                        "failed", "ok"]
+                        "failed", "ok", "failed"]
+    assert summary[10][-1].startswith("failed: DNBR overflows")
     if kind != "pure_ml":  # the network rates every node
         assert int(summary[5][3]) > 0  # nodes without a critical condition
     if kind == "falling":  # some nodes nonpositive, some not
