@@ -628,6 +628,7 @@ def cmd_evaluate(cfg: _Config) -> dict:
     truth_path = cfg.path_in("truth_csv", pred_path)
     truth_col = cfg.str_("truth_col", "measured_chf_kW_m2")
     trim = cfg.float_("trim_quantile", "0.995")
+    cfg.check("trim_quantile", 0.0 < trim <= 1.0, "in (0, 1]")
     window = None
     if cfg.has("kde_lo_pct") or cfg.has("kde_hi_pct"):
         lo, hi = window = (cfg.float_("kde_lo_pct"), cfg.float_("kde_hi_pct"))

@@ -23,8 +23,11 @@ A row whose blanks cannot be derived, or whose inlet conditions
 row in strict mode and merely flag it otherwise; either way the report
 carries the file line number and a reason.
 
-``load_columns`` reads every numeric CSV input; ``write_csvs`` writes the
-CSV outputs, several files in lockstep, each column formatted once a chunk.
+``load_columns`` reads every numeric CSV input: numpy's C reader parses a
+table of finite numbers in one call, and any other table (a blank cell,
+say) takes a per-cell pass that splits a chunk of rows at once.
+``write_csvs`` writes the CSV outputs, several files in lockstep, each
+column formatted once a chunk.
 """
 
 from __future__ import annotations
@@ -159,7 +162,12 @@ def envelope_violations(
 
 def _parse_cells(cells: list[str]) -> np.ndarray | None:
     """The cells as float64, NaN for a blank one; None if a cell is
-    neither blank nor a finite number."""
+    neither blank nor a finite number.  A plain ``float`` pass comes
+    first, the blank-aware one only where it fails."""
+    with contextlib.suppress(ValueError):
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
     try:
         values = np.array([float(c) if c.strip() else math.nan for c in cells],
                           dtype=np.float64)
@@ -191,13 +199,23 @@ def load_columns(path: str, columns: Sequence[str]) -> tuple[np.ndarray, np.ndar
 
     Returns a (len(columns), n) float64 array, NaN for blank cells, and
     the file line number of each of the n data rows (blank lines are
-    skipped but counted).  A missing column, a wrong field count or a
-    cell that is not a finite number raises IngestError.  The cells are
-    parsed a chunk of rows at a time, one pass per column, and the first
-    bad line is searched for only once one is known to exist.
+    skipped but counted).  A leading UTF-8 byte-order mark is dropped.  A
+    missing column, a wrong field count or a cell that is not a finite
+    number raises IngestError.
+
+    Numpy's C reader then parses every row in one call, kept if it gives
+    one row per line and only finite values: it converts a cell to
+    ``float``'s bits but accepts less (no blank, ``_`` or non-ASCII
+    digit), save that it strips the separators 0x1c-0x1f, so a file with
+    one skips it.  Else a per-cell pass runs, a chunk of rows at a time,
+    one ``float`` pass per column, the first bad line searched for only
+    once one is known to exist.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    fast = not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+    lines = text.split("\n")
+    del text
     numbered = [i for i, line in enumerate(lines) if line.strip()]
     if not numbered:
         raise IngestError(f"{path}: empty file")
@@ -206,20 +224,28 @@ def load_columns(path: str, columns: Sequence[str]) -> tuple[np.ndarray, np.ndar
     if missing:
         raise IngestError(f"{path}: missing column(s) {missing}")
     pos = [header.index(c) for c in columns]
+    width = len(header)
     rows = [lines[i] for i in numbered[1:]]
     del lines
-    line_nos = [i + 1 for i in numbered[1:]]
-    if any(row.count(",") != len(header) - 1 for row in rows):
-        _raise_first_error(path, len(header), columns, pos, rows, line_nos)
+    line_nos = np.array(numbered[1:], dtype=np.int64) + 1
+    if any(row.count(",") != width - 1 for row in rows):
+        _raise_first_error(path, width, columns, pos, rows, line_nos.tolist())
+    if fast and rows:  # loadtxt warns on no input
+        with contextlib.suppress(ValueError):
+            out = np.loadtxt(rows, delimiter=",", usecols=pos, comments=None, ndmin=2,
+                             dtype=np.float64)
+            if len(out) == len(rows) and np.isfinite(out).all():
+                return np.ascontiguousarray(out.T), line_nos
     out = np.empty((len(columns), len(rows)))
     for start in range(0, len(rows), _CHUNK_ROWS):
-        cells = [row.split(",") for row in rows[start:start + _CHUNK_ROWS]]
+        # every row has ``width`` fields, so column j of the chunk is cells[j::width]
+        cells = ",".join(rows[start:start + _CHUNK_ROWS]).split(",")
         for k, j in enumerate(pos):
-            values = _parse_cells([r[j] for r in cells])
+            values = _parse_cells(cells[j::width])
             if values is None:
-                _raise_first_error(path, len(header), columns, pos, rows, line_nos)
-            out[k, start:start + len(cells)] = values
-    return out, np.array(line_nos, dtype=np.int64)
+                _raise_first_error(path, width, columns, pos, rows, line_nos.tolist())
+            out[k, start:start + len(values)] = values
+    return out, line_nos
 
 
 def _reject(reasons: dict[int, str], ok: np.ndarray, bad: np.ndarray, reason: str) -> None:
@@ -347,7 +373,7 @@ def write_csvs(columns: Sequence[np.ndarray | list[str]],
                 rows = zip(*(cells[j] for j in cols))
                 if keep is not None:
                     rows = itertools.compress(rows, keep[start:start + _CHUNK_ROWS].tolist())
-                fh.writelines(",".join(row) + "\n" for row in rows)
+                fh.write("\n".join([*map(",".join, rows), ""]))
 
 
 def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],

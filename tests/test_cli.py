@@ -1241,6 +1241,19 @@ def test_evaluate_bad_kde_window_is_error_naming_key(tmp_path, capsys, lo, hi, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trim", ["nan", "2", "0", "inf"])
+def test_evaluate_bad_trim_quantile_is_error_naming_key(tmp_path, capsys, trim):
+    # checked before any file is read: this prediction file does not parse
+    pred = tmp_path / "p.csv"
+    pred.write_text("chf_pred_kW_m2,measured_chf_kW_m2\nx,y\n")
+    out = tmp_path / "eval"
+    assert main(["evaluate", f"pred_csv={pred}", f"trim_quantile={trim}",
+                 f"outdir={out}"]) == 1
+    assert capsys.readouterr().err == (f"error: config key 'trim_quantile': must be "
+                                       f"in (0, 1], got {trim!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bounds", ["20000,100", "nan,20000", "100,nan", "inf,inf",
                                     "-inf,-inf"])
 @pytest.mark.parametrize("command", ["prepare", "predict", "hullcheck"])

@@ -294,6 +294,19 @@ def test_read_columns_header_only_yields_nothing(tmp_path):
     assert values.shape == (1, 0) and lines.shape == (0,)
 
 
+def test_read_columns_accepts_byte_order_mark_and_crlf(tmp_path):
+    # Excel's "CSV UTF-8" export starts with a BOM and ends lines with CRLF
+    path = tmp_path / "t.csv"
+    path.write_bytes(("\ufeff" + CSV_HEADER + "\r\n" + EXAMPLE_ROW + "\r\n\r\n"
+                      + EXAMPLE_ROW + "\r\n").encode("utf-8"))
+    table, report = ingest(str(path))
+    assert not report.rejected and table.lines.tolist() == [2, 4]
+    assert table.diameter.tolist() == [0.01262, 0.01262]
+    path.write_bytes("\ufeffa,b\r\n1,\r\n".encode("utf-8"))
+    values, lines = load_columns(str(path), ("a", "b"))
+    assert np.array_equal(values, [[1.0], [np.nan]], equal_nan=True) and lines.tolist() == [2]
+
+
 def test_read_columns_missing_column(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n")
