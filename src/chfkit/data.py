@@ -200,8 +200,8 @@ def load_columns(path: str, columns: Sequence[str]) -> tuple[np.ndarray, np.ndar
     Returns a (len(columns), n) float64 array, NaN for blank cells, and
     the file line number of each of the n data rows (blank lines are
     skipped but counted).  A leading UTF-8 byte-order mark is dropped.  A
-    missing column, a wrong field count or a cell that is not a finite
-    number raises IngestError.
+    requested column that is missing or named twice, a wrong field count
+    or a cell that is not a finite number raises IngestError.
 
     Numpy's C reader then parses every row in one call, kept if it gives
     one row per line and only finite values: it converts a cell to
@@ -223,6 +223,9 @@ def load_columns(path: str, columns: Sequence[str]) -> tuple[np.ndarray, np.ndar
     missing = [c for c in columns if c not in header]
     if missing:
         raise IngestError(f"{path}: missing column(s) {missing}")
+    doubled = list(dict.fromkeys(c for c in columns if header.count(c) > 1))
+    if doubled:
+        raise IngestError(f"{path}: column(s) {doubled} named more than once in the header")
     pos = [header.index(c) for c in columns]
     width = len(header)
     rows = [lines[i] for i in numbered[1:]]

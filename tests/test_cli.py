@@ -789,6 +789,22 @@ def test_evaluate_field_count_error_names_real_line(tmp_path, capsys):
     assert "line 4: expected 2 fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, header, row", [
+    ("evaluate", "chf_pred_kW_m2,measured_chf_kW_m2,measured_chf_kW_m2", "110.0,100.0,900.0"),
+    ("prepare", "D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2,D_mm",
+     "12.62,5.56,6895.0,1000.0,,250.0,,1500.0,8.0"),
+], ids=["evaluate", "prepare"])
+def test_requested_column_named_twice_is_error(tmp_path, capsys, command, header, row):
+    data = _one_row_twice(tmp_path / "t.csv", header, row)
+    key = "pred_csv" if command == "evaluate" else "data"
+    out = tmp_path / "out"
+    assert main([command, f"{key}={data}", f"outdir={out}"]) == 1
+    doubled = header.rsplit(",", 1)[1]
+    assert capsys.readouterr().err == (
+        f"error: {data}: column(s) [{doubled!r}] named more than once in the header\n")
+    assert not out.exists()
+
+
 def test_evaluate_degenerate_kde_noted_not_fatal(tmp_path):
     pred = tmp_path / "p.csv"
     pred.write_text(

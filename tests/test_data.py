@@ -314,6 +314,16 @@ def test_read_columns_missing_column(tmp_path):
         load_columns(str(path), ("a", "z"))
 
 
+def test_read_columns_requested_column_named_twice(tmp_path):
+    # an unrequested doubled name is accepted; a requested one is ambiguous
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,b,c,c\n1,2,3,4,5\n")
+    values, lines = load_columns(str(path), ("a",))
+    assert values.tolist() == [[1.0]] and lines.tolist() == [2]
+    with pytest.raises(IngestError, match=r"column\(s\) \['c', 'b'\] named more than once"):
+        load_columns(str(path), ("a", "c", "b", "c"))
+
+
 def test_read_columns_first_bad_line_wins_across_columns_and_chunks(tmp_path, monkeypatch):
     # column b goes bad on line 4 and column a on line 6, both past the
     # first chunk of two rows; a wrong field count on line 7 comes later

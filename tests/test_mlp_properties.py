@@ -7,13 +7,18 @@ derivatives recomputed from the pre-activations, and one Adam update
 per weight and bias array.  ``train`` now keeps the parameters in one
 flat vector with one Adam update per step, takes the two backward
 contractions through BLAS ``matmul`` and reads the tanh and sigmoid
-derivatives off the stored activations.  The Adam arithmetic is the
-same expression element by element, and the derivatives are the same
-bits, but BLAS sums the batch in another order, so the two agree:
+derivatives off the stored activations.  The derivatives are the same
+bits, but BLAS sums the batch in another order, and ``train``'s Adam
+keeps its moments divided by 1 - beta1 and 1 - beta2 and folds the bias
+corrections into one scalar and a scaled eps, which rounds differently
+from the oracle's textbook update.  So the two agree:
 
 * on every epoch of the loss trace within 1e-12 relative;
 * on every weight and bias array within 1e-12 of that array's largest
   magnitude in the oracle.
+
+The scaled-moment step alone is checked against the textbook update
+over gradients from 1e-150 to 1e150, where both stay finite.
 """
 
 import math
@@ -22,7 +27,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chfkit.mlp import ACTIVATIONS, Mlp, TrainConfig, init_mlp, train
+from chfkit.cli import DEFAULT_HIDDEN
+from chfkit.mlp import ACTIVATIONS, Mlp, TrainConfig, _adam_step, init_mlp, train
 
 REL_TOL = 1e-12
 
@@ -134,10 +140,7 @@ def training_cases(draw):
     return widths, act, batch, n, n_in, epochs, lr0, seed
 
 
-@settings(max_examples=200)
-@given(training_cases())
-def test_train_matches_per_array_oracle(case):
-    widths, act, batch, n, n_in, epochs, lr0, seed = case
+def _check_against_oracle(widths, act, batch, n, n_in, epochs, lr0, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n_in))
     y = np.tanh(x @ rng.standard_normal(n_in)) + 0.1 * rng.standard_normal(n)
@@ -156,6 +159,54 @@ def test_train_matches_per_array_oracle(case):
             assert got.shape == want.shape
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= REL_TOL * scale, (act, widths)
+
+
+@settings(max_examples=200)
+@given(training_cases())
+def test_train_matches_per_array_oracle(case):
+    _check_against_oracle(*case)
+
+
+def test_train_matches_per_array_oracle_at_default_architecture():
+    # the architecture ``train`` runs by default: 7 tanh layers, batch 32,
+    # and 1,000 rows, so each epoch ends on a batch of 8
+    widths = tuple(int(w) for w in DEFAULT_HIDDEN.split(","))
+    assert len(widths) == 7
+    _check_against_oracle(widths, "tanh", 32, 1000, 5, 2, 1e-3, 7)
+
+
+def _textbook_adam(grads, lrs):
+    """Theta from 0 after each step of Adam as Kingma and Ba write it."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    theta, m, v, out = np.zeros_like(grads[0]), 0.0, 0.0, []
+    for step, (g, lr) in enumerate(zip(grads, lrs), 1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g**2
+        theta = theta - lr * (m / (1.0 - beta1**step)) / (np.sqrt(v / (1.0 - beta2**step)) + eps)
+        out.append(theta)
+    return out
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12), st.integers(1, 8), st.data())
+def test_adam_step_on_scaled_moments_matches_textbook(steps, width, data):
+    # gradients of either sign from 1e-150 to 1e150, where the textbook
+    # form stays finite; the tolerance scales with the theta the same
+    # gradients give without signs, which bounds what cancellation in the
+    # first moment and in theta can leave
+    exps = data.draw(st.lists(st.floats(-150.0, 150.0), min_size=steps * width,
+                              max_size=steps * width))
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=steps * width,
+                               max_size=steps * width))
+    grads = list((np.array(signs) * 10.0 ** np.array(exps)).reshape(steps, width))
+    lrs = [data.draw(st.sampled_from((1e-4, 1e-3, 1e-2))) for _ in range(steps)]
+    want = _textbook_adam(grads, lrs)
+    scale = _textbook_adam([np.abs(g) for g in grads], lrs)
+    theta, mom, vel, tmp = (np.zeros(width) for _ in range(4))
+    for step, (g, lr) in enumerate(zip(grads, lrs), 1):
+        _adam_step(theta, g, mom, vel, tmp, step, lr)
+        assert np.isfinite(want[step - 1]).all()
+        assert np.all(np.abs(theta - want[step - 1]) <= REL_TOL * np.abs(scale[step - 1]))
 
 
 @settings(max_examples=20)
