@@ -441,6 +441,7 @@ def cmd_train(cfg: _Config) -> dict:
     if mode == "direct" and base != "none":
         raise ConfigError("mode=direct requires base=none")
     train_path = cfg.path_in("train_csv")
+    val_path = cfg.path_in("val_csv") if cfg.has("val_csv") else None
     seed = cfg.int_("seed", "0")
     hidden = cfg.ints("hidden", DEFAULT_HIDDEN)
     cfg.check("hidden", min(hidden) >= 1, "a comma list of widths >= 1")
@@ -456,6 +457,7 @@ def cmd_train(cfg: _Config) -> dict:
 
     counts: dict = {}
     x_std, y_std, in_scaler, out_scaler = _standardized_training_set(train_path, mode, counts)
+    val = _training_matrices(val_path, mode, min_rows=1) if val_path else None
     net = init_mlp(x_std.shape[1], hidden, activation, seed=seed,
                    input_scaler=in_scaler, output_scaler=out_scaler,
                    mode=mode, base_model=base, feature_names=MODEL_FEATURES)
@@ -467,8 +469,8 @@ def cmd_train(cfg: _Config) -> dict:
 
     counts.update(epochs=schedule.epochs, final_loss=repr(trace[-1]),
                   initial_loss=repr(trace[0]))
-    if cfg.has("val_csv"):
-        xv, yv = _training_matrices(cfg.path_in("val_csv"), mode, min_rows=1)
+    if val is not None:
+        xv, yv = val
         counts["val_mse_W2_m4"] = repr(float(np.mean((forward_batch(fitted, xv) - yv) ** 2)))
     return counts
 

@@ -1,13 +1,10 @@
 """Round-tube critical heat flux correlations and the heat-balance solver.
 
 Implements the Biasi and Bowring CHF correlations for uniformly heated
-vertical tubes, each usable two ways:
-
-* direct substitution (DSM): evaluate the correlation at a known local
-  equilibrium quality;
-* heat balance (HBM): find the wall flux at which the correlation value
-  equals the flux implied by the channel heat balance, so the quality
-  argument is itself consistent with the critical power.
+vertical tubes by the heat-balance method (HBM): find the wall flux at
+which the correlation value equals the flux implied by the channel heat
+balance, so the quality argument is itself consistent with the critical
+power.
 
 The heat balance for a uniformly heated tube of diameter D, heated
 length L, mass flux G and inlet subcooling dh_sub is
@@ -20,19 +17,18 @@ correlation is the largest of its branches, so the HBM root
 q'' = corr(x(q'')) has a closed form (see ``solve_hbm``).
 
 The branch coefficients and the solve run on 1-D columns, one row per
-tube; ``solve_hbm``, ``biasi_dsm``, ``bowring_dsm`` and ``bowring_inlet``
-are one-row calls of the same code.  Rows are independent.  Sums,
-products, quotients and square roots go to numpy, which rounds them
-correctly; every power and exponential goes through the C library one
+tube; ``solve_hbm`` and ``bowring_inlet`` are one-row calls of the same
+code.  Rows are independent.  Sums, products, quotients and square roots
+go to numpy, which rounds them correctly; every power and exponential goes through the C library one
 element at a time, as in ``fluid``.  numpy's SIMD ``pow`` and ``exp``
 differ from the C library's in the last bit of some 7-8% of values
 (base CHF moved by up to 8e-16 relative), so this keeps the values, and
 the CLI outputs, those of plain float arithmetic, in batches and alone.
 
 Both correlations are dimensional fits.  Out-of-validity inputs are
-evaluated anyway (screening use); the published validity envelopes are
-exposed as metadata, and nonpositive correlation values are returned
-as-is rather than clamped so callers can apply their own policy.
+evaluated anyway (screening use), and nonpositive correlation values
+are returned as-is rather than clamped so callers can apply their own
+policy.
 
 References
 ----------
@@ -54,32 +50,13 @@ from . import fluid
 
 __all__ = [
     "InletConditions",
-    "LocalConditions",
     "HbmSolution",
     "NoCriticalConditionError",
     "heat_balance_quality",
-    "biasi_dsm",
-    "bowring_dsm",
     "bowring_inlet",
     "solve_hbm",
-    "BIASI_VALIDITY",
-    "BOWRING_VALIDITY",
     "HBM_FLUX_BRACKET",
 ]
-
-# Published validity envelopes (informational, not enforced).
-BIASI_VALIDITY = {
-    "diameter_m": (0.003, 0.0375),
-    "heated_length_m": (0.2, 6.0),
-    "pressure_pa": (0.27e6, 14.0e6),
-    "mass_flux_kg_m2s": (100.0, 6000.0),
-}
-BOWRING_VALIDITY = {
-    "diameter_m": (0.002, 0.045),
-    "heated_length_m": (0.15, 3.7),
-    "pressure_pa": (0.2e6, 19.0e6),
-    "mass_flux_kg_m2s": (136.0, 18600.0),
-}
 
 # Search bracket for the heat-balance solve, W/m2.
 HBM_FLUX_BRACKET = (1.0, 20.0e6)
@@ -148,32 +125,6 @@ def _valid_inlet_rows(d: np.ndarray, length: np.ndarray, p: np.ndarray, g: np.nd
     return (np.isfinite(d) & np.isfinite(length) & np.isfinite(g) & np.isfinite(dh_sub)
             & (d > 0.0) & (length > 0.0) & (g > 0.0)
             & (fluid.P_SAT_MIN <= p) & (p <= fluid.P_CRITICAL))
-
-
-@dataclass(frozen=True)
-class LocalConditions:
-    """Local state for direct-substitution correlation evaluation."""
-
-    diameter: float
-    pressure: float
-    mass_flux: float
-    quality: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.diameter <= 0.0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
-        if self.mass_flux <= 0.0:
-            raise ValueError(f"mass_flux must be positive, got {self.mass_flux}")
-        if not fluid.P_SAT_MIN <= self.pressure <= fluid.P_CRITICAL:
-            raise ValueError(
-                f"pressure {self.pressure} Pa outside saturation range "
-                f"[{fluid.P_SAT_MIN}, {fluid.P_CRITICAL}] Pa"
-            )
-        if not QUALITY_MIN <= self.quality <= QUALITY_MAX:
-            raise ValueError(
-                f"quality {self.quality} outside [{QUALITY_MIN}, {QUALITY_MAX}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -270,18 +221,6 @@ def _biasi_pressure_h(p_bar: np.ndarray) -> np.ndarray:
     return -1.159 + 0.149 * p_bar * _exp(-0.019 * p_bar) + 9.0 * p_bar / (10.0 + p_bar * p_bar)
 
 
-def biasi_dsm(c: LocalConditions) -> float:
-    """Biasi CHF at a known local quality, W/m2.
-
-    Takes the larger of the low-quality and high-quality branches; at
-    mass fluxes of 300 kg/(m2 s) and below only the high-quality branch
-    applies.  The raw value is returned even when nonpositive (the
-    correlation predicts no burnout margin there); callers clamp.
-    """
-    branches = _branches("biasi", *_row(c.diameter, c.mass_flux, c.pressure))
-    return _flux(branches, c.quality).item()
-
-
 # ---------------------------------------------------------------------------
 # Bowring (1972)
 # ---------------------------------------------------------------------------
@@ -321,18 +260,6 @@ def bowring_inlet(c: InletConditions) -> float:
     h_fg = fluid.saturation_state(c.pressure).h_fg
     a, cc = (v.item() for v in _bowring_ac(*_row(c.diameter, c.mass_flux, c.pressure, h_fg)))
     return (a + 0.25 * c.diameter * c.mass_flux * c.inlet_subcooling) / (cc + c.heated_length)
-
-
-def bowring_dsm(c: LocalConditions) -> float:
-    """Bowring CHF at a known local quality, W/m2.
-
-    Local-conditions form q'' = (A - D G h_fg x / 4) / C, obtained from
-    the inlet form by eliminating the inlet subcooling through the heat
-    balance.  Raw value returned even when nonpositive.
-    """
-    h_fg = fluid.saturation_state(c.pressure).h_fg
-    branches = _branches("bowring", *_row(c.diameter, c.mass_flux, c.pressure, h_fg))
-    return _flux(branches, c.quality).item()
 
 
 # ---------------------------------------------------------------------------

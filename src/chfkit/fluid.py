@@ -1,8 +1,8 @@
 """Water/steam properties from the IAPWS Industrial Formulation 1997.
 
 Implements the subset of IAPWS-IF97 needed for heat-balance work on
-boiling channels: the Region 4 saturation line (both directions), and
-specific enthalpy from the Region 1 (compressed liquid) and Region 2
+boiling channels: the Region 4 saturation temperature from pressure,
+and specific enthalpy from the Region 1 (compressed liquid) and Region 2
 (superheated steam) basic equations.  Saturated-liquid and saturated-
 vapor enthalpies are obtained by evaluating the Region 1 and Region 2
 equations on the saturation line, which keeps Regions 3 and 5 out of
@@ -12,8 +12,8 @@ there; this is adequate for heat-balance quality bookkeeping but should
 not be mistaken for full IF97 fidelity near the critical point.
 
 All public functions take SI units (Pa, K) and return SI units (J/kg).
-All but ``saturation_pressure`` take floats or 1-D arrays and run one
-numpy core over the rows: floats give a Python float, arrays an array.
+They take floats or 1-D arrays and run one numpy core over the rows:
+floats give a Python float, arrays an array.
 The IF97 sums are (rows x terms) matrices, a bounded number of rows at a
 time, and no row depends on another, so a one-element call gives the
 bits of the same row in a batch.  ``inlet_temp_from_subcooling`` inverts
@@ -29,7 +29,6 @@ Thermodynamic Properties of Water and Steam, August 2007.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,8 @@ import numpy as np
 __all__ = [
     "FluidRangeError",
     "SaturationState",
-    "saturation_pressure",
-    "saturation_temperature",
     "saturation_state",
     "enthalpy_region1",
-    "enthalpy_region2",
     "subcooling_from_inlet_temp",
     "inlet_temp_from_subcooling",
     "P_CRITICAL",
@@ -328,7 +324,7 @@ def _report(errors: dict, into: dict | None) -> None:
         raise errors[min(errors)]
 
 
-def _check_saturation_pressure(errors: dict, ok: np.ndarray, p: np.ndarray) -> None:
+def _check_p_sat(errors: dict, ok: np.ndarray, p: np.ndarray) -> None:
     _fail(errors, ok, ~((P_SAT_MIN <= p) & (p <= P_CRITICAL)),
           lambda v: f"saturation pressure {v} Pa outside [{P_SAT_MIN}, {P_CRITICAL}] Pa", p)
 
@@ -347,35 +343,6 @@ def _checked(check, *columns) -> None:
     _report(errors, None)
 
 
-def saturation_pressure(t: float) -> float:
-    """Saturation pressure of water, Pa, from temperature, K.
-
-    Implements IF97 Eq. (30), valid for 273.15 K <= t <= 647.096 K.
-    """
-    if not T_SAT_MIN <= t <= T_CRITICAL:
-        raise FluidRangeError(
-            f"saturation temperature {t} K outside [{T_SAT_MIN}, {T_CRITICAL}] K"
-        )
-    n = _R4_N
-    theta = t + n[8] / (t - n[9])
-    a = theta * theta + n[0] * theta + n[1]
-    b = n[2] * theta * theta + n[3] * theta + n[4]
-    c = n[5] * theta * theta + n[6] * theta + n[7]
-    p_mpa = (2.0 * c / (-b + math.sqrt(b * b - 4.0 * a * c))) ** 4
-    return p_mpa * 1e6
-
-
-def saturation_temperature(p: _Rows) -> _Rows:
-    """Saturation temperature of water, K, from pressure, Pa.
-
-    Implements IF97 Eq. (31), the exact algebraic inverse of Eq. (30),
-    valid for 611.213 Pa <= p <= 22.064 MPa.
-    """
-    (pa,) = _rows(p)
-    _checked(_check_saturation_pressure, pa)
-    return _result(_t_sat(pa), p)
-
-
 def enthalpy_region1(p: _Rows, t: _Rows) -> _Rows:
     """Specific enthalpy of compressed liquid water, J/kg.
 
@@ -390,19 +357,6 @@ def enthalpy_region1(p: _Rows, t: _Rows) -> _Rows:
     return _result(_h1(pa, ta), p, t)
 
 
-def enthalpy_region2(p: _Rows, t: _Rows) -> _Rows:
-    """Specific enthalpy of superheated steam, J/kg.
-
-    Region 2 basic equation, ideal-gas plus residual part.  Nominal
-    validity is 273.15 K <= t <= 1073.15 K, p <= 100 MPa with p below
-    the Region 2/3 boundary; evaluation at saturated-vapor states above
-    ~16.53 MPa is an extrapolation (see module docstring).
-    """
-    pa, ta = _rows(p, t)
-    _checked(_check_pt, pa, ta)
-    return _result(_h2(pa, ta), p, t)
-
-
 def saturation_state(p: _Rows) -> SaturationState:
     """Saturation temperature and phase enthalpies at pressure p, Pa.
 
@@ -411,7 +365,7 @@ def saturation_state(p: _Rows) -> SaturationState:
     gives a state whose fields are arrays.
     """
     (pa,) = _rows(p)
-    _checked(_check_saturation_pressure, pa)
+    _checked(_check_p_sat, pa)
     t_sat = _t_sat(pa)
     h_f, h_g = _h1(pa, t_sat), _h2(pa, t_sat)
     if np.ndim(p) == 0:
@@ -433,7 +387,7 @@ def subcooling_from_inlet_temp(p: _Rows, t_in: _Rows, errors: dict | None = None
     pa, ta = _rows(p, t_in)
     found: dict = {}
     ok = np.ones(pa.size, dtype=bool)
-    _check_saturation_pressure(found, ok, pa)
+    _check_p_sat(found, ok, pa)
     pa_ok = np.where(ok, pa, P_SAT_MIN)  # bad rows get a harmless stand-in
     t_sat = _t_sat(pa_ok)
     _fail(found, ok, ta > t_sat,
@@ -464,7 +418,7 @@ def inlet_temp_from_subcooling(p: _Rows, dh_sub: _Rows,
     ok = np.ones(pa.size, dtype=bool)
     _fail(found, ok, da < 0.0,
           lambda d: f"subcooling {d} J/kg is negative (superheated inlet)", da)
-    _check_saturation_pressure(found, ok, pa)
+    _check_p_sat(found, ok, pa)
     pa_ok = np.where(ok, pa, P_SAT_MIN)  # bad rows get a harmless stand-in
     t = _t_sat(pa_ok)
     h = _h1(np.concatenate((pa_ok, pa_ok)), np.concatenate((t, np.full(pa.size, T_SAT_MIN))))

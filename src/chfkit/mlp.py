@@ -120,12 +120,11 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 # ---------------------------------------------------------------------------
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """Loss, or Adam's second moment, became non-finite during training."""
 
-    def __init__(self, epoch: int, batch: int, lr: float):
-        super().__init__(
-            f"training loss became non-finite at epoch {epoch}, batch {batch}, lr {lr:g}"
-        )
+    def __init__(self, epoch: int, batch: int, lr: float,
+                 what: str = "training loss became non-finite"):
+        super().__init__(f"{what} at epoch {epoch}, batch {batch}, lr {lr:g}")
         self.epoch = epoch
         self.batch = batch
         self.lr = lr
@@ -202,9 +201,6 @@ class Scaler:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.std + self.mean
 
 
 @dataclass
@@ -487,8 +483,10 @@ def train(
     Returns the trained network and the per-epoch mean batch loss.
 
     Raises TrainingDivergedError the moment a batch loss stops being
-    finite, reporting epoch, batch and current learning rate.  Adam keeps
-    scaled moments (``_adam_step``): within 1e-12 of the textbook update.
+    finite, reporting epoch, batch and current learning rate, and at the
+    end of an epoch in which Adam's second moment overflowed (an infinite
+    entry freezes its weight for good).  Adam keeps scaled moments
+    (``_adam_step``): within 1e-12 of the textbook update.
     """
     x_std = np.asarray(x_std, dtype=np.float64)
     y_std = np.asarray(y_std, dtype=np.float64).reshape(-1)
@@ -525,6 +523,8 @@ def train(
             batch_losses.append(loss)
             step += 1
             _adam_step(theta, grad, mom, vel, tmp, step, lr)
+        if not math.isfinite(vel.max()):  # vel >= 0, and max propagates NaN
+            raise TrainingDivergedError(epoch, b0 // bs, lr, "Adam's second moment overflowed")
         trace.append(float(np.mean(batch_losses)))
     for layer in layers:  # the returned layers own their arrays
         layer.weights, layer.bias = layer.weights.copy(), layer.bias.copy()
@@ -557,7 +557,6 @@ class CandidateConfig:
 @dataclass(frozen=True)
 class TuneResult:
     candidate: CandidateConfig
-    train_config: TrainConfig
     score: float
     epochs_trained: int
     rungs: tuple[tuple[int, tuple[float, ...]], ...]
@@ -682,16 +681,8 @@ def tune(
         rung += 1
 
     winner = min(last_scores, key=lambda i: (last_scores[i], i))
-    cand = candidates[winner]
     return TuneResult(
-        candidate=cand,
-        train_config=TrainConfig(
-            epochs=epochs_last,
-            batch_size=cand.batch_size,
-            lr0=cand.lr0,
-            decay_rate=decay_rate,
-            seed=candidate_seed(seed, winner),
-        ),
+        candidate=candidates[winner],
         score=last_scores[winner],
         epochs_trained=epochs_last,
         rungs=tuple(rung_trace),

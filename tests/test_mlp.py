@@ -109,7 +109,7 @@ def test_scaler_roundtrip():
     z = sc.transform(x)
     assert np.abs(z.mean(axis=0)).max() < 1e-12
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-12
-    back = sc.inverse_transform(z)
+    back = z * sc.std + sc.mean  # as forward_batch undoes the output scaler
     assert np.max(np.abs(back - x) / np.abs(x).max()) < 1e-14
 
 
@@ -328,6 +328,18 @@ def test_train_divergence_reports_epoch_batch_lr():
                 assert (e.epoch, e.batch) == (0, 1)
                 assert e.lr == 1e40
                 raise
+
+
+def test_train_second_moment_overflow_raises():
+    # the loss (1e306) stays finite, but the bias gradient squared
+    # overflows Adam's scaled second moment at step 46; from there that
+    # weight's update is 0, so more epochs would return the same weights
+    m = init_mlp(1, (), "tanh", seed=0)
+    cfg = TrainConfig(epochs=60, batch_size=1, lr0=1e-3, decay_rate=1.0, seed=0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrainingDivergedError, match="second moment overflowed") as err:
+            train(m, np.array([[0.0]]), np.array([1e153]), cfg)
+    assert (err.value.epoch, err.value.batch, err.value.lr) == (45, 0, 1e-3)
 
 
 def test_train_config_validation():

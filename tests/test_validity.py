@@ -347,7 +347,6 @@ def test_classify_batch_training_rows_all_inside():
     train = rng.uniform(0.0, 10.0, (15, 4))
     verdicts, summary = classify_batch(train, train)
     assert summary.n_inside == 15 and summary.n_outside == 0
-    assert summary.n_total == 15
     assert verdicts.inside.all()
 
 

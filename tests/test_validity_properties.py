@@ -169,7 +169,7 @@ def _assert_matches_oracle(train, queries):
     train_std = scaler.transform(train)
     a = np.vstack([train_std.T, np.ones(len(train_std))])
     verdicts, summary = classify_batch(train, queries)
-    assert summary.n_total == len(verdicts) == len(queries)
+    assert summary.n_inside + summary.n_outside == len(verdicts) == len(queries)
     assert summary.n_inside == np.count_nonzero(verdicts.inside)
     for q, v_in, v_slack, pivots, bland in zip(
             scaler.transform(queries), verdicts.inside.tolist(), verdicts.slack.tolist(),
