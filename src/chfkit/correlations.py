@@ -229,17 +229,20 @@ def _bowring_factors(p_pa: np.ndarray) -> tuple[np.ndarray, ...]:
     """Pressure functions F1..F4 and flow exponent n at pressures p, Pa."""
     p_r = p_pa / 6.895e6
     n = 2.0 - 0.5 * p_r
-    # both forms on every row, then the one for its side of p_r = 1; each
-    # stays finite over the whole saturation range
+    # each row takes the form for its side of p_r = 1, with f2 = f1 / d2
+    f1, d2, f3 = np.empty(p_r.shape), np.empty(p_r.shape), np.empty(p_r.shape)
     low = p_r <= 1.0
-    f1 = np.where(low, (_pow(p_r, 18.942) * _exp(20.89 * (1.0 - p_r)) + 0.917) / 1.917,
-                  _pow(p_r, -0.368) * _exp(0.648 * (1.0 - p_r)))
-    f2 = f1 / np.where(low, (_pow(p_r, 1.316) * _exp(2.444 * (1.0 - p_r)) + 0.309) / 1.309,
-                       _pow(p_r, -0.448) * _exp(0.245 * (1.0 - p_r)))
-    f3 = np.where(low, (_pow(p_r, 17.023) * _exp(16.658 * (1.0 - p_r)) + 0.667) / 1.667,
-                  _pow(p_r, 0.219))
+    r = p_r[low]
+    f1[low] = (_pow(r, 18.942) * _exp(20.89 * (1.0 - r)) + 0.917) / 1.917
+    d2[low] = (_pow(r, 1.316) * _exp(2.444 * (1.0 - r)) + 0.309) / 1.309
+    f3[low] = (_pow(r, 17.023) * _exp(16.658 * (1.0 - r)) + 0.667) / 1.667
+    high = ~low
+    r = p_r[high]
+    f1[high] = _pow(r, -0.368) * _exp(0.648 * (1.0 - r))
+    d2[high] = _pow(r, -0.448) * _exp(0.245 * (1.0 - r))
+    f3[high] = _pow(r, 0.219)
     f4 = f3 * _pow(p_r, 1.649)
-    return f1, f2, f3, f4, n
+    return f1, f1 / d2, f3, f4, n
 
 
 def _bowring_ac(d: np.ndarray, g: np.ndarray, p_pa: np.ndarray,

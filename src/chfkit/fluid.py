@@ -14,10 +14,11 @@ not be mistaken for full IF97 fidelity near the critical point.
 All public functions take SI units (Pa, K) and return SI units (J/kg).
 They take floats or 1-D arrays and run one numpy core over the rows:
 floats give a Python float, arrays an array.
-The IF97 sums are (rows x terms) matrices, a bounded number of rows at a
-time, and no row depends on another, so a one-element call gives the
-bits of the same row in a batch.  ``inlet_temp_from_subcooling`` inverts
-the Region 1 enthalpy by Newton steps with cp = -R tau^2 gamma_tautau.
+The IF97 sums are (terms x rows) matrices, a bounded number of rows at a
+time, each column added down in table order; no row depends on another,
+so a one-element call gives the bits of the same row in a batch.
+``inlet_temp_from_subcooling`` inverts the Region 1 enthalpy by Newton
+steps with cp = -R tau^2 gamma_tautau.
 A bad row raises its FluidRangeError (for arrays, the first bad row's);
 the two inlet-state functions can instead collect the errors per row.
 
@@ -224,17 +225,29 @@ class SaturationState:
 # A float, or a 1-D array with one value per row.
 _Rows = float | np.ndarray
 
-# Term tables as arrays: exponents, and the coefficients of gamma_tau
-# (n J) and of gamma_tautau times b (n J (J - 1)).
-_R1_IE, _R1_JE = np.array(_R1_I, dtype=float), np.array(_R1_J, dtype=float) - 1.0
-_R1_NJ = np.array(_R1_N) * np.array(_R1_J)
-_R1_NJJ = _R1_NJ * _R1_JE
-_R2_J0E = np.array(_R2_J0, dtype=float) - 1.0
-_R2_N0J0 = np.array(_R2_N0) * np.array(_R2_J0)
-_R2_IE, _R2_JE = np.array(_R2_I, dtype=float), np.array(_R2_J, dtype=float) - 1.0
-_R2_NJ = np.array(_R2_N) * np.array(_R2_J)
 
-# Rows per (rows x terms) matrix: 512 x 43 float64 is 176 kB.
+def _powers(exponents) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct exponents as a column, and each term's index into them."""
+    distinct, index = np.unique(np.asarray(exponents, dtype=float), return_inverse=True)
+    return distinct[:, None], index
+
+
+# Term tables as arrays: exponents as ``_powers``, so that a sum takes one
+# pow per distinct exponent (Region 1: 13 I and 25 J over 34 terms;
+# Region 2: 17 I and 27 J over 43), and as columns the coefficients of
+# gamma_tau (n J) and of gamma_tautau times b (n J (J - 1)).
+_R1_JE = np.array(_R1_J, dtype=float) - 1.0
+_R1_IP, _R1_JP = _powers(_R1_I), _powers(_R1_JE)
+_R1_NJ = (np.array(_R1_N) * np.array(_R1_J))[:, None]
+_R1_NJJ = _R1_NJ * _R1_JE[:, None]
+_R2_J0P = _powers(np.array(_R2_J0, dtype=float) - 1.0)
+_R2_N0J0 = (np.array(_R2_N0) * np.array(_R2_J0))[:, None]
+_R2_IP, _R2_JP = _powers(_R2_I), _powers(np.array(_R2_J, dtype=float) - 1.0)
+_R2_NJ = (np.array(_R2_N) * np.array(_R2_J))[:, None]
+
+# Rows per (terms x rows) matrix: 43 x 512 float64 is 176 kB.  numpy adds
+# a one-column matrix down its column pairwise, which is another order
+# than the table's and changes bits, so a single row runs as two columns.
 _CHUNK = 512
 
 # Newton steps allowed per inlet-temperature inversion; the IF97 range
@@ -256,18 +269,22 @@ def _result(rows: np.ndarray, *inputs):
     return rows
 
 
-def _series(x: np.ndarray, y: np.ndarray, x_exp, y_exp, *coefs) -> list[np.ndarray]:
-    """Per row, sum_k c_k x^x_exp_k y^y_exp_k for each coefficient vector c."""
-    if x.size > _CHUNK:
-        out = [np.empty(x.size) for _ in coefs]
-        for s in range(0, x.size, _CHUNK):
-            part = _series(x[s:s + _CHUNK], y[s:s + _CHUNK], x_exp, y_exp, *coefs)
-            for o, sums in zip(out, part):
-                o[s:s + _CHUNK] = sums
-        return out
-    terms = x[:, None] ** x_exp * y[:, None] ** y_exp
-    # cumsum adds each row's terms in table order, as a scalar loop would
-    return [np.cumsum(terms * c, axis=1)[:, -1] for c in coefs]
+def _series(x: np.ndarray, y: np.ndarray | None, x_pow, y_pow, *coefs) -> list[np.ndarray]:
+    """Per row, sum_k c_k x^a_k y^b_k for each coefficient column c; x_pow
+    and y_pow are ``_powers`` of a and b, and a None y drops its factor."""
+    n = x.size
+    if n > _CHUNK:
+        out = np.empty((len(coefs), n))
+        for s in range(0, n, _CHUNK):
+            e = s + _CHUNK
+            out[:, s:e] = _series(x[s:e], y if y is None else y[s:e], x_pow, y_pow, *coefs)
+        return list(out)
+    # a one-row call or last chunk as two columns, see _CHUNK; y broadcasts
+    terms = ((x.repeat(2) if n == 1 else x) ** x_pow[0]).take(x_pow[1], axis=0)
+    if y is not None:
+        terms *= (y ** y_pow[0]).take(y_pow[1], axis=0)
+    # with two or more columns, reduce adds each column in table order
+    return [np.add.reduce(terms * c, axis=0)[:n] for c in coefs]
 
 
 def _t_sat(p: np.ndarray) -> np.ndarray:
@@ -291,7 +308,7 @@ def _h1(p: np.ndarray, t: np.ndarray, slope: bool = False):
     tau = 1386.0 / t
     b = tau - 1.222
     coefs = (_R1_NJ, _R1_NJJ) if slope else (_R1_NJ,)
-    sums = _series(7.1 - p / 16.53e6, b, _R1_IE, _R1_JE, *coefs)
+    sums = _series(7.1 - p / 16.53e6, b, _R1_IP, _R1_JP, *coefs)
     h = R_WATER * t * tau * sums[0]
     if not slope:
         return h
@@ -301,8 +318,8 @@ def _h1(p: np.ndarray, t: np.ndarray, slope: bool = False):
 def _h2(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Region 2 enthalpy, ideal-gas plus residual part, J/kg, on rows."""
     tau = 540.0 / t
-    (ideal,) = _series(tau, tau, 0.0, _R2_J0E, _R2_N0J0)
-    (resid,) = _series(p / 1e6, tau - 0.5, _R2_IE, _R2_JE, _R2_NJ)
+    (ideal,) = _series(tau, None, _R2_J0P, None, _R2_N0J0)
+    (resid,) = _series(p / 1e6, tau - 0.5, _R2_IP, _R2_JP, _R2_NJ)
     return R_WATER * t * tau * (ideal + resid)
 
 

@@ -61,6 +61,25 @@ def _bowring_factors(p_pa: float) -> tuple[float, float, float, float, float]:
     return f1, f2, f3, f4, n
 
 
+def _both_forms_bowring_factors(p_pa: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The column code that ``correlations._bowring_factors`` replaced:
+    both pressure forms on every row, then ``np.where`` picks one."""
+    _pow, _exp = correlations._pow, correlations._exp
+    p_r = p_pa / 6.895e6
+    n = 2.0 - 0.5 * p_r
+    # both forms on every row, then the one for its side of p_r = 1; each
+    # stays finite over the whole saturation range
+    low = p_r <= 1.0
+    f1 = np.where(low, (_pow(p_r, 18.942) * _exp(20.89 * (1.0 - p_r)) + 0.917) / 1.917,
+                  _pow(p_r, -0.368) * _exp(0.648 * (1.0 - p_r)))
+    f2 = f1 / np.where(low, (_pow(p_r, 1.316) * _exp(2.444 * (1.0 - p_r)) + 0.309) / 1.309,
+                       _pow(p_r, -0.448) * _exp(0.245 * (1.0 - p_r)))
+    f3 = np.where(low, (_pow(p_r, 17.023) * _exp(16.658 * (1.0 - p_r)) + 0.667) / 1.667,
+                  _pow(p_r, 0.219))
+    f4 = f3 * _pow(p_r, 1.649)
+    return f1, f2, f3, f4, n
+
+
 def _bowring_ac(d: float, g: float, p_pa: float, h_fg: float) -> tuple[float, float]:
     f1, f2, f3, f4, n = _bowring_factors(p_pa)
     a = 2.317 * (h_fg * d * g / 4.0) * f1 / (1.0 + 0.0143 * f2 * math.sqrt(d) * g)
@@ -226,3 +245,34 @@ def test_branch_changes_and_failures_match_oracle():
         got = _batch_outcomes(name, rows)
         assert got == _oracle_outcomes(name, rows)
         assert [int(o.startswith("NoCriticalConditionError")) for o in got] == fails
+
+
+# 6.895e6 Pa is p_r = 1 exactly, the last pressure of the low form
+_P_R1 = 6.895e6
+_BOWRING_PRESSURES = st.one_of(
+    st.sampled_from([_P_R1, math.nextafter(_P_R1, 0.0), math.nextafter(_P_R1, math.inf)]),
+    st.floats(fluid.P_SAT_MIN, fluid.P_CRITICAL))
+
+
+def _bits(columns) -> list[bytes]:
+    return [c.tobytes() for c in columns]
+
+
+@settings(max_examples=150)
+@given(ps=st.lists(_BOWRING_PRESSURES, min_size=1, max_size=64))
+def test_bowring_factors_take_the_bits_of_both_forms(ps):
+    # each row evaluates only the form for its side of p_r = 1
+    p = np.array(ps)
+    want = _both_forms_bowring_factors(p)
+    assert _bits(correlations._bowring_factors(p)) == _bits(want)
+    for i in range(min(p.size, 4)):
+        assert (_bits(correlations._bowring_factors(p[i:i + 1]))
+                == _bits(w[i:i + 1] for w in want))
+
+
+def test_bowring_factors_at_p_r_1_mix_both_sides():
+    p = np.array([1.0e5, _P_R1, 1.5e7, _P_R1, fluid.P_SAT_MIN, fluid.P_CRITICAL])
+    assert (p / 6.895e6 <= 1.0).tolist() == [True, True, False, True, True, False]
+    assert _bits(correlations._bowring_factors(p)) == _bits(_both_forms_bowring_factors(p))
+    one = np.array([_P_R1])
+    assert _bits(correlations._bowring_factors(one)) == _bits(_both_forms_bowring_factors(one))

@@ -38,6 +38,7 @@ from chfkit.fluid import (
     FluidRangeError, P_CRITICAL, P_SAT_MIN, T_SAT_MIN,
 )
 
+import if97_oracle
 from one_row import enthalpy_region2, saturation_temperature
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,33 @@ def test_region_enthalpies_match_scalar_oracle(rows):
             one = fn(p, t)
             assert type(one) is float and one == batch[i]
             assert _close_h(one, ref(p, t)), (fn.__name__, p, t)
+
+
+# batch sizes at the chunk edges of the IF97 sums, among them one row and
+# a last chunk of one row: numpy adds a one-column matrix pairwise
+CHUNK_EDGES = [1, 2, 511, 512, 513, 1024, 1025]
+
+
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+@settings(max_examples=10)
+@given(rows=st.lists(st.tuples(PRESSURES, FRACTIONS, FRACTIONS), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_term_major_sums_match_row_major_oracle_at_chunk_edges(n, rows, seed):
+    # seeded rows first, the drawn rows last, in the last chunk
+    rng = np.random.default_rng(seed)
+    table = np.column_stack((rng.uniform(P_SAT_MIN, P_CRITICAL, n), rng.random((n, 2))))
+    drawn = rows[-n:]
+    table[n - len(drawn):] = drawn
+    p, f1, f2 = (np.ascontiguousarray(c) for c in table.T)
+    got, want = fluid.saturation_state(p), if97_oracle.saturation_state(p)
+    for name in ("temperature", "h_f", "h_g", "h_fg"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    # liquid below the saturation line, vapour above it
+    t1 = T_SAT_MIN + f1 * (want.temperature - T_SAT_MIN)
+    t2 = want.temperature + f2 * (1073.15 - want.temperature)
+    for g, w in zip(fluid._h1(p, t1, slope=True), if97_oracle.h1(p, t1, slope=True)):
+        assert g.tobytes() == w.tobytes()
+    assert fluid._h2(p, t2).tobytes() == if97_oracle.h2(p, t2).tobytes()
 
 
 # inputs in range and out of it: pressures beyond both ends of the
