@@ -20,7 +20,9 @@ and the critical power — the flux a power-escalation experiment walks
 up to, where the minimum DNBR reaches 1 — is exactly the smallest node
 CHF: ``find_critical_power`` reads it from a profile's node CHF vector
 (NaN where the predictor failed) without re-rating the channel.  Every
-profile field is a float64 array, each node rated by array expressions.
+profile field is a float64 array.  ``rate_nodes`` rates the nodes of many
+cases together (``simulate`` passes it all its cases), and
+``solve_channel`` marches one case from its rating.
 """
 
 from __future__ import annotations
@@ -28,21 +30,26 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import fluid
 from .correlations import InletConditions
-from .hybrid import ChfPredictor, node_chf
+from .hybrid import NODE_BATCH, ChfPredictor, node_chf
 
 __all__ = [
     "ChannelCase",
     "AxialProfile",
     "CriticalPowerResult",
     "BracketError",
+    "rate_nodes",
     "solve_channel",
     "find_critical_power",
 ]
+
+MAX_AXIAL_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,12 @@ class ChannelCase:
             raise ValueError(f"n_axial must be an integer, got {self.n_axial!r}")
         if self.n_axial < 2:
             raise ValueError(f"n_axial must be >= 2, got {self.n_axial}")
+        if self.n_axial > MAX_AXIAL_NODES:
+            raise ValueError(f"n_axial must be <= {MAX_AXIAL_NODES}, got {self.n_axial}")
+        fluid._checked(fluid._check_p_sat, np.array([self.pressure]))  # the saturation range
+        if not (0.5 * self.heated_length / self.n_axial > 0.0  # node heights (i + 1/2) L / n
+                and math.isfinite((self.n_axial - 1.5) * self.heated_length)):
+            raise ValueError(f"heated_length {self.heated_length!r} puts a node at height 0 or inf")
 
     def inlet_conditions(self) -> InletConditions:
         return InletConditions(diameter=self.diameter, heated_length=self.heated_length,
@@ -146,27 +159,37 @@ def _rate(chf: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
             np.flatnonzero(flagged))
 
 
-def solve_channel(case: ChannelCase, pred: ChfPredictor) -> AxialProfile:
+def rate_nodes(cases: Sequence[ChannelCase], pred: ChfPredictor) -> Iterator[tuple]:
+    """Each case's rating for ``solve_channel``, in turn: its node heights,
+    h_f, h_fg and node CHF.  The cases whose first node falls in one window
+    of ``NODE_BATCH`` nodes are rated by one saturation-state and one
+    ``node_chf`` call, so the memory does not grow with the number of cases."""
+    first_node = np.cumsum([0, *(c.n_axial for c in cases)])[:-1].tolist()
+    for _, members in groupby(zip(first_node, cases), key=lambda m: m[0] // NODE_BATCH):
+        group = [c for _, c in members]
+        sat = fluid.saturation_state(np.array([c.pressure for c in group], dtype=np.float64))
+        heights = [np.append((np.arange(c.n_axial - 1) + 0.5) * c.heated_length / c.n_axial,
+                             c.heated_length) for c in group]
+        chf = node_chf(pred, [(c.inlet_conditions(), z) for c, z in zip(group, heights)],
+                       dict(zip(sat.pressure.tolist(), sat.h_fg.tolist())))
+        yield from zip(heights, sat.h_f.tolist(), sat.h_fg.tolist(), chf)
+
+
+def solve_channel(case: ChannelCase, pred: ChfPredictor, rating=None) -> AxialProfile:
     """March the channel and rate every node against the predictor.
 
     DNBR is CHF / wall flux with nonpositive CHF clamped to zero (and
     the node flagged); at zero wall flux every node reports the +inf
     sentinel.  Each node is treated as the exit of a tube of length z
-    (the critical-length convention).  A march whose exit state
-    overflows, or a node whose CHF / wall flux overflows, raises
-    FloatingPointError.
+    (the critical-length convention), using the case's ``rate_nodes`` item
+    ``rating`` if given.  A march whose exit state overflows, or a node
+    whose CHF / wall flux overflows, raises FloatingPointError.
     """
-    sat = fluid.saturation_state(case.pressure)
+    heights, h_f, h_fg, chf = rating or next(rate_nodes([case], pred))
     q, g, d = case.wall_heat_flux, case.mass_flux, case.diameter
-    n, length = case.n_axial, case.heated_length
-    # centers, but the last node is pinned to the exit
-    heights = (np.arange(n) + 0.5) * length / n
-    heights[-1] = length
-    h_in = sat.h_f - case.inlet_subcooling
-    chf = node_chf(pred, case.inlet_conditions(), sat.h_fg, heights)
     with np.errstate(all="ignore"):  # overflows give inf, as with Python floats
-        enthalpies = h_in + 4.0 * q * heights / (g * d)
-        qualities = (enthalpies - sat.h_f) / sat.h_fg
+        enthalpies = h_f - case.inlet_subcooling + 4.0 * q * heights / (g * d)
+        qualities = (enthalpies - h_f) / h_fg
         dnbr, chf_local, flagged = _rate(chf, q)
     if not math.isfinite(qualities[-1]):  # q >= 0: the exit has the largest quality
         raise FloatingPointError(f"enthalpy march overflows: exit quality {qualities[-1]}")

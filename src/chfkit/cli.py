@@ -34,7 +34,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .channel import BracketError, ChannelCase, find_critical_power, solve_channel
+from .channel import BracketError, ChannelCase, find_critical_power, rate_nodes, solve_channel
 from .data import (
     CSV_HEADER,
     FIELDS,
@@ -59,7 +59,6 @@ from .evaluation import (
     write_report_csv,
     write_report_text,
 )
-from .fluid import FluidRangeError
 from .hybrid import (
     PREDICTOR_KINDS,
     ChfPredictor,
@@ -591,13 +590,15 @@ def cmd_simulate(cfg: _Config) -> dict:
                   f"above bracket_lo_kW_m2 ({cfg.resolved['bracket_lo_kW_m2']})")
 
     summary, cp_rows = [], []
-    for i, case in _parse_cases(cases_path):
+    parsed = _parse_cases(cases_path)
+    ratings = rate_nodes([c for _, c in parsed if not isinstance(c, str)], predictor)
+    for i, case in parsed:
         if isinstance(case, str):
             summary.append((str(i), "", "", "", f"failed: {_csv_safe(case)}"))
             continue
         try:
-            profile = solve_channel(case, predictor)
-        except (FluidRangeError, FloatingPointError) as e:
+            profile = solve_channel(case, predictor, next(ratings))
+        except FloatingPointError as e:
             summary.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
             continue
         flagged = np.bincount(profile.flagged_nodes, minlength=case.n_axial) > 0

@@ -19,8 +19,8 @@ its distinct pressures, one heat-balance solve on its columns
   solve (the critical length equals the heated length) and returns
   ``Predictions``, one column per field; ``predict`` is its one-row
   call on an ``InletConditions``.
-* ``node_chf`` rates every node of a channel march at once (NaN on a
-  failed node): node z is the exit of a tube of length z with the
+* ``node_chf`` rates every node of many channel marches together (NaN
+  on a failed node): node z is the exit of a tube of length z with its
   channel's inlet state, so its value does not depend on the wall flux.
 * ``build_residual_dataset`` takes the base CHF of every row from the
   same solve and returns the residual table as one (m, 8) array.
@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 PREDICTOR_KINDS = ("base_biasi", "base_bowring", "pure_ml", "hybrid_biasi", "hybrid_bowring")
+NODE_BATCH = 4096  # most node rows per heat-balance solve and network batch in node_chf
 
 _BASE_OF_KIND = {
     "base_biasi": "biasi",
@@ -211,19 +212,24 @@ def predict(p: ChfPredictor, c: InletConditions) -> float:
     return out.value[0].item()
 
 
-def node_chf(p: ChfPredictor, c: InletConditions, h_fg: float,
-             heights: Sequence[float]) -> np.ndarray:
-    """Raw CHF, W/m2, at every node of a channel march, as a float64 array.
+def node_chf(p: ChfPredictor, channels: Sequence[tuple[InletConditions, Sequence[float]]],
+             h_fg: dict[float, float]) -> list[np.ndarray]:
+    """Raw CHF, W/m2, at every node of each channel march, one float64 array per channel.
 
-    ``c`` holds the channel's inlet conditions and ``h_fg`` the latent
-    heat at its pressure, J/kg.  Node i is the exit of a tube of length
+    A channel is its inlet conditions and node heights, m; ``h_fg`` is as
+    in ``_solve_rows``.  Node i is the exit of a tube of length
     ``heights[i]`` (the critical-length convention), so its value does
     not depend on the wall flux; it is that tube's ``predict_batch``
     value, NaN where it failed (the heat-balance solve finds no critical
-    condition, or the network output is not finite), and all nodes are
-    solved in one call.  Values may be nonpositive (callers clamp and
-    flag); for hybrid kinds each is base + residual.
+    condition, or the network output is not finite).  All nodes are
+    rated together, ``NODE_BATCH`` rows per call: no row's bits depend on
+    its batch.  Values may be nonpositive (callers clamp and flag); for
+    hybrid kinds each is base + residual.
     """
-    x = np.repeat(np.array([astuple(c)], dtype=np.float64), len(heights), axis=0)
-    x[:, 1] = heights
-    return _predictions(p, x, {c.pressure: h_fg}).value
+    sizes = [len(z) for _, z in channels]
+    x = np.repeat(np.array([astuple(c) for c, _ in channels], dtype=np.float64).reshape(-1, 5),
+                  sizes, axis=0)
+    x[:, 1] = np.concatenate([np.empty(0), *(z for _, z in channels)])
+    chf = np.concatenate([np.empty(0), *(_predictions(p, x[k:k + NODE_BATCH], h_fg).value
+                                         for k in range(0, len(x), NODE_BATCH))])
+    return np.split(chf, np.cumsum(sizes)[:-1]) if sizes else []

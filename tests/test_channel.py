@@ -10,6 +10,7 @@ import pytest
 
 from chfkit import fluid
 from chfkit.channel import (
+    MAX_AXIAL_NODES,
     AxialProfile,
     BracketError,
     ChannelCase,
@@ -242,3 +243,20 @@ def test_case_validation():
     assert replace(BENNETT_CASE, n_axial=np.int64(20)).n_axial == 20
     with pytest.raises(ValueError, match="finite"):
         replace(BENNETT_CASE, inlet_subcooling=math.nan)
+
+
+def test_case_rejects_what_the_march_cannot_hold():
+    # the node count is bounded, so one case cannot ask for an array of any size
+    assert replace(BENNETT_CASE, n_axial=MAX_AXIAL_NODES).n_axial == MAX_AXIAL_NODES
+    for bad in (MAX_AXIAL_NODES + 1, 10**300):
+        with pytest.raises(ValueError, match=rf"^n_axial must be <= {MAX_AXIAL_NODES}, got "):
+            replace(BENNETT_CASE, n_axial=bad)
+    # every node height (i + 1/2) L / n must be positive and finite
+    with pytest.raises(ValueError, match="puts a node at height 0 or inf"):
+        replace(BENNETT_CASE, heated_length=1e-320, n_axial=10_000)
+    with pytest.raises(ValueError, match="puts a node at height 0 or inf"):
+        replace(BENNETT_CASE, heated_length=1e307, n_axial=60)
+    assert replace(BENNETT_CASE, heated_length=1e-320, n_axial=2).n_axial == 2
+    # a pressure outside the saturation range fails where the case is built
+    with pytest.raises(fluid.FluidRangeError, match=r"^saturation pressure 23000000\.0 Pa outside"):
+        replace(BENNETT_CASE, pressure=2.3e7)

@@ -289,7 +289,8 @@ def test_non_finite_network_output_fails_the_row(kind):
     with pytest.raises(FloatingPointError, match=r"^non-finite network output \(inf\)$"):
         predict(p, BENNETT_LIKE)
     h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
-    assert np.isnan(node_chf(p, BENNETT_LIKE, h_fg, (1.0, 2.0))).all()
+    (chf,) = node_chf(p, [(BENNETT_LIKE, (1.0, 2.0))], {BENNETT_LIKE.pressure: h_fg})
+    assert np.isnan(chf).all()
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +300,13 @@ def test_non_finite_network_output_fails_the_row(kind):
 def test_node_chf_is_the_prediction_at_each_node_length():
     p = ChfPredictor(kind="hybrid_bowring", model=_const_model(2.0e5))
     heights = (1.0, 3.0, BENNETT_LIKE.heated_length)
-    h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
-    assert node_chf(p, BENNETT_LIKE, h_fg, heights).tolist() == [
-        predict(p, replace(BENNETT_LIKE, heated_length=z)) for z in heights]
-    h_fg = fluid.saturation_state(UNSOLVABLE.pressure).h_fg
-    chf = node_chf(ChfPredictor(kind="base_bowring"), UNSOLVABLE, h_fg, (1.0, 2.0))
-    assert chf.shape == (2,) and np.isnan(chf).all()
+    want = [predict(p, replace(BENNETT_LIKE, heated_length=z)) for z in heights]
+    h_fg = {BENNETT_LIKE.pressure: fluid.saturation_state(BENNETT_LIKE.pressure).h_fg,
+            UNSOLVABLE.pressure: fluid.saturation_state(UNSOLVABLE.pressure).h_fg}
+    chf, unsolvable = node_chf(p, [(BENNETT_LIKE, heights), (UNSOLVABLE, (1.0, 2.0))], h_fg)
+    assert chf.tolist() == want
+    assert unsolvable.shape == (2,) and np.isnan(unsolvable).all()
+    assert node_chf(p, [], h_fg) == []
 
 
 def test_trained_residual_model_roundtrip():
