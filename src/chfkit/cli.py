@@ -6,9 +6,10 @@ residual generation), ``train``/``tune``, ``predict``, ``simulate``
 ``hullcheck`` (interpolation-domain verdicts) and ``verify-model``.
 
 Runs are driven by a plain-text ``key=value`` config file; command-line
-``key=value`` arguments and the ``--seed``/``--strict`` flags override
-it.  ``_Config`` records the run: the config it resolves, the files it
-reads (``path_in``) and writes (``out``).  Each ``cmd_*`` returns its
+``key=value`` arguments override it.  ``_Config`` records the run: the
+config it resolves, the files it reads (``path_in``) and writes (``out``);
+a command accepts exactly the keys it resolves, so the first ``out``
+refuses a given key the run has not read.  Each ``cmd_*`` returns its
 counts, and ``main`` writes them to ``manifest.json`` in the output
 directory with the resolved config and SHA-256 hashes of every file
 read and written, and nothing time-dependent, so a rerun with the same
@@ -104,25 +105,6 @@ class ConfigError(ValueError):
 # Config file handling
 # ---------------------------------------------------------------------------
 
-# every key any command understands; typos fail fast instead of being
-# silently ignored
-_ALL_KEYS = frozenset({
-    "outdir", "seed", "strict",
-    "data", "base",
-    "mode", "hidden", "activation", "epochs", "batch_size", "lr0", "decay",
-    "train_csv", "val_csv",
-    "budget_epochs", "n_configs", "rung0_epochs",
-    "depths", "width_min", "width_max", "batch_sizes", "lr_min", "lr_max",
-    "tune_activations",
-    "kind", "model",
-    "cases", "critical_power", "bracket_lo_kW_m2", "bracket_hi_kW_m2",
-    "pred_csv", "pred_col", "truth_csv", "truth_col", "trim_quantile",
-    "kde_lo_pct", "kde_hi_pct",
-    "query_csv", "hull_features",
-    "envelope_D_mm", "envelope_L_m", "envelope_P_kPa", "envelope_G_kg_m2s",
-    "envelope_x_e", "envelope_dh_sub_kJ_kg", "envelope_chf_kW_m2",
-})
-
 # config envelope keys carry the file-column units; conversion factors
 # mirror ingestion
 _ENVELOPE_KEYS = {
@@ -170,9 +152,6 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
             raise ConfigError(f"override {item!r} is not key=value")
         key, value = item.split("=", 1)
         cfg[key.strip()] = value.strip()
-    unknown = sorted(set(cfg) - _ALL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return cfg
 
 
@@ -182,8 +161,9 @@ _REQUIRED = object()
 class _Config:
     """Typed access to raw config strings; records what was resolved, read and written."""
 
-    def __init__(self, raw: dict[str, str]):
+    def __init__(self, raw: dict[str, str], command: str = "chfkit"):
         self._raw = raw
+        self.command = command
         self.resolved: dict[str, str] = {}
         self.inputs: list[str] = []
         self.outputs: list[str] = []
@@ -263,8 +243,18 @@ class _Config:
             os.makedirs(self._outdir, exist_ok=True)
         return self._outdir
 
+    def refuse_unread(self) -> None:
+        """Raise ConfigError naming the given keys the run has not read."""
+        unread = sorted(set(self._raw) - set(self.resolved) - {"outdir"})
+        if unread:
+            raise ConfigError(f"config key(s) not read by this {self.command} run: "
+                              + ", ".join(unread))
+
     def out(self, name: str) -> str:
-        """Path of the output file ``name``, recorded as an output."""
+        """Path of the output file ``name``, recorded as an output; the
+        first call refuses unread keys before the directory is created."""
+        if not self.outputs:
+            self.refuse_unread()
         path = os.path.join(self.outdir(), name)
         self.outputs.append(path)
         return path
@@ -566,15 +556,16 @@ def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
         if not math.isnan(n_axial) and not n_axial.is_integer():
             out.append((i, f"n_axial must be a whole number, got {n_axial!r}"))
             continue
+        n = 60 if math.isnan(n_axial) else int(n_axial)
         try:
             out.append((i, ChannelCase(
                 diameter=d * 1e-3, heated_length=length, pressure=p_kpa * 1e3,
                 mass_flux=g, inlet_subcooling=dh * 1e3,
-                wall_heat_flux=q * 1e3,
-                n_axial=60 if math.isnan(n_axial) else int(n_axial),
+                wall_heat_flux=q * 1e3, n_axial=n,
             )))
         except ValueError as e:
-            out.append((i, str(e)))
+            # past 2**53 the int prints digits the cell never held: show it as read
+            out.append((i, str(e).replace(str(n), repr(n_axial)) if abs(n) > 2**53 else str(e)))
     return out
 
 
@@ -593,13 +584,15 @@ def cmd_simulate(cfg: _Config) -> dict:
     parsed = _parse_cases(cases_path)
     ratings = rate_nodes([c for _, c in parsed if not isinstance(c, str)], predictor)
     for i, case in parsed:
-        if isinstance(case, str):
+        if not isinstance(case, str):
+            try:
+                profile = solve_channel(case, predictor, next(ratings))
+            except FloatingPointError as e:
+                case = str(e)
+        if isinstance(case, str):  # failed before or in the march: blank rows
             summary.append((str(i), "", "", "", f"failed: {_csv_safe(case)}"))
-            continue
-        try:
-            profile = solve_channel(case, predictor, next(ratings))
-        except FloatingPointError as e:
-            summary.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
+            if critical:
+                cp_rows.append(summary[-1])
             continue
         flagged = np.bincount(profile.flagged_nodes, minlength=case.n_axial) > 0
         write_columns(
@@ -729,6 +722,7 @@ def cmd_hullcheck(cfg: _Config) -> dict:
 def cmd_verify_model(cfg: _Config) -> dict:
     path = cfg.path_in("model")
     model = load_model(path)
+    cfg.refuse_unread()  # before the report, since the run writes no file of its own
     arch = " -> ".join([str(model.n_inputs)] + [str(l.weights.shape[0]) for l in model.layers])
     acts = ",".join(l.activation for l in model.layers)
     n_params = sum(l.weights.size + l.bias.size for l in model.layers)
@@ -756,30 +750,22 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="chfkit",
-        description="critical heat flux prediction toolkit",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--strict", action="store_true",
-                       help="reject envelope violations instead of flagging")
-        p.add_argument("overrides", nargs="*", metavar="key=value",
-                       help="inline config overrides")
-    args = parser.parse_args(argv)
+_PARSER = argparse.ArgumentParser(
+    prog="chfkit", description="critical heat flux prediction toolkit",
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+    epilog="commands:\n" + "\n".join(f"  {name:<14}{text}"
+                                      for name, (_, text) in _COMMANDS.items()))
+_PARSER.add_argument("--version", action="version", version=__version__)
+_PARSER.add_argument("command", choices=_COMMANDS, metavar="command")
+_PARSER.add_argument("--config", help="key=value config file")
+_PARSER.add_argument("overrides", nargs="*", default=[], metavar="key=value",
+                     help="config overrides")
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_intermixed_args(argv)
     try:
-        raw = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
-        if args.strict:
-            raw["strict"] = "true"
-        cfg = _Config(raw)
+        cfg = _Config(load_config(args.config, args.overrides), args.command)
         counts = _COMMANDS[args.command][0](cfg)
         _write_manifest(cfg.outdir(), args.command, cfg.resolved, cfg.inputs, cfg.outputs,
                         counts)

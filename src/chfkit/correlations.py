@@ -185,11 +185,22 @@ def _row(*values: float) -> list[np.ndarray]:
 
 
 def _pow(base: np.ndarray, exponent) -> np.ndarray:
-    """``base ** exponent`` per row through the C library's pow; the
-    exponent is a float or a column."""
-    if isinstance(exponent, np.ndarray):
-        return np.array([b ** e for b, e in zip(base.tolist(), exponent.tolist())])
-    return np.array([b ** exponent for b in base.tolist()])
+    """``base ** exponent`` per row through the C library's pow (inf where
+    that overflows; the bases are positive); the exponent is a float or a column."""
+    try:
+        if isinstance(exponent, np.ndarray):
+            return np.array([b ** e for b, e in zip(base.tolist(), exponent.tolist())])
+        return np.array([b ** exponent for b in base.tolist()])
+    except OverflowError:  # rare, so only then pay for a check per row
+        return np.array([_pow_or_inf(b, e) for b, e in
+                         zip(base.tolist(), np.broadcast_to(exponent, base.shape).tolist())])
+
+
+def _pow_or_inf(b: float, e: float) -> float:
+    try:
+        return b ** e
+    except OverflowError:
+        return math.inf
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -280,9 +291,10 @@ def _branches(correlation: str, d: np.ndarray, g: np.ndarray, p_pa: np.ndarray,
     """
     every = np.ones(d.shape, dtype=bool)
     if correlation == "bowring":
-        a, cc = _bowring_ac(d, g, p_pa, h_fg)
-        gdh = 0.25 * d * g * h_fg
-        return ((gdh / cc, a / gdh, every),)
+        with np.errstate(all="ignore"):  # a huge G gives inf or nan here: a failed row
+            a, cc = _bowring_ac(d, g, p_pa, h_fg)
+            gdh = 0.25 * d * g * h_fg
+            return ((gdh / cc, a / gdh, every),)
     if correlation != "biasi":
         raise ValueError(f"unknown correlation {correlation!r}; expected 'biasi' or 'bowring'")
     # diameter enters in cm, pressure in bar; result in W/m2

@@ -80,17 +80,13 @@ def test_parse_config_duplicate_key():
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
-    assert main(["prepare", "bogus_key=1"]) == 1
-    assert "unknown config key" in capsys.readouterr().err
-
-
-def test_seed_flag_overrides_config(tmp_path):
     data = tmp_path / "data.csv"
     write_dataset(data, n=12, seed=3)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"data={data}\nseed=1\noutdir={tmp_path / 'out'}\n")
-    assert main(["prepare", "--config", str(cfg), "--seed", "5"]) == 0
-    assert _manifest(tmp_path / "out")["config"]["seed"] == "5"
+    out = tmp_path / "out"
+    assert main(["prepare", f"data={data}", f"outdir={out}", "bogus_key=1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: config key(s) not read by this prepare run: bogus_key\n"
+    assert not out.exists()
 
 
 def test_inline_override_beats_config_file(tmp_path):
@@ -205,11 +201,6 @@ def test_prepare_strict_flag_controls_envelope(tmp_path):
     assert main(["prepare", f"data={data}", f"outdir={out2}", "strict=false"]) == 0
     m2 = _manifest(out2)["counts"]
     assert m2["rows_rejected"] == 0 and m2["rows_flagged"] == 1
-
-    out3 = tmp_path / "forced"
-    assert main(["prepare", "--strict", f"data={data}", f"outdir={out3}",
-                 "strict=false"]) == 0
-    assert _manifest(out3)["counts"]["rows_rejected"] == 1
 
 
 def test_prepare_envelope_override(tmp_path):
@@ -439,6 +430,45 @@ def test_predict_rows_count_blank_lines(tmp_path):
 
 
 _HEADER = "D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2"
+
+
+def _clean_and_mixed(tmp_path, rows, bad_row):
+    """Two tables of ``rows``, the second with ``bad_row`` appended."""
+    clean, mixed = tmp_path / "clean.csv", tmp_path / "mixed.csv"
+    clean.write_text("\n".join([_HEADER, *rows]) + "\n")
+    mixed.write_text("\n".join([_HEADER, *rows, bad_row]) + "\n")
+    return clean, mixed
+
+
+# Bowring's C factor raises G / 1356 to a power that overflows a float here
+_HUGE_G_ROW = "10.0,2.0,7000,1e300,,150,,1500"
+
+
+def test_predict_overflowing_mass_flux_fails_its_row_alone(tmp_path, capsys):
+    for path in _clean_and_mixed(tmp_path, _solvable_rows(60, seed=4), _HUGE_G_ROW):
+        assert main(["predict", f"data={path}", "kind=base_bowring",
+                     f"outdir={tmp_path / path.stem}"]) == 0
+    assert capsys.readouterr().err == ""
+    want = (tmp_path / "clean" / "predictions.csv").read_text().splitlines()
+    got = (tmp_path / "mixed" / "predictions.csv").read_text().splitlines()
+    assert got[:-1] == want
+    assert got[-1].split(",")[-1].startswith("failed: non-finite residual;")
+    assert _manifest(tmp_path / "mixed")["counts"]["failed"] == 1
+
+
+def test_prepare_overflowing_mass_flux_fails_its_row_alone(tmp_path, capsys):
+    for path in _clean_and_mixed(tmp_path, _solvable_rows(60, seed=4), _HUGE_G_ROW):
+        assert main(["prepare", f"data={path}", "base=bowring", "strict=false",
+                     f"outdir={tmp_path / path.stem}"]) == 0
+    assert capsys.readouterr().err == ""
+
+    def residual_rows(out):  # the split differs with the row count; the rows do not
+        return sorted(line for name in ("train", "val", "test")
+                      for line in (out / f"residual_{name}.csv").read_text().splitlines()[1:])
+
+    assert residual_rows(tmp_path / "mixed") == residual_rows(tmp_path / "clean")
+    _, failures = _read_csv(tmp_path / "mixed" / "hbm_failures.csv")
+    assert len(failures) == 1 and failures[0][2].startswith("non-finite residual;")
 
 
 def test_predict_reports_quality_excursion(tmp_path):
@@ -728,10 +758,34 @@ def test_simulate_critical_power_rerun_is_byte_identical(tmp_path, kind):
     assert main(argv) == 0
     snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
     _, rows = _read_csv(out / "critical_power.csv")
-    assert [r[-1].split(":")[0] for r in rows] == ["ok", "ok", "failed"]
-    assert _manifest(out)["counts"] == {"failed": 2}
+    assert [r[-1].split(":")[0] for r in rows] == ["ok", "ok", "failed", "failed"]
+    assert _manifest(out)["counts"] == {"failed": 3}
     assert main(argv) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
+
+
+def test_critical_power_scores_against_the_measured_chf_of_the_cases(tmp_path):
+    # a Bennett-style chain: the cases carry their measured CHF, and a case
+    # that fails before the march leaves a blank row, which evaluate skips
+    cases = tmp_path / "cases.csv"
+    cases.write_text("\n".join([
+        "D_mm,L_m,P_kPa,G_kg_m2s,dh_sub_kJ_kg,q_wall_kW_m2,n_axial,measured_chf_kW_m2",
+        "12.62,5.56,6895,1000,100,500,40,800",
+        "10.0,3.0,7000,1500,150,800,,1500",
+        "-1.0,3.0,7000,1500,150,800,40,1200",  # rejected by ChannelCase
+        "9.0,4.0,10000,2500,250,1200,30,1700",
+    ]) + "\n")
+    sim, ev = tmp_path / "sim", tmp_path / "eval"
+    assert main(["simulate", f"cases={cases}", "kind=base_bowring", f"outdir={sim}",
+                 "critical_power=true", "bracket_lo_kW_m2=100",
+                 "bracket_hi_kW_m2=4000"]) == 0
+    _, rows = _read_csv(sim / "critical_power.csv")
+    assert [r[-1].split(":")[0] for r in rows] == ["ok", "ok", "failed", "ok"]
+    assert _manifest(sim)["counts"] == {"failed": 2}  # the march and the search
+    assert main(["evaluate", f"pred_csv={sim / 'critical_power.csv'}",
+                 "pred_col=critical_flux_kW_m2", f"truth_csv={cases}", f"outdir={ev}"]) == 0
+    counts = _manifest(ev)["counts"]
+    assert counts["rows"] == 4 and counts["rows_missing_values"] == 1
 
 
 # ---------------------------------------------------------------------------

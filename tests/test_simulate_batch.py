@@ -157,7 +157,8 @@ def test_cases_the_march_cannot_hold_fail_alone(tmp_path, models):
         f"12.62,5.56,6895,1000,100,500,{MAX_AXIAL_NODES + 1}":
             f"n_axial must be <= {MAX_AXIAL_NODES}, got {MAX_AXIAL_NODES + 1}",
         "12.62,5.56,6895,1000,100,500,1e300":
-            f"n_axial must be <= {MAX_AXIAL_NODES}, got {int(1e300)}",
+            f"n_axial must be <= {MAX_AXIAL_NODES}, got 1e+300",
+        "12.62,5.56,6895,1000,100,500,-1e300": "n_axial must be >= 2, got -1e+300",
         "12.62,1e-320,6895,1000,100,500,10000":
             "heated_length 1e-320 puts a node at height 0 or inf",
         "12.62,5.56,23000,1000,100,500,20":
@@ -169,17 +170,41 @@ def test_cases_the_march_cannot_hold_fail_alone(tmp_path, models):
     alone = _simulate(tmp_path / "alone", valid, args)
     (tmp_path / "mixed").mkdir()
     mixed_rows = [valid[0], *list(bad)[:2], valid[1], *list(bad)[2:], valid[2]]
+    valid_at = (0, 3, len(mixed_rows) - 1)
+    bad_at = [i for i in range(len(mixed_rows)) if i not in valid_at]
     mixed = _simulate(tmp_path / "mixed", mixed_rows, args)
 
     summary = _rows(mixed / "summary.csv")
-    assert [row[-1] for row in summary[1:3] + summary[4:6]] == \
+    assert [summary[i][-1] for i in bad_at] == \
         [f"failed: {cli._csv_safe(message)}" for message in bad.values()]
-    for j, i in enumerate((0, 3, 6)):  # the valid cases keep their bytes
+    for j, i in enumerate(valid_at):  # the valid cases keep their bytes
         assert (mixed / f"profile_{i}.csv").read_bytes() == \
             (alone / f"profile_{j}.csv").read_bytes()
         assert summary[i][1:] == _rows(alone / "summary.csv")[j][1:]
     assert sorted(p.name for p in mixed.glob("profile_*.csv")) == \
-        ["profile_0.csv", "profile_3.csv", "profile_6.csv"]
+        [f"profile_{i}.csv" for i in valid_at]
     cp_mixed, cp_alone = (_rows(out / "critical_power.csv") for out in (mixed, alone))
-    assert [row[0] for row in cp_mixed] == ["0", "3", "6"]
-    assert [row[1:] for row in cp_mixed] == [row[1:] for row in cp_alone]
+    assert [row[0] for row in cp_mixed] == [str(i) for i in range(len(mixed_rows))]
+    assert [cp_mixed[i][1:] for i in valid_at] == [row[1:] for row in cp_alone]
+    # a case that failed before the march: blank cells and its summary status
+    assert [cp_mixed[i][1:] for i in bad_at] == [summary[i][1:] for i in bad_at]
+
+
+@pytest.mark.parametrize("kind", ["base_bowring", "hybrid_bowring"])
+def test_an_overflowing_mass_flux_fails_no_other_case(tmp_path, models, kind):
+    # Bowring's C factor overflows a float at this G; the other cases, one
+    # pow of G each, are rated in the same batch and keep their bytes
+    valid = [f"12.62,5.56,6895,{g},100,500,5" for g in range(800, 4800, 100)]
+    args = [f"kind={kind}", *models[kind][0]]
+    (tmp_path / "alone").mkdir()
+    alone = _simulate(tmp_path / "alone", valid, args)
+    (tmp_path / "mixed").mkdir()
+    mixed = _simulate(tmp_path / "mixed", [valid[0], "12.62,5.56,6895,1.7e308,100,500,5",
+                                           *valid[1:]], args)
+    summary = _rows(mixed / "summary.csv")
+    assert len(summary) == len(valid) + 1
+    for j in range(len(valid)):
+        i = j + (j > 0)
+        assert (mixed / f"profile_{i}.csv").read_bytes() == \
+            (alone / f"profile_{j}.csv").read_bytes()
+        assert summary[i][1:] == _rows(alone / "summary.csv")[j][1:]

@@ -63,15 +63,15 @@ def _per_node_simulate(cfg):
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("case,min_dnbr,limiting_node,n_flagged,status\n")
         for i, case in cli._parse_cases(cases_path):
-            if isinstance(case, str):
-                n_failed += 1
+            if not isinstance(case, str):
+                try:
+                    profile = channel_oracle.solve_channel(case, predictor)
+                except (FluidRangeError, FloatingPointError) as e:
+                    case = str(e)
+            if isinstance(case, str):  # a failed case has a line in both files
+                n_failed += 2
                 fh.write(f"{i},,,,failed: {cli._csv_safe(case)}\n")
-                continue
-            try:
-                profile = channel_oracle.solve_channel(case, predictor)
-            except (FluidRangeError, FloatingPointError) as e:
-                n_failed += 1
-                fh.write(f"{i},,,,failed: {cli._csv_safe(e)}\n")
+                cp_lines.append(f"{i},,,,failed: {cli._csv_safe(case)}\n")
                 continue
             path = os.path.join(outdir, f"profile_{i}.csv")
             with open(path, "w", encoding="utf-8") as pf:
