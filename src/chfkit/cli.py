@@ -1,9 +1,9 @@
 """Command-line surface tying the pipeline together.
 
-Subcommands cover the full workflow: ``prepare`` (ingest, split,
-residual generation), ``train``/``tune``, ``predict``, ``simulate``
-(channel DNBR), ``evaluate`` (error metrics and plots data),
-``hullcheck`` (interpolation-domain verdicts) and ``verify-model``.
+Subcommands cover the full workflow: ``prepare`` (ingest, split into
+tables in the file schema, which ``train``/``tune`` and ``predict`` read
+back), ``simulate`` (channel DNBR), ``evaluate`` (error metrics and plots
+data), ``hullcheck`` (interpolation-domain verdicts) and ``verify-model``.
 
 Runs are driven by a plain-text ``key=value`` config file; command-line
 ``key=value`` arguments override it.  ``_Config`` records the run: the
@@ -45,10 +45,9 @@ from .data import (
     feature_matrix,
     ingest,
     load_columns,
-    record_columns,
     split,
     write_columns,
-    write_csvs,
+    write_records,
 )
 from .evaluation import (
     compute_report,
@@ -309,6 +308,7 @@ def _write_manifest(outdir: str, command: str, resolved: dict[str, str],
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+# the derived training schema, read until the benchmark trains on split tables
 _FEATURE_HEADER = ("diameter_m,heated_length_m,pressure_Pa,"
                    "mass_flux_kg_m2s,inlet_subcooling_J_kg")
 _TARGET_COLUMN = {"direct": "target_W_m2", "residual": "residual_W_m2"}
@@ -324,6 +324,14 @@ def _csv_safe(message: str) -> str:
     return str(message).replace(",", ";").replace("\n", " ")
 
 
+def _write_hbm_failures(cfg: _Config, failures: list[tuple[str, str, str]],
+                        counts: dict) -> None:
+    """``hbm_failures.csv`` of the records the base HBM cannot solve, and their count."""
+    write_columns(cfg.out("hbm_failures.csv"), "split,row,reason",
+                  [list(c) for c in zip(*failures)] or [[]] * 3)
+    counts["hbm_failures"] = len(failures)
+
+
 def _training_matrices(path: str, mode: str,
                        min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
     values, _ = load_columns(path, (*_FEATURE_HEADER.split(","), _TARGET_COLUMN[mode]))
@@ -333,6 +341,30 @@ def _training_matrices(path: str, mode: str,
         raise ConfigError(f"{path}: need at least {min_rows} training rows")
     # row-major, so that Scaler.fit sums each column row by row
     arr = np.ascontiguousarray(values.T)
+    return arr[:, :-1], arr[:, -1]
+
+
+def _training_set(path: str, name: str, mode: str, base: str, counts: dict,
+                  failures: list[tuple[str, str, str]],
+                  min_rows: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """SI features and targets of a split table, read as ``predict`` reads one
+    (mode=residual drops the rows the ``base`` HBM cannot solve, by file line
+    in ``failures``), or else of a derived table (``_training_matrices``)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header = next((line for line in fh if line.strip()), "")
+    if not set(CSV_HEADER.split(",")) <= {h.strip() for h in header.split(",")}:
+        return _training_matrices(path, mode, min_rows)
+    table, report = ingest(path, strict=False)
+    counts[name] = _ingest_counts(report)
+    x, y = feature_matrix(table), table.measured_chf
+    if mode == "residual":
+        resid, rep = build_residual_dataset(x, y, base)
+        failures.extend((name, str(table.lines[i]), _csv_safe(msg)) for i, msg in rep.failures)
+        counts["hbm_failures"] = len(failures)
+        x, y = resid[:, :5], resid[:, 7]
+    if len(y) < min_rows:
+        raise ConfigError(f"{path}: need at least {min_rows} training rows")
+    arr = np.column_stack([x, y])  # row-major, as _training_matrices gives it
     return arr[:, :-1], arr[:, -1]
 
 
@@ -352,11 +384,12 @@ def _constant_columns_reported(x: np.ndarray, names: tuple[str, ...], path: str,
         yield
 
 
-def _standardized_training_set(path: str, mode: str, counts: dict
+def _standardized_training_set(path: str, mode: str, base: str, counts: dict,
+                               failures: list[tuple[str, str, str]]
                                ) -> tuple[np.ndarray, np.ndarray, Scaler, Scaler]:
-    """A training table's standardized features and targets with their
-    scalers; constant columns are reported."""
-    x, y = _training_matrices(path, mode)
+    """A training table's (``_training_set``) standardized features and
+    targets with their scalers; constant columns are reported."""
+    x, y = _training_set(path, "train", mode, base, counts, failures)
     y = y.reshape(-1, 1)
     names = (*_FEATURE_HEADER.split(","), _TARGET_COLUMN[mode])
     with _constant_columns_reported(np.column_stack([x, y]), names, path, counts):
@@ -392,43 +425,30 @@ def cmd_prepare(cfg: _Config) -> dict:
 
     counts: dict = {**_ingest_counts(report),
                     "split_sizes": {name: len(part) for name, part in splits}}
-    failures = []
+    failures: list[tuple[str, str, str]] = []
     for name, part in splits:
-        # {name}.csv's columns, then SI diameter, pressure, subcooling and CHF
-        # (8-11); its L_m and G_kg_m2s (1, 3) are SI already, so all print them
-        columns = [*record_columns(part), part.diameter, part.pressure,
-                   part.inlet_subcooling, part.measured_chf]
-        features = [8, 1, 9, 3, 10]
-        files = [(cfg.out(f"{name}.csv"), CSV_HEADER, range(8), None),
-                 (cfg.out(f"pure_{name}.csv"), f"{_FEATURE_HEADER},target_W_m2",
-                  [*features, 11], None)]
+        write_records(part, cfg.out(f"{name}.csv"))
         if base != "none":
-            resid, rep = build_residual_dataset(feature_matrix(part), part.measured_chf, base)
+            _, rep = build_residual_dataset(feature_matrix(part), part.measured_chf, base)
             # the record's line in {name}.csv: one header line, no blank lines
             failures.extend((name, str(i + 2), _csv_safe(msg)) for i, msg in rep.failures)
-            solved = ~np.isin(np.arange(len(part)), [i for i, _ in rep.failures])
-            base_chf = np.full(len(part), math.nan)
-            base_chf[solved] = resid[:, 5]
-            columns += [base_chf, part.measured_chf - base_chf]
-            files.append((cfg.out(f"residual_{name}.csv"),
-                          f"{_FEATURE_HEADER},base_chf_W_m2,measured_chf_W_m2,residual_W_m2",
-                          [*features, 12, 11, 13], solved))
-        write_csvs(columns, files, nan="")
-
     if base != "none":
-        write_columns(cfg.out("hbm_failures.csv"), "split,row,reason",
-                      [list(c) for c in zip(*failures)] or [[]] * 3)
-        counts["hbm_failures"] = len(failures)
+        _write_hbm_failures(cfg, failures, counts)
     return counts
 
 
-def cmd_train(cfg: _Config) -> dict:
+def _mode_and_base(cfg: _Config) -> tuple[str, str]:
     mode = cfg.choice("mode", ("direct", "residual"), "direct")
     base = cfg.choice("base", ("none", "biasi", "bowring"), "none")
     if mode == "residual" and base == "none":
         raise ConfigError("mode=residual requires base=biasi or base=bowring")
     if mode == "direct" and base != "none":
         raise ConfigError("mode=direct requires base=none")
+    return mode, base
+
+
+def cmd_train(cfg: _Config) -> dict:
+    mode, base = _mode_and_base(cfg)
     train_path = cfg.path_in("train_csv")
     val_path = cfg.path_in("val_csv") if cfg.has("val_csv") else None
     seed = cfg.int_("seed", "0")
@@ -443,10 +463,14 @@ def cmd_train(cfg: _Config) -> dict:
     cfg.check("decay", 0.0 < decay <= 1.0, "in (0, 1]")
     schedule = TrainConfig(epochs=epochs, batch_size=batch_size, lr0=lr0,
                            decay_rate=decay, seed=seed)
+    cfg.refuse_unread()  # every key is read: refuse a typo before the data and the fit
 
     counts: dict = {}
-    x_std, y_std, in_scaler, out_scaler = _standardized_training_set(train_path, mode, counts)
-    val = _training_matrices(val_path, mode, min_rows=1) if val_path else None
+    failures: list[tuple[str, str, str]] = []
+    x_std, y_std, in_scaler, out_scaler = _standardized_training_set(train_path, mode, base,
+                                                                     counts, failures)
+    val = (_training_set(val_path, "val", mode, base, counts, failures, min_rows=1)
+           if val_path else None)
     net = init_mlp(x_std.shape[1], hidden, activation, seed=seed,
                    input_scaler=in_scaler, output_scaler=out_scaler,
                    mode=mode, base_model=base, feature_names=MODEL_FEATURES)
@@ -455,6 +479,8 @@ def cmd_train(cfg: _Config) -> dict:
     save_model(fitted, cfg.out("model.chfmlp"))
     write_columns(cfg.out("loss_trace.csv"), "epoch,loss",
                   [list(map(str, range(len(trace)))), np.array(trace)])
+    if "hbm_failures" in counts:  # a split table was read in residual mode
+        _write_hbm_failures(cfg, failures, counts)
 
     counts.update(epochs=schedule.epochs, final_loss=repr(trace[-1]),
                   initial_loss=repr(trace[0]))
@@ -465,7 +491,7 @@ def cmd_train(cfg: _Config) -> dict:
 
 
 def cmd_tune(cfg: _Config) -> dict:
-    mode = cfg.choice("mode", ("direct", "residual"), "direct")
+    mode, base = _mode_and_base(cfg)
     train_path = cfg.path_in("train_csv")
     seed = cfg.int_("seed", "0")
     budget = cfg.int_("budget_epochs")
@@ -494,8 +520,10 @@ def cmd_tune(cfg: _Config) -> dict:
     for act in space.activations:
         if act not in ACTIVATIONS:
             raise ConfigError(f"config key 'tune_activations': unknown activation {act!r}")
+    cfg.refuse_unread()  # every key is read: refuse a typo before the data and the search
     counts: dict = {}
-    x_std, y_std, _, _ = _standardized_training_set(train_path, mode, counts)
+    failures: list[tuple[str, str, str]] = []
+    x_std, y_std, _, _ = _standardized_training_set(train_path, mode, base, counts, failures)
     try:
         result = tune(space, x_std, y_std, budget, n_configs=n_configs,
                       rung0_epochs=rung0_epochs, decay_rate=decay, seed=seed)
@@ -514,6 +542,8 @@ def cmd_tune(cfg: _Config) -> dict:
                       for ep, scores in result.rungs],
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if "hbm_failures" in counts:  # a split table was read in residual mode
+        _write_hbm_failures(cfg, failures, counts)
     counts.update(epochs_trained=result.epochs_trained, n_rungs=len(result.rungs))
     return counts
 
@@ -586,7 +616,10 @@ def cmd_simulate(cfg: _Config) -> dict:
     for i, case in parsed:
         if not isinstance(case, str):
             try:
-                profile = solve_channel(case, predictor, next(ratings))
+                rating = next(ratings)
+                if not ((rating[3] > 0.0) & (rating[3] < math.inf)).any():
+                    raise FloatingPointError("no node has a positive finite CHF")
+                profile = solve_channel(case, predictor, rating)
             except FloatingPointError as e:
                 case = str(e)
         if isinstance(case, str):  # failed before or in the march: blank rows
@@ -739,8 +772,8 @@ def cmd_verify_model(cfg: _Config) -> dict:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "prepare": (cmd_prepare, "ingest a CHF table, split it, build residuals"),
-    "train": (cmd_train, "train an MLP on prepared data"),
+    "prepare": (cmd_prepare, "ingest a CHF table and split it"),
+    "train": (cmd_train, "train an MLP on a split table"),
     "tune": (cmd_tune, "successive-halving hyperparameter search"),
     "predict": (cmd_predict, "predict CHF for a table of conditions"),
     "simulate": (cmd_simulate, "axial DNBR profiles for channel cases"),

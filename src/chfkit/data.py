@@ -9,8 +9,10 @@ the CSV export work on whole columns.
 
 The file schema is a comma-delimited header
 ``D_mm,L_m,P_kPa,G_kg_m2s,x_e,dh_sub_kJ_kg,T_in_C,chf_kW_m2`` with ``.``
-decimals and blank cells for missing values.  Internally everything is
-SI: m, Pa, kg/(m^2 s), J/kg, K, W/m^2.
+decimals and blank cells for missing values; ``prepare`` writes its
+split tables in it, and the commands that train on, predict or check
+them read them back through ``ingest``.  Internally everything is SI:
+m, Pa, kg/(m^2 s), J/kg, K, W/m^2.
 
 Derivations for blank cells:
 
@@ -26,14 +28,12 @@ carries the file line number and a reason.
 ``load_columns`` reads every numeric CSV input: numpy's C reader parses a
 table of finite numbers in one call, and any other table (a blank cell,
 say) takes a per-cell pass that splits a chunk of rows at once.
-``write_csvs`` writes the CSV outputs, several files in lockstep, each
-column formatted once a chunk.
+``write_columns`` writes every CSV output a column and a chunk at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import NoReturn, Sequence
@@ -55,8 +55,6 @@ __all__ = [
     "ingest",
     "load_columns",
     "write_columns",
-    "write_csvs",
-    "record_columns",
     "write_records",
     "split",
     "feature_matrix",
@@ -352,51 +350,31 @@ def _repr_column(values: np.ndarray, nan: str) -> list[str]:
     return cells
 
 
-def write_csvs(columns: Sequence[np.ndarray | list[str]],
-               files: Sequence[tuple[str, str, Sequence[int], np.ndarray | None]],
-               nan: str) -> None:
-    """Write each file ``(path, header, column indices, kept-row mask or None
-    for all rows)`` from one list of columns, each a list of cells or a float64
-    array (its values' repr, ``nan`` for NaN).  Each column is formatted once
-    per chunk of rows, however many files print it; a file whose columns differ
-    in length (its mask included) raises ValueError."""
-    for path, _, cols, keep in files:
-        lengths = sorted({len(c) for c in [*(columns[j] for j in cols), keep] if c is not None})
-        if len(lengths) > 1:
-            raise ValueError(f"{path}: columns differ in length: {lengths}")
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-                   for path, *_ in files]
-        for fh, (_, header, *_) in zip(handles, files):
-            fh.write(header + "\n")
-        for start in range(0, max(map(len, columns), default=0), _CHUNK_ROWS):
-            cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, list)
-                     else _repr_column(c[start:start + _CHUNK_ROWS], nan) for c in columns]
-            for fh, (*_, cols, keep) in zip(handles, files):
-                rows = zip(*(cells[j] for j in cols))
-                if keep is not None:
-                    rows = itertools.compress(rows, keep[start:start + _CHUNK_ROWS].tolist())
-                fh.write("\n".join([*map(",".join, rows), ""]))
-
-
 def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],
                   nan: str = "nan") -> str:
-    """``write_csvs`` of one file, every column and row; returns ``path``."""
-    write_csvs(columns, [(path, header, range(len(columns)), None)], nan)
+    """Write a CSV file of ``columns``, each a list of cells or a float64 array
+    (its values' repr, ``nan`` for NaN), formatted a chunk of rows at a time;
+    columns that differ in length raise ValueError.  Returns ``path``."""
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: {lengths}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):
+            cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, list)
+                     else _repr_column(c[start:start + _CHUNK_ROWS], nan) for c in columns]
+            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
     return path
 
 
-def record_columns(table: ChfTable) -> list[np.ndarray]:
-    """The table's columns in the file schema, ``CSV_HEADER``."""
-    return [table.diameter * 1e3, table.heated_length, table.pressure / 1e3, table.mass_flux,
-            table.exit_quality, table.inlet_subcooling / 1e3, table.inlet_temperature - 273.15,
-            table.measured_chf / 1e3]
-
-
 def write_records(table: ChfTable, path: str) -> None:
-    """Export to the file schema; re-ingesting reproduces the SI values
-    to better than 1e-12 relative (shortest round-trip decimals)."""
-    write_columns(path, CSV_HEADER, record_columns(table), nan="")  # no inlet temperature
+    """Export to the file schema (``prepare``'s split tables); re-ingesting
+    reproduces the SI values to better than 1e-12 relative (shortest
+    round-trip decimals).  A blank cell stands for no inlet temperature."""
+    write_columns(path, CSV_HEADER, [
+        table.diameter * 1e3, table.heated_length, table.pressure / 1e3, table.mass_flux,
+        table.exit_quality, table.inlet_subcooling / 1e3, table.inlet_temperature - 273.15,
+        table.measured_chf / 1e3], nan="")
 
 
 def split(table: ChfTable, seed: int) -> DatasetSplit:

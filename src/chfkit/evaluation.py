@@ -1,20 +1,19 @@
 """Prediction-quality metrics for CHF models.
 
-Six-metric error suite over signed relative errors
+Eight-metric error suite over signed relative errors
 e_i = (pred_i - truth_i) / truth_i * 100:
 
-* mean |e| and the population standard deviation of signed e,
-* max |e|,
-* rRMSE = sqrt(mean(e^2)),
-* the fractions of |e| above 10% and above 25%.
+* mean |e|, the population standard deviation of signed e and max |e|,
+* rRMSE = sqrt(mean(e^2)) and the bias mean(e),
+* the fractions of |e| above 10% and above 25%, and of rows with
+  pred > truth (the overprediction the hybrid models are meant to cut).
 
 Outlier handling follows the reporting conventions of CHF benchmark
 studies: absolute errors above the 99.5th percentile (nearest-rank
-rule) are omitted from the mean, standard deviation and rRMSE but kept
-for the maximum and both threshold fractions; measurements with zero
+rule) are omitted from the mean, standard deviation, rRMSE and bias but
+kept for the maximum and the three fractions; measurements with zero
 truth are excluded entirely (and counted); zero-valued predictions
-score exactly -100% and participate only in the max and threshold
-fractions.
+score exactly -100% and participate only in the max and the fractions.
 
 Also here: the parity series (truth, prediction, signed %) for scatter
 export, and a Gaussian kernel density estimate of the signed errors
@@ -47,12 +46,12 @@ __all__ = [
 ]
 
 # metrics computed on the outlier-trimmed subset
-TRIMMED_METRICS = ("mean_rel_error", "std_rel_error", "rrmse")
+TRIMMED_METRICS = ("mean_rel_error", "std_rel_error", "rrmse", "bias_rel_error")
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Six error metrics, all in percent.
+    """Eight error metrics, all in percent.
 
     ``n_total`` counts the evaluated rows (nonzero truth); the input
     length is ``n_total + n_zero_truth``.  ``n_trimmed`` counts rows
@@ -66,6 +65,8 @@ class EvalReport:
     rrmse: float
     frac_gt_10: float
     frac_gt_25: float
+    bias_rel_error: float
+    frac_overpredicted: float
     n_total: int
     n_trimmed: int
     n_zero_pred: int
@@ -112,10 +113,10 @@ def _nearest_rank_keep_mask(abs_e: np.ndarray, quantile: float) -> np.ndarray:
 def compute_report(
     pred: Sequence[float], truth: Sequence[float], trim_quantile: float = 0.995
 ) -> EvalReport:
-    """Six-metric report with outlier trimming.
+    """Eight-metric report with outlier trimming.
 
-    Only the mean, standard deviation and rRMSE are trimmed; the max
-    and both threshold fractions always use every evaluated row.  A
+    Only the mean, standard deviation, rRMSE and bias are trimmed; the
+    max and the three fractions always use every evaluated row.  A
     metric that overflows float64 (relative errors near 1e154 % and
     beyond) raises a ValueError naming it.
     """
@@ -132,11 +133,12 @@ def compute_report(
     max_rel = float(abs_e.max())
     frac10 = float(np.mean(abs_e > 10.0) * 100.0)
     frac25 = float(np.mean(abs_e > 25.0) * 100.0)
+    frac_over = float(np.mean(p[t != 0.0] > t[t != 0.0]) * 100.0)
 
     elig = e[pred_nonzero]
     n_zero_pred = int(e.size - elig.size)
     if elig.size == 0:
-        mean_rel = std_rel = rrmse = math.nan
+        mean_rel = std_rel = rrmse = bias = math.nan
         n_trimmed = 0
     else:
         keep = _nearest_rank_keep_mask(np.abs(elig), trim_quantile)
@@ -145,6 +147,7 @@ def compute_report(
         mean_rel = float(np.mean(np.abs(kept)))
         std_rel = float(np.std(kept))  # population convention
         rrmse = float(np.sqrt(np.mean(kept**2)))
+        bias = float(np.mean(kept))
     # overflow gives inf; nan stays the "no eligible row" value
     overflowed = [name for name, value in (("mean_rel_error", mean_rel),
                                            ("max_rel_error", max_rel),
@@ -161,6 +164,8 @@ def compute_report(
         rrmse=rrmse,
         frac_gt_10=frac10,
         frac_gt_25=frac25,
+        bias_rel_error=bias,
+        frac_overpredicted=frac_over,
         n_total=int(e.size),
         n_trimmed=n_trimmed,
         n_zero_pred=n_zero_pred,
@@ -230,6 +235,8 @@ _METRIC_ORDER = (
     ("rrmse", "rRMSE [%]"),
     ("frac_gt_10", "Fraction |e| > 10% [%]"),
     ("frac_gt_25", "Fraction |e| > 25% [%]"),
+    ("bias_rel_error", "Mean signed error [%]"),
+    ("frac_overpredicted", "Fraction pred > truth [%]"),
 )
 
 

@@ -1,7 +1,7 @@
 """Base-correlation + residual-network CHF predictors.
 
 A hybrid predictor corrects a physics correlation with a small network
-trained on the correlation's residuals: during data preparation the
+trained on the correlation's residuals: during training the
 target is r = y_measured - y_base, and at prediction time the deployed
 value is y = y_base + r_hat.  The network sees only the raw five-part
 input vector (diameter, heated length, pressure, mass flux, inlet
@@ -155,11 +155,11 @@ def build_residual_dataset(x, measured, base: str) -> tuple[np.ndarray, Residual
 
     Returns an (m, 8) table, one row per solved record in order: the five
     features, base CHF, measured CHF and residual (the columns of the
-    prepared residual CSV).  The base value comes from one heat-balance
-    solve on columns.  Records where the solve finds no critical
-    condition are excluded and counted in the report with their index and
-    the failure reason; a row that InletConditions rejects raises its
-    ValueError.
+    derived residual training schema).  The base value comes from one
+    heat-balance solve on columns.  Records where the solve finds no
+    critical condition are excluded and counted in the report with
+    their index and the failure reason; a row that InletConditions
+    rejects raises its ValueError.
     """
     if base not in ("biasi", "bowring"):
         raise ValueError(f"base must be 'biasi' or 'bowring', got {base!r}")

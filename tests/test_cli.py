@@ -18,6 +18,7 @@ from chfkit import data as chfdata
 from chfkit.cli import HULL_FEATURES_DEFAULT, ConfigError, main, parse_config_text
 from chfkit.correlations import InletConditions, bowring_inlet, heat_balance_quality
 from chfkit.data import ingest
+from chfkit.hybrid import build_residual_dataset
 
 
 def _solvable_rows(n, seed):
@@ -121,18 +122,19 @@ def test_prepare_splits_ten_rows(tmp_path):
 
 
 def test_prepare_residual_columns_exact(tmp_path):
+    # the residual table train builds from a prepared split table
     data = tmp_path / "data.csv"
     write_dataset(data, n=12, seed=5)
     out = tmp_path / "out"
     assert main(["prepare", f"data={data}", f"outdir={out}", "base=bowring"]) == 0
-    header, rows = _read_csv(out / "residual_train.csv")
-    i_base = header.index("base_chf_W_m2")
-    i_meas = header.index("measured_chf_W_m2")
-    i_res = header.index("residual_W_m2")
-    assert rows, "residual file should not be empty"
-    for row in rows:
-        base, meas, res = (float(row[i]) for i in (i_base, i_meas, i_res))
-        assert res == meas - base  # exact float identity survives repr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "hbm_failures.csv", "manifest.json", "test.csv", "train.csv", "val.csv"]
+    table, _ = ingest(str(out / "train.csv"), strict=False)
+    rows, _ = build_residual_dataset(chfdata.feature_matrix(table), table.measured_chf,
+                                     "bowring")
+    assert len(rows), "residual table should not be empty"
+    for base, meas, res in rows[:, 5:].tolist():
+        assert res == meas - base  # exact float identity
 
 
 def test_prepare_rerun_is_byte_identical(tmp_path):
@@ -147,12 +149,10 @@ def test_prepare_rerun_is_byte_identical(tmp_path):
         assert p.read_bytes() == snapshot[p.name], p.name
 
 
-@pytest.mark.parametrize("base,per_chunk", [("bowring", 14), ("none", 12)])
-def test_prepare_formats_each_distinct_column_once_per_chunk(tmp_path, monkeypatch, base,
-                                                             per_chunk):
-    # a split's three files print 22 columns (14 without residuals) of
-    # which 14 (12) are distinct: L and G are shared by all three, the SI
-    # features and the measured CHF by pure_ and residual_
+@pytest.mark.parametrize("base", ["bowring", "none"])
+def test_prepare_formats_each_distinct_column_once_per_chunk(tmp_path, monkeypatch, base):
+    # a split writes one table of eight columns, with or without a base
+    per_chunk = 8
     data = tmp_path / "data.csv"
     write_dataset(data, n=40, seed=3)
     monkeypatch.setattr(chfdata, "_CHUNK_ROWS", 3)
@@ -227,7 +227,7 @@ def _prepared(tmp_path, n=14, seed=9, base="bowring"):
 def test_train_reduces_loss_and_saves_model(tmp_path):
     prep = _prepared(tmp_path)
     out = tmp_path / "train"
-    assert main(["train", f"train_csv={prep / 'pure_train.csv'}",
+    assert main(["train", f"train_csv={prep / 'train.csv'}",
                  f"outdir={out}", "hidden=6", "epochs=40", "batch_size=4",
                  "lr0=0.01", "seed=1"]) == 0
     counts = _manifest(out)["counts"]
@@ -241,14 +241,14 @@ def test_train_reduces_loss_and_saves_model(tmp_path):
 
 def test_train_residual_base_none_is_config_error(tmp_path, capsys):
     prep = _prepared(tmp_path)
-    assert main(["train", f"train_csv={prep / 'residual_train.csv'}",
+    assert main(["train", f"train_csv={prep / 'train.csv'}",
                  f"outdir={tmp_path / 'x'}", "mode=residual"]) == 1
     assert "mode=residual requires base" in capsys.readouterr().err
 
 
 def test_train_same_seed_same_model_bytes(tmp_path):
     prep = _prepared(tmp_path)
-    args = lambda out: ["train", f"train_csv={prep / 'residual_train.csv'}",
+    args = lambda out: ["train", f"train_csv={prep / 'train.csv'}",
                         "mode=residual", "base=bowring", f"outdir={out}",
                         "hidden=5", "epochs=15", "batch_size=4", "seed=3"]
     assert main(args(tmp_path / "t1")) == 0
@@ -261,7 +261,7 @@ def test_train_same_seed_same_model_bytes(tmp_path):
 def test_train_divergence_exits_nonzero(tmp_path, capsys):
     prep = _prepared(tmp_path)
     with np.errstate(all="ignore"):
-        code = main(["train", f"train_csv={prep / 'pure_train.csv'}",
+        code = main(["train", f"train_csv={prep / 'train.csv'}",
                      f"outdir={tmp_path / 'x'}", "hidden=1,1,1",
                      "activation=identity", "epochs=3", "batch_size=2",
                      "lr0=1e40"])
@@ -272,8 +272,8 @@ def test_train_divergence_exits_nonzero(tmp_path, capsys):
 def test_train_reports_validation_mse(tmp_path):
     prep = _prepared(tmp_path)
     out = tmp_path / "train"
-    assert main(["train", f"train_csv={prep / 'pure_train.csv'}",
-                 f"val_csv={prep / 'pure_val.csv'}", f"outdir={out}",
+    assert main(["train", f"train_csv={prep / 'train.csv'}",
+                 f"val_csv={prep / 'val.csv'}", f"outdir={out}",
                  "hidden=4", "epochs=10", "batch_size=4"]) == 0
     assert float(_manifest(out)["counts"]["val_mse_W2_m4"]) >= 0.0
 
@@ -289,7 +289,7 @@ def test_train_bad_validation_table_is_error_before_training(tmp_path, capsys, v
     if val_text is not None:
         val.write_text(val_text)
     out = tmp_path / "train"
-    assert main(["train", f"train_csv={prep / 'pure_train.csv'}", f"val_csv={val}",
+    assert main(["train", f"train_csv={prep / 'train.csv'}", f"val_csv={val}",
                  f"outdir={out}", "hidden=4", "epochs=3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
@@ -462,13 +462,20 @@ def test_prepare_overflowing_mass_flux_fails_its_row_alone(tmp_path, capsys):
                      f"outdir={tmp_path / path.stem}"]) == 0
     assert capsys.readouterr().err == ""
 
-    def residual_rows(out):  # the split differs with the row count; the rows do not
+    def split_rows(out):  # the split differs with the row count; the rows do not
         return sorted(line for name in ("train", "val", "test")
-                      for line in (out / f"residual_{name}.csv").read_text().splitlines()[1:])
+                      for line in (out / f"{name}.csv").read_text().splitlines()[1:])
 
-    assert residual_rows(tmp_path / "mixed") == residual_rows(tmp_path / "clean")
+    # the failed row stays in its split table (train drops it), the rest keep their bytes
+    mixed, clean = split_rows(tmp_path / "mixed"), split_rows(tmp_path / "clean")
+    huge = [line for line in mixed if line not in clean]
+    assert len(huge) == 1 and sorted([*clean, *huge]) == mixed
     _, failures = _read_csv(tmp_path / "mixed" / "hbm_failures.csv")
     assert len(failures) == 1 and failures[0][2].startswith("non-finite residual;")
+    split_name, line = failures[0][:2]
+    assert (tmp_path / "mixed" / f"{split_name}.csv").read_text().splitlines()[
+        int(line) - 1] == huge[0]
+    assert _read_csv(tmp_path / "clean" / "hbm_failures.csv")[1] == []
 
 
 def test_predict_reports_quality_excursion(tmp_path):
@@ -585,10 +592,10 @@ def test_config_mistake_is_error_naming_key(tmp_path, capsys, command, overrides
         write_dataset(data, n=3)
         argv = ["prepare", f"data={data}"]
     elif command == "train":
-        argv = ["train", f"train_csv={_prepared(tmp_path) / 'pure_train.csv'}",
+        argv = ["train", f"train_csv={_prepared(tmp_path) / 'train.csv'}",
                 "hidden=4", "epochs=2"]  # a later override wins
     elif command == "tune":
-        argv = ["tune", f"train_csv={_prepared(tmp_path) / 'pure_train.csv'}",
+        argv = ["tune", f"train_csv={_prepared(tmp_path) / 'train.csv'}",
                 "budget_epochs=4", "n_configs=1", "rung0_epochs=2", "depths=1",
                 "width_min=2", "width_max=3", "batch_sizes=4"]
     else:
@@ -804,6 +811,8 @@ def test_evaluate_hand_metrics(tmp_path):
     cols = dict(zip(header, rows[0]))
     assert float(cols["mean_rel_error"]) == pytest.approx(20.0, rel=1e-12)
     assert float(cols["max_rel_error"]) == pytest.approx(30.0, rel=1e-12)
+    assert float(cols["bias_rel_error"]) == pytest.approx(20.0, rel=1e-12)
+    assert float(cols["frac_overpredicted"]) == 100.0
     assert int(cols["n_total"]) == 3
     # parity stays in kW and reproduces the inputs
     pheader, prows = _read_csv(out / "parity.csv")
@@ -1114,7 +1123,7 @@ def test_verify_model_rejects_corrupt_file(tmp_path, capsys):
 def test_tune_writes_winner(tmp_path):
     prep = _prepared(tmp_path, n=16, seed=31)
     out = tmp_path / "tune"
-    assert main(["tune", f"train_csv={prep / 'pure_train.csv'}",
+    assert main(["tune", f"train_csv={prep / 'train.csv'}",
                  f"outdir={out}", "budget_epochs=30", "n_configs=2",
                  "rung0_epochs=5", "depths=1", "width_min=4", "width_max=6",
                  "tune_activations=tanh", "batch_sizes=4", "seed=2"]) == 0
@@ -1128,7 +1137,7 @@ def test_tune_writes_winner(tmp_path):
 
 def test_tune_budget_too_small_is_config_error(tmp_path, capsys):
     prep = _prepared(tmp_path, n=16, seed=31)
-    assert main(["tune", f"train_csv={prep / 'pure_train.csv'}",
+    assert main(["tune", f"train_csv={prep / 'train.csv'}",
                  f"outdir={tmp_path / 'x'}", "budget_epochs=3",
                  "n_configs=2", "rung0_epochs=5"]) == 1
     err = capsys.readouterr().err
@@ -1184,7 +1193,7 @@ def test_hullcheck_constant_training_columns_are_one_warning_line(tmp_path, caps
 def test_varied_training_columns_print_no_warning(tmp_path, capsys):
     prep = _prepared(tmp_path)
     out = tmp_path / "train"
-    assert main(["train", f"train_csv={prep / 'pure_train.csv'}", f"outdir={out}",
+    assert main(["train", f"train_csv={prep / 'train.csv'}", f"outdir={out}",
                  "hidden=3", "epochs=1"]) == 0
     assert capsys.readouterr().err == ""
     assert _manifest(out)["counts"]["constant_columns"] == 0
@@ -1261,12 +1270,12 @@ def _run_record_case(tmp_path, case):
         return (["hullcheck", f"train_csv={prep / 'train.csv'}",
                  f"query_csv={prep / 'test.csv'}"], [prep / "train.csv", prep / "test.csv"])
     if case == "train":
-        return (["train", f"train_csv={prep / 'pure_train.csv'}",
-                 f"val_csv={prep / 'pure_val.csv'}", "hidden=4", "epochs=2", "batch_size=4"],
-                [prep / "pure_train.csv", prep / "pure_val.csv"])
-    return (["tune", f"train_csv={prep / 'pure_train.csv'}", "budget_epochs=4",
+        return (["train", f"train_csv={prep / 'train.csv'}",
+                 f"val_csv={prep / 'val.csv'}", "hidden=4", "epochs=2", "batch_size=4"],
+                [prep / "train.csv", prep / "val.csv"])
+    return (["tune", f"train_csv={prep / 'train.csv'}", "budget_epochs=4",
              "n_configs=1", "rung0_epochs=2", "depths=1", "width_min=2", "width_max=3",
-             "batch_sizes=4"], [prep / "pure_train.csv"])
+             "batch_sizes=4"], [prep / "train.csv"])
 
 
 @pytest.mark.parametrize("case", ["prepare-none", "prepare-bowring", "train", "tune", "predict",

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chfkit import cli
 from chfkit.cli import _COMMANDS, main
 
 from test_cli import write_dataset
@@ -52,13 +53,13 @@ def runs(tmp_path_factory):
     cases.write_text("D_mm,L_m,P_kPa,G_kg_m2s,dh_sub_kJ_kg,q_wall_kW_m2,n_axial\n"
                      "12.62,5.56,6895,1000,100,500,10\n")
     assert main(["prepare", f"data={data}", "base=bowring", f"outdir={prep}"]) == 0
-    assert main(["train", f"train_csv={prep / 'pure_train.csv'}", "hidden=3", "epochs=2",
+    assert main(["train", f"train_csv={prep / 'train.csv'}", "hidden=3", "epochs=2",
                  f"outdir={fit}"]) == 0
     assert main(["predict", f"data={data}", "kind=base_biasi", f"outdir={tmp / 'pred'}"]) == 0
     argvs = {
         "prepare": [f"data={data}"],
-        "train": [f"train_csv={prep / 'pure_train.csv'}", "hidden=3", "epochs=2"],
-        "tune": [f"train_csv={prep / 'pure_train.csv'}", "budget_epochs=2", "n_configs=2",
+        "train": [f"train_csv={prep / 'train.csv'}", "hidden=3", "epochs=2"],
+        "tune": [f"train_csv={prep / 'train.csv'}", "budget_epochs=2", "n_configs=2",
                  "rung0_epochs=1", "depths=1", "width_min=2", "width_max=3"],
         "predict": [f"data={data}", "kind=base_biasi"],
         "simulate": [f"cases={cases}", "kind=base_biasi"],
@@ -77,6 +78,24 @@ def runs(tmp_path_factory):
 
 
 _counter = itertools.count()
+
+
+@pytest.mark.parametrize("command,typo", [("train", "epoch"), ("tune", "budget_epoch")])
+def test_a_typo_is_refused_before_the_data_is_read_or_fitted(runs, monkeypatch, command,
+                                                             typo):
+    tmp, by_command = runs
+    argv, _ = by_command[command]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran past the key check")
+
+    for name in (command, "_training_set"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    outdir = tmp / "typo" / command
+    code, out, err = _run([command, *argv, f"{typo}=5", f"outdir={outdir}"])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: config key(s) not read by this {command} run: {typo}"]
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))

@@ -159,6 +159,27 @@ def test_report_fraction_consistency_with_direct_count():
     assert r.frac_gt_25 <= r.frac_gt_10 <= 100.0
 
 
+def test_report_bias_and_overprediction_share_hand_case():
+    # e = +10, -10, +30, 0, -50 %; a sixth row has zero truth and is excluded
+    pred, truth = [110.0, 90.0, 130.0, 100.0, 50.0, 70.0], [100.0] * 5 + [0.0]
+    r = compute_report(pred, truth, trim_quantile=0.8)
+    # nearest rank ceil(0.8 * 5) = 4 keeps |e| <= 30: the -50 leaves the bias
+    assert r.n_trimmed == 1 and r.n_zero_truth == 1
+    assert r.bias_rel_error == (10.0 - 10.0 + 30.0 + 0.0) / 4 == 7.5
+    # 110 and 130 over; 100 equals its truth; every evaluated row counts
+    assert r.frac_overpredicted == 2 / 5 * 100.0 == 40.0
+    full = compute_report(pred, truth, trim_quantile=1.0)
+    assert full.bias_rel_error == -20.0 / 5 == -4.0
+    assert full.frac_overpredicted == 40.0
+
+
+def test_report_bias_leaves_out_zero_predictions_and_share_keeps_them():
+    r = compute_report([0.0, 120.0, 120.0], [100.0, 100.0, 100.0], trim_quantile=1.0)
+    assert r.n_zero_pred == 1
+    assert r.bias_rel_error == pytest.approx(20.0, rel=1e-12)
+    assert r.frac_overpredicted == pytest.approx(200.0 / 3, rel=1e-12)
+
+
 def test_report_all_zero_predictions():
     r = compute_report([0.0, 0.0], [100.0, 200.0])
     assert math.isnan(r.mean_rel_error)
@@ -291,6 +312,8 @@ def test_write_report_csv_roundtrip(tmp_path):
     cols = dict(zip(header.split(","), values.split(",")))
     assert float(cols["rrmse"]) == r.rrmse
     assert float(cols["mean_rel_error"]) == r.mean_rel_error
+    assert float(cols["bias_rel_error"]) == r.bias_rel_error == 15.0
+    assert float(cols["frac_overpredicted"]) == r.frac_overpredicted == 100.0
     assert int(cols["n_total"]) == 2
 
 
@@ -300,7 +323,8 @@ def test_write_report_text_contains_all_metrics(tmp_path):
     write_report_text(r, str(p))
     text = p.read_text()
     for label in ("Mean relative error", "Std of relative error", "Max relative",
-                  "rRMSE", "> 10%", "> 25%", "Evaluated rows"):
+                  "rRMSE", "> 10%", "> 25%", "Mean signed error", "pred > truth",
+                  "Evaluated rows"):
         assert label in text
 
 

@@ -1,11 +1,10 @@
-"""Byte identity of ``prepare`` against the per-row CSV writers.
+"""Byte identity of ``prepare`` against the per-row CSV writer.
 
-The oracle keeps the writers that the column writer replaced:
-``write_records`` formatted one record per line, and
-``_write_feature_csv`` one row of a feature matrix per line, both with
-``repr``.  The column writer formats a column at a time, a chunk of rows
-at a time; every file ``prepare`` writes, the manifest included, must
-keep its bytes.
+The oracle keeps the writer that the column writer replaced:
+``write_records`` formatted one record per line with ``repr``.  The
+column writer formats a column at a time, a chunk of rows at a time;
+every file ``prepare`` writes (the three split tables, the HBM failures
+and the manifest) must keep its bytes.
 """
 
 import json
@@ -42,13 +41,6 @@ def _per_row_write_records(records, path):
             ]) + "\n")
 
 
-def _per_row_write_feature_csv(path, extra_header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{cli._FEATURE_HEADER},{extra_header}\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
-    return path
-
-
 def _records(table):
     """The table's rows as records of Python floats, None for NaN."""
     return [SimpleNamespace(**dict(zip(FIELDS, [None if math.isnan(v) else v for v in row])))
@@ -56,7 +48,7 @@ def _records(table):
 
 
 def _per_row_prepare(cfg):
-    """``prepare`` with the per-row writers; the config keys are resolved
+    """``prepare`` with the per-row writer; the config keys are resolved
     in the same order, so the manifest echoes the same config."""
     data_path = cfg.path_in("data")
     outdir = cfg.outdir()
@@ -73,16 +65,12 @@ def _per_row_prepare(cfg):
         records = _records(part)
         path = os.path.join(outdir, f"{name}.csv")
         _per_row_write_records(records, path)
-        x = np.array([[getattr(r, f) for f in MODEL_FEATURES + ("measured_chf",)]
-                      for r in records])
-        outputs += [path, _per_row_write_feature_csv(os.path.join(outdir, f"pure_{name}.csv"),
-                                                     "target_W_m2", x)]
+        outputs.append(path)
         if base != "none":
-            resid, rep = build_residual_dataset(x[:, :5], x[:, 5], base)
+            x = np.array([[getattr(r, f) for f in MODEL_FEATURES + ("measured_chf",)]
+                          for r in records])
+            _, rep = build_residual_dataset(x[:, :5], x[:, 5], base)
             failures.extend((name, i + 2, msg) for i, msg in rep.failures)
-            outputs.append(_per_row_write_feature_csv(
-                os.path.join(outdir, f"residual_{name}.csv"),
-                "base_chf_W_m2,measured_chf_W_m2,residual_W_m2", resid))
     if base != "none":
         fail_path = os.path.join(outdir, "hbm_failures.csv")
         with open(fail_path, "w", encoding="utf-8") as fh:
@@ -153,6 +141,6 @@ def test_prepare_writes_the_bytes_of_the_per_row_writers(tmp_path, monkeypatch, 
 
     names = sorted(os.listdir(want))
     assert names == sorted(os.listdir(out))
-    assert len(names) == 11
+    assert names == ["hbm_failures.csv", "manifest.json", "test.csv", "train.csv", "val.csv"]
     for name in names:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name

@@ -7,6 +7,7 @@ one ``solve_channel`` gives the case rated alone, and a case that fails
 must fail alone.
 """
 
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -108,6 +109,8 @@ def test_simulate_matches_per_case_solve_channel(models, kind, node_batch, cases
                 continue
             try:
                 ref = solve_channel(case, pred)
+                if not (np.isfinite(ref.node_chf) & (ref.node_chf > 0.0)).any():
+                    raise FloatingPointError("no node has a positive finite CHF")
             except FloatingPointError as e:  # a subnormal wall flux, say
                 assert summary[i][-1] == f"failed: {cli._csv_safe(e)}"
                 assert not (out / f"profile_{i}.csv").exists()
@@ -188,6 +191,34 @@ def test_cases_the_march_cannot_hold_fail_alone(tmp_path, models):
     assert [cp_mixed[i][1:] for i in valid_at] == [row[1:] for row in cp_alone]
     # a case that failed before the march: blank cells and its summary status
     assert [cp_mixed[i][1:] for i in bad_at] == [summary[i][1:] for i in bad_at]
+
+
+@pytest.mark.parametrize("kind,bad", [
+    ("base_bowring", "12.62,5.56,6895,1.7e308,100,500,40"),  # Bowring's C factor overflows
+    ("base_biasi", "1e300,2,22000,1e6,1e-320,1000,20"),  # Biasi's CHF is 0 at every node
+])
+def test_a_case_with_no_rated_node_fails_alone(tmp_path, kind, bad):
+    valid = ["12.62,5.56,6895,1000,100,500,40", "10.0,3.0,7000,1500,150,800,"]
+    args = [f"kind={kind}", "critical_power=true", "bracket_lo_kW_m2=100",
+            "bracket_hi_kW_m2=4000"]
+    (tmp_path / "alone").mkdir()
+    alone = _simulate(tmp_path / "alone", valid, args)
+    (tmp_path / "mixed").mkdir()
+    mixed = _simulate(tmp_path / "mixed", [valid[0], bad, valid[1]], args)
+
+    failed = ["1", "", "", "", "failed: no node has a positive finite CHF"]
+    summary, cp = _rows(mixed / "summary.csv"), _rows(mixed / "critical_power.csv")
+    assert summary[1] == cp[1] == failed
+    assert sorted(p.name for p in mixed.glob("profile_*.csv")) == ["profile_0.csv",
+                                                                   "profile_2.csv"]
+    for j, i in ((0, 0), (1, 2)):  # the valid cases keep their bytes
+        assert (mixed / f"profile_{i}.csv").read_bytes() == \
+            (alone / f"profile_{j}.csv").read_bytes()
+        assert summary[i][1:] == _rows(alone / "summary.csv")[j][1:]
+        assert cp[i][1:] == _rows(alone / "critical_power.csv")[j][1:]
+    counts = [json.loads((out / "manifest.json").read_text())["counts"]["failed"]
+              for out in (alone, mixed)]
+    assert counts[1] == counts[0] + 2  # its summary row and its critical-power row
 
 
 @pytest.mark.parametrize("kind", ["base_bowring", "hybrid_bowring"])

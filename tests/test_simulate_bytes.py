@@ -7,12 +7,13 @@ into its ``summary.csv`` and ``critical_power.csv`` lines as it comes.
 through the column writer instead; for every predictor kind, on cases
 that take every branch (zero wall flux, flagged nodes of both kinds,
 default and fractional node counts, a pressure outside the fluid range,
-a wall flux so small that node CHF / flux overflows, and a bracket that
-misses), every file it writes, the manifest included, must keep its
-bytes.
+a wall flux so small that node CHF / flux overflows, a case with no node
+rated, and a bracket that misses), every file it writes, the manifest
+included, must keep its bytes.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -34,7 +35,7 @@ CASES = [
     "8.0,0.5,3000,5000,400,900,25",       # above the bracket
     "12.62,5.56,6895,1000,100,500,2.5",   # fractional n_axial
     "12.62,5.56,6895,1000,100,0,20",      # zero wall flux
-    "12.62,5.56,20000,1000,-1200,500,12",  # nodes with no critical condition
+    "12.62,5.56,20000,1000,-1200,500,12",  # nodes with no critical condition (all, for Bowring)
     "12.62,5.56,23000,1000,100,500,20",   # above the critical pressure
     "-1.0,3.0,7000,1500,150,800,40",      # rejected by ChannelCase
     "12.62,,6895,1000,100,500,20",        # blank required cell
@@ -66,6 +67,8 @@ def _per_node_simulate(cfg):
             if not isinstance(case, str):
                 try:
                     profile = channel_oracle.solve_channel(case, predictor)
+                    if not any(c is not None and 0.0 < c < math.inf for c in profile.node_chf):
+                        raise FloatingPointError("no node has a positive finite CHF")
                 except (FluidRangeError, FloatingPointError) as e:
                     case = str(e)
             if isinstance(case, str):  # a failed case has a line in both files
@@ -139,10 +142,13 @@ def test_simulate_writes_the_bytes_of_the_per_node_formatter(tmp_path, kind):
 
     summary = _read_rows(want / "summary.csv")
     statuses = [row[-1].split(":")[0] for row in summary]
-    assert statuses == ["ok", "ok", "ok", "failed", "ok", "ok", "failed", "failed",
-                        "failed", "ok", "failed"]
+    bowring = kind.endswith("bowring") or kind == "falling"
+    assert statuses == ["ok", "ok", "ok", "failed", "ok", "failed" if bowring else "ok",
+                        "failed", "failed", "failed", "ok", "failed"]
     assert summary[10][-1].startswith("failed: DNBR overflows")
-    if kind != "pure_ml":  # the network rates every node
+    if bowring:  # no node of case 5 has a critical condition
+        assert summary[5][-1] == "failed: no node has a positive finite CHF"
+    elif kind != "pure_ml":  # the network rates every node
         assert int(summary[5][3]) > 0  # nodes without a critical condition
     if kind == "falling":  # some nodes nonpositive, some not
         assert 0 < int(summary[0][3]) < 40
