@@ -21,8 +21,8 @@ up to, where the minimum DNBR reaches 1 — is exactly the smallest node
 CHF: ``find_critical_power`` reads it from a profile's node CHF vector
 (NaN where the predictor failed) without re-rating the channel.  Every
 profile field is a float64 array.  ``rate_nodes`` rates the nodes of many
-cases together (``simulate`` passes it all its cases), and
-``solve_channel`` marches one case from its rating.
+cases together through ``hybrid.predict_batch`` (``simulate`` passes it
+all its cases), and ``solve_channel`` marches one case from its rating.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fluid
 from .correlations import InletConditions
-from .hybrid import NODE_BATCH, ChfPredictor, node_chf
+from .hybrid import ChfPredictor, predict_batch
 
 __all__ = [
     "ChannelCase",
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 MAX_AXIAL_NODES = 10**6
+NODE_BATCH = 4096  # most node rows per predict_batch call in rate_nodes
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,12 @@ class ChannelCase:
 class AxialProfile:
     """Node-wise channel state, one float64 array per field.
 
-    ``node_chf`` holds the predictor's raw value per node (NaN where the
-    heat-balance solve finds no critical condition or the network output
-    is not finite); it does not depend on the wall flux.  ``chf_local``
-    stores dnbr * wall flux (the extraction identity holds bit-exactly),
-    except at zero wall flux, where dnbr is the +inf sentinel and
-    chf_local keeps the predictor's raw value.  Nodes where the predictor
-    produced no usable CHF (nonpositive, or NaN) carry dnbr = 0 and their
+    ``node_chf`` holds the predictor's value per node, NaN where it gave
+    no positive finite CHF; it does not depend on the wall flux.
+    ``chf_local`` stores dnbr * wall flux (the extraction identity holds
+    bit-exactly), except at zero wall flux, where dnbr is the +inf
+    sentinel and chf_local keeps the predictor's value.  Nodes with NaN
+    CHF carry dnbr = 0 and chf_local = 0 at every wall flux, and their
     indices appear in ``flagged_nodes``.
     """
 
@@ -148,11 +148,10 @@ class BracketError(ValueError):
 
 def _rate(chf: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node DNBR, chf_local and flagged nodes for raw node CHF at wall flux q."""
+    flagged = np.isnan(chf)  # node CHF is positive and finite or NaN
     if q == 0.0:
-        flagged = np.isnan(chf)
         dnbr, chf_local = math.inf, chf
     else:
-        flagged = ~(chf > 0.0)
         dnbr = chf / q
         chf_local = dnbr * q  # chf_local == dnbr * q, bit-exact
     return (np.where(flagged, 0.0, dnbr), np.where(flagged, 0.0, chf_local),
@@ -161,25 +160,37 @@ def _rate(chf: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def rate_nodes(cases: Sequence[ChannelCase], pred: ChfPredictor) -> Iterator[tuple]:
     """Each case's rating for ``solve_channel``, in turn: its node heights,
-    h_f, h_fg and node CHF.  The cases whose first node falls in one window
-    of ``NODE_BATCH`` nodes are rated by one saturation-state and one
-    ``node_chf`` call, so the memory does not grow with the number of cases."""
+    h_f, h_fg and node CHF.
+
+    Node z is rated as the exit of a tube of length z with the case's
+    inlet state: its CHF is the ``predict_batch`` value of that tube's
+    feature row, NaN where it failed.  The cases whose first node falls in
+    one window of ``NODE_BATCH`` nodes share one saturation-state call and
+    one node matrix, passed to ``predict_batch`` ``NODE_BATCH`` rows at a
+    time (no row's bits depend on its batch), so the memory does not grow
+    with the number of cases."""
     first_node = np.cumsum([0, *(c.n_axial for c in cases)])[:-1].tolist()
     for _, members in groupby(zip(first_node, cases), key=lambda m: m[0] // NODE_BATCH):
         group = [c for _, c in members]
         sat = fluid.saturation_state(np.array([c.pressure for c in group], dtype=np.float64))
         heights = [np.append((np.arange(c.n_axial - 1) + 0.5) * c.heated_length / c.n_axial,
                              c.heated_length) for c in group]
-        chf = node_chf(pred, [(c.inlet_conditions(), z) for c, z in zip(group, heights)],
-                       dict(zip(sat.pressure.tolist(), sat.h_fg.tolist())))
-        yield from zip(heights, sat.h_f.tolist(), sat.h_fg.tolist(), chf)
+        sizes = [c.n_axial for c in group]
+        x = np.repeat(np.array([(c.diameter, c.heated_length, c.pressure, c.mass_flux,
+                                 c.inlet_subcooling) for c in group], dtype=np.float64),
+                      sizes, axis=0)
+        x[:, 1] = np.concatenate(heights)
+        chf = np.concatenate([predict_batch(pred, x[k:k + NODE_BATCH]).value
+                              for k in range(0, len(x), NODE_BATCH)])
+        yield from zip(heights, sat.h_f.tolist(), sat.h_fg.tolist(),
+                       np.split(chf, np.cumsum(sizes)[:-1]))
 
 
 def solve_channel(case: ChannelCase, pred: ChfPredictor, rating=None) -> AxialProfile:
     """March the channel and rate every node against the predictor.
 
-    DNBR is CHF / wall flux with nonpositive CHF clamped to zero (and
-    the node flagged); at zero wall flux every node reports the +inf
+    DNBR is CHF / wall flux, zero on a node with no CHF (which is
+    flagged); at zero wall flux every other node reports the +inf
     sentinel.  Each node is treated as the exit of a tube of length z
     (the critical-length convention), using the case's ``rate_nodes`` item
     ``rating`` if given.  A march whose exit state overflows, or a node

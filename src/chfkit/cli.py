@@ -53,7 +53,6 @@ from .evaluation import (
     compute_report,
     kde,
     parity_series,
-    relative_errors,
     write_kde_csv,
     write_parity_csv,
     write_report_csv,
@@ -617,7 +616,7 @@ def cmd_simulate(cfg: _Config) -> dict:
         if not isinstance(case, str):
             try:
                 rating = next(ratings)
-                if not ((rating[3] > 0.0) & (rating[3] < math.inf)).any():
+                if np.isnan(rating[3]).all():
                     raise FloatingPointError("no node has a positive finite CHF")
                 profile = solve_channel(case, predictor, rating)
             except FloatingPointError as e:
@@ -696,12 +695,12 @@ def cmd_evaluate(cfg: _Config) -> dict:
         raise ConfigError(str(e)) from None
     write_report_csv(report, cfg.out("report.csv"))
     write_report_text(report, cfg.out("report.txt"))
-    write_parity_csv(parity_series(pred, truth), cfg.out("parity.csv"))
+    parity = parity_series(pred, truth)
+    write_parity_csv(parity, cfg.out("parity.csv"))
 
     counts: dict = {"rows": len(preds), "rows_missing_values": n_missing}
-    errors, _ = relative_errors(pred, truth)
     try:
-        series = kde(errors, window=window)
+        series = kde(parity[2][truth != 0.0], window=window)
     except ValueError as e:
         counts["kde"] = f"skipped: {e}"
     else:

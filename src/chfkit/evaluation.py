@@ -80,21 +80,17 @@ class KdeSeries:
     bandwidth: float
 
 
-def relative_errors(
-    pred: Sequence[float], truth: Sequence[float]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Signed percent errors, excluding (and reporting) zero-truth rows.
-
-    Returns (errors, zero_truth_indices); errors keeps the input order
-    of the surviving rows.  Negative = underprediction.
-    """
+def relative_errors(pred: Sequence[float], truth: Sequence[float]) -> np.ndarray:
+    """Signed percent errors, one per row in input order, NaN where truth
+    is zero.  Negative = underprediction."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
     if p.shape != t.shape or p.ndim != 1:
         raise ValueError(f"pred and truth must be equal-length 1-D, got {p.shape}, {t.shape}")
-    zero = t == 0.0
-    e = (p[~zero] - t[~zero]) / t[~zero] * 100.0
-    return e, tuple(int(i) for i in np.flatnonzero(zero))
+    e = np.full(p.size, math.nan)
+    nonzero = t != 0.0
+    e[nonzero] = (p[nonzero] - t[nonzero]) / t[nonzero] * 100.0
+    return e
 
 
 def _nearest_rank_keep_mask(abs_e: np.ndarray, quantile: float) -> np.ndarray:
@@ -122,18 +118,19 @@ def compute_report(
     """
     if not 0.0 < trim_quantile <= 1.0:
         raise ValueError(f"trim_quantile must be in (0, 1], got {trim_quantile}")
-    e, zero_truth = relative_errors(pred, truth)
-    if e.size == 0:
-        raise ValueError("no rows with nonzero truth to evaluate")
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
-    pred_nonzero = p[t != 0.0] != 0.0
+    nonzero = t != 0.0
+    e = relative_errors(p, t)[nonzero]
+    if e.size == 0:
+        raise ValueError("no rows with nonzero truth to evaluate")
+    pred_nonzero = p[nonzero] != 0.0
 
     abs_e = np.abs(e)
     max_rel = float(abs_e.max())
     frac10 = float(np.mean(abs_e > 10.0) * 100.0)
     frac25 = float(np.mean(abs_e > 25.0) * 100.0)
-    frac_over = float(np.mean(p[t != 0.0] > t[t != 0.0]) * 100.0)
+    frac_over = float(np.mean(p[nonzero] > t[nonzero]) * 100.0)
 
     elig = e[pred_nonzero]
     n_zero_pred = int(e.size - elig.size)
@@ -169,7 +166,7 @@ def compute_report(
         n_total=int(e.size),
         n_trimmed=n_trimmed,
         n_zero_pred=n_zero_pred,
-        n_zero_truth=len(zero_truth),
+        n_zero_truth=int(t.size - e.size),
     )
 
 
@@ -212,16 +209,11 @@ def kde(
 def parity_series(
     pred: Sequence[float], truth: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truth, prediction and signed percent error as float64 columns, input
-    order; zero truth gives NaN error."""
+    """Truth, prediction and signed percent error (``relative_errors``) as
+    float64 columns, input order."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
-    if p.shape != t.shape or p.ndim != 1:
-        raise ValueError(f"pred and truth must be equal-length 1-D, got {p.shape}, {t.shape}")
-    e, zero_idx = relative_errors(p, t)
-    errs = np.full(p.size, math.nan)
-    errs[np.setdiff1d(np.arange(p.size), np.array(zero_idx, dtype=int))] = e
-    return t, p, errs
+    return t, p, relative_errors(p, t)
 
 
 # ---------------------------------------------------------------------------

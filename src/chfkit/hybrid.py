@@ -10,18 +10,17 @@ independent of the base model's scale.
 
 The batch interface is the (n, 5) model-feature matrix: one row per
 record, SI units, in the order of ``data.MODEL_FEATURES`` (the fields
-of ``InletConditions``).  Two evaluation surfaces and the residual
-dataset share one core on it: at most one saturation-state call over
-its distinct pressures, one heat-balance solve on its columns
-(``correlations._solve_columns``) and one network batch.
+of ``InletConditions``).  Every CHF value comes from one core on it: at
+most one saturation-state call over its distinct pressures, one
+heat-balance solve on its columns (``correlations._solve_columns``) and
+one network batch.
 
 * ``predict_batch`` resolves the base correlation with the heat-balance
   solve (the critical length equals the heated length) and returns
-  ``Predictions``, one column per field; ``predict`` is its one-row
-  call on an ``InletConditions``.
-* ``node_chf`` rates every node of many channel marches together (NaN
-  on a failed node): node z is the exit of a tube of length z with its
-  channel's inlet state, so its value does not depend on the wall flux.
+  ``Predictions``, one column per field, NaN where no positive finite
+  CHF came out; ``predict`` is its one-row call on an
+  ``InletConditions``.  ``channel.rate_nodes`` rates channel nodes
+  through it.
 * ``build_residual_dataset`` takes the base CHF of every row from the
   same solve and returns the residual table as one (m, 8) array.
 """
@@ -29,7 +28,6 @@ its distinct pressures, one heat-balance solve on its columns
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,11 +48,9 @@ __all__ = [
     "build_residual_dataset",
     "predict",
     "predict_batch",
-    "node_chf",
 ]
 
 PREDICTOR_KINDS = ("base_biasi", "base_bowring", "pure_ml", "hybrid_biasi", "hybrid_bowring")
-NODE_BATCH = 4096  # most node rows per heat-balance solve and network batch in node_chf
 
 _BASE_OF_KIND = {
     "base_biasi": "biasi",
@@ -108,9 +104,9 @@ class Predictions:
     ``value`` is base CHF + ``ml_residual`` for hybrid kinds (computed as
     that sum), the base CHF for base kinds (whose residual is 0) and the
     network output for pure_ml; it is NaN on the rows that failed: their
-    heat-balance solve failed, or the sum or network output is not
-    finite; ``error(i)`` says which.  ``base`` holds the columns of that
-    solve, None for pure_ml.
+    heat-balance solve failed, the network output is not finite, or the
+    value is not positive and finite; ``error(i)`` says which.  ``base``
+    holds the columns of that solve, None for pure_ml.
     """
 
     value: np.ndarray
@@ -128,7 +124,11 @@ class Predictions:
         """Why row i failed."""
         if self.base is not None and self.base.failed[i]:
             return self.base.error(i)
-        return FloatingPointError(f"non-finite network output ({self.ml_residual[i].item()!r})")
+        r = self.ml_residual[i].item()
+        if not np.isfinite(r):
+            return FloatingPointError(f"non-finite network output ({r!r})")
+        v = r if self.base is None else self.base.chf[i].item() + r
+        return FloatingPointError(f"CHF prediction {v!r} W/m2 is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def build_residual_dataset(x, measured, base: str) -> tuple[np.ndarray, Residual
     if base not in ("biasi", "bowring"):
         raise ValueError(f"base must be 'biasi' or 'bowring', got {base!r}")
     x = _inlet_matrix(x)
-    sol = _solve_rows(base, x, {})
+    sol = _solve_rows(base, x)
     ok = ~sol.failed
     chf, y = sol.chf[ok], np.asarray(measured, dtype=np.float64)[ok]
     failures = tuple((i, str(sol.error(i))) for i in np.flatnonzero(sol.failed).tolist())
@@ -172,36 +172,31 @@ def build_residual_dataset(x, measured, base: str) -> tuple[np.ndarray, Residual
         n_records=len(x), n_failed=len(failures), failures=failures)
 
 
-def _solve_rows(base: str, x: np.ndarray, h_fg: dict[float, float]) -> _HbmColumns:
+def _solve_rows(base: str, x: np.ndarray) -> _HbmColumns:
     """Heat-balance solve of ``base`` on every row of the feature matrix x
-    (valid rows); ``h_fg`` maps pressure to latent heat, J/kg, and gains
-    the pressures it lacks from one saturation-state call."""
+    (valid rows), with the latent heats of one saturation-state call over
+    its distinct pressures (none for no rows)."""
     d, length, p, g, dh = x.T
-    pressures = p.tolist()
-    missing = list(dict.fromkeys(v for v in pressures if v not in h_fg))
-    if missing:
-        h_fg.update(zip(missing, fluid.saturation_state(np.array(missing)).h_fg.tolist()))
-    return _solve_columns(base, d, length, p, g, dh,
-                          np.array([h_fg[v] for v in pressures], dtype=np.float64))
-
-
-def _predictions(p: ChfPredictor, x, h_fg: dict[float, float]) -> Predictions:
-    """``predict_batch`` with ``h_fg`` as in ``_solve_rows``."""
-    x = _inlet_matrix(x)
-    # one batch: the forward pass is bit-stable across batch sizes
-    net = forward_batch(p.model, x) if p.model is not None and len(x) else np.zeros(len(x))
-    sol = None if p.kind == "pure_ml" else _solve_rows(_BASE_OF_KIND[p.kind], x, h_fg)
-    # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
-    value = net if sol is None else np.where(sol.failed, np.nan, sol.chf + net)
-    return Predictions(value=np.where(np.isfinite(value), value, np.nan), ml_residual=net,
-                       base=sol)
+    h_fg = np.empty(0)
+    if len(p):
+        pressures, at = np.unique(p, return_inverse=True)
+        h_fg = fluid.saturation_state(pressures).h_fg[at]
+    return _solve_columns(base, d, length, p, g, dh, h_fg)
 
 
 def predict_batch(p: ChfPredictor, x) -> Predictions:
     """CHF from inlet conditions, given as the rows of an (n, 5) model-feature
     matrix (diameter, heated length, pressure, mass flux, inlet subcooling;
-    SI): one saturation-state call, one heat-balance solve, one network batch."""
-    return _predictions(p, x, {})
+    SI): one saturation-state call, one heat-balance solve, one network batch.
+    A value that is not positive and finite is NaN (a failed row)."""
+    x = _inlet_matrix(x)
+    # one batch: the forward pass is bit-stable across batch sizes
+    net = forward_batch(p.model, x) if p.model is not None and len(x) else np.zeros(len(x))
+    sol = None if p.kind == "pure_ml" else _solve_rows(_BASE_OF_KIND[p.kind], x)
+    # base kinds have r = 0.0, and chf + 0.0 is chf (chf > 0)
+    value = net if sol is None else np.where(sol.failed, np.nan, sol.chf + net)
+    return Predictions(value=np.where((value > 0.0) & (value < np.inf), value, np.nan),
+                       ml_residual=net, base=sol)
 
 
 def predict(p: ChfPredictor, c: InletConditions) -> float:
@@ -210,26 +205,3 @@ def predict(p: ChfPredictor, c: InletConditions) -> float:
     if out.failed[0]:
         raise out.error(0)
     return out.value[0].item()
-
-
-def node_chf(p: ChfPredictor, channels: Sequence[tuple[InletConditions, Sequence[float]]],
-             h_fg: dict[float, float]) -> list[np.ndarray]:
-    """Raw CHF, W/m2, at every node of each channel march, one float64 array per channel.
-
-    A channel is its inlet conditions and node heights, m; ``h_fg`` is as
-    in ``_solve_rows``.  Node i is the exit of a tube of length
-    ``heights[i]`` (the critical-length convention), so its value does
-    not depend on the wall flux; it is that tube's ``predict_batch``
-    value, NaN where it failed (the heat-balance solve finds no critical
-    condition, or the network output is not finite).  All nodes are
-    rated together, ``NODE_BATCH`` rows per call: no row's bits depend on
-    its batch.  Values may be nonpositive (callers clamp and flag); for
-    hybrid kinds each is base + residual.
-    """
-    sizes = [len(z) for _, z in channels]
-    x = np.repeat(np.array([astuple(c) for c, _ in channels], dtype=np.float64).reshape(-1, 5),
-                  sizes, axis=0)
-    x[:, 1] = np.concatenate([np.empty(0), *(z for _, z in channels)])
-    chf = np.concatenate([np.empty(0), *(_predictions(p, x[k:k + NODE_BATCH], h_fg).value
-                                         for k in range(0, len(x), NODE_BATCH))])
-    return np.split(chf, np.cumsum(sizes)[:-1]) if sizes else []

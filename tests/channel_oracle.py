@@ -7,7 +7,7 @@ replaced: every node is rated by its own heat-balance solve plus a
 single-row network call, its DNBR by its own clamp and flag branches, and
 the critical power by a bisection that re-solves the whole channel at
 every step until |min DNBR - 1| < 1e-6.  The profile it builds is a
-tuple per field, with None for a node that has no critical condition;
+tuple per field, with None for a node that has no positive finite CHF;
 ``ChfPredictor`` and ``ChannelCase`` are the only package types it
 takes.
 """
@@ -68,11 +68,6 @@ def rate(chf: tuple, q: float) -> tuple[list, list, list]:
             dnbr.append(math.inf)
             chf_local.append(c)
             continue
-        if c <= 0.0:
-            flagged.append(i)
-            dnbr.append(0.0)
-            chf_local.append(0.0)
-            continue
         ratio = c / q
         dnbr.append(ratio)
         chf_local.append(ratio * q)
@@ -91,9 +86,11 @@ def solve_channel(case: ChannelCase, pred: ChfPredictor) -> Profile:
     raw = []
     for z in heights:
         try:
-            raw.append(exit_chf(pred, replace(case.inlet_conditions(), heated_length=z)))
+            chf = exit_chf(pred, replace(case.inlet_conditions(), heated_length=z))
         except NoCriticalConditionError:
-            raw.append(None)
+            chf = None
+        # a CHF that is not positive and finite is a failed node
+        raw.append(chf if chf is not None and 0.0 < chf < math.inf else None)
     dnbr, chf_local, flagged = rate(raw, q)
     if q > 0.0 and math.inf in dnbr:
         raise FloatingPointError(f"DNBR overflows: node CHF / wall flux {q!r} W/m2")

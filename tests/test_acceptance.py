@@ -19,7 +19,7 @@ from chfkit.channel import ChannelCase, solve_channel
 from chfkit.correlations import (InletConditions, bowring_inlet,
                                  heat_balance_quality, solve_hbm)
 from chfkit.evaluation import compute_report
-from chfkit.hybrid import ChfPredictor, predict
+from chfkit.hybrid import ChfPredictor, predict_batch
 from chfkit.mlp import (DenseLayer, Mlp, Scaler, TrainConfig, forward,
                         forward_batch, init_mlp, load_model,
                         save_model, train)
@@ -204,8 +204,11 @@ def test_criterion_05_hybrid_beats_pure_when_data_is_scarce():
                               model=_fit(x_tr, y_tr - base_tr, "residual",
                                          "bowring", 1))
         for label, p in (("pure", pure), ("hybrid", hybrid)):
-            pred = np.array([predict(p, InletConditions(*row))
-                             for row in x_test])
+            # the model's own output: a pure_ml CHF below zero fails its
+            # row in predict, but it is still the model's error to score
+            out = predict_batch(p, x_test)
+            assert out.base is None or not out.base.failed.any()
+            pred = out.ml_residual if out.base is None else out.base.chf + out.ml_residual
             rrmse[label, n] = compute_report(pred, y_test,
                                              trim_quantile=1.0).rrmse
     dt = time.perf_counter() - t0

@@ -15,6 +15,7 @@ from chfkit.channel import (
     BracketError,
     ChannelCase,
     find_critical_power,
+    rate_nodes,
     solve_channel,
 )
 from chfkit.correlations import InletConditions, heat_balance_quality, solve_hbm
@@ -151,14 +152,21 @@ def test_critical_power_constant_predictor_analytic():
     assert res.iterations == 0
 
 
-def test_march_and_search_share_one_saturation_state(monkeypatch):
-    pressures = []
+def test_a_run_in_one_window_makes_two_saturation_state_calls(monkeypatch):
+    # one in rate_nodes for h_f and h_fg, one in predict_batch for the
+    # latent heats of the heat-balance solve, however many cases and
+    # nodes; the critical-power search makes none
+    calls = []
     sat = fluid.saturation_state
-    monkeypatch.setattr(fluid, "saturation_state", lambda p: pressures.append(p) or sat(p))
-    case = replace(BENNETT_CASE, pressure=7.0e6)
-    find_critical_power(solve_channel(case, ChfPredictor(kind="base_bowring")),
-                        (4.0e5, 4.0e6))
-    assert pressures == [7.0e6]
+    monkeypatch.setattr(fluid, "saturation_state", lambda p: calls.append(p) or sat(p))
+    pred = ChfPredictor(kind="base_bowring")
+    for n_cases, n_axial in ((1, 2), (3, 40), (12, 300)):
+        cases = [replace(BENNETT_CASE, pressure=7.0e6 + 1.0e5 * i, n_axial=n_axial)
+                 for i in range(n_cases)]
+        calls.clear()
+        for case, rating in zip(cases, rate_nodes(cases, pred)):
+            find_critical_power(solve_channel(case, pred, rating), (4.0e5, 4.0e6))
+        assert len(calls) == 2
 
 
 def test_critical_power_ignores_profile_wall_flux():

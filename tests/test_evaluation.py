@@ -29,26 +29,27 @@ H_UNIT_SIGMA_N100 = 0.35829645349814747
 # ---------------------------------------------------------------------------
 
 def test_relative_errors_identity():
-    e, zero = relative_errors([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    e = relative_errors([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert np.array_equal(e, np.zeros(3))
-    assert zero == ()
 
 
 def test_relative_errors_ten_percent():
     y = np.array([100.0, 2.0e6, 5.5e5])
-    e, _ = relative_errors(1.1 * y, y)
+    e = relative_errors(1.1 * y, y)
     assert e == pytest.approx([10.0, 10.0, 10.0], rel=1e-12)
 
 
 def test_relative_errors_signed():
-    e, _ = relative_errors([90.0], [100.0])
+    e = relative_errors([90.0], [100.0])
     assert e[0] == pytest.approx(-10.0, rel=1e-15)
 
 
 def test_relative_errors_zero_truth_excluded_with_count():
-    e, zero = relative_errors([1.0, 2.0, 3.0], [0.0, 4.0, 0.0])
-    assert zero == (0, 2)
-    assert e == pytest.approx([-50.0], rel=1e-15)
+    # one entry per row; a zero-truth row reads NaN
+    e = relative_errors([1.0, 2.0, 3.0], [0.0, 4.0, 0.0])
+    assert e.shape == (3,)
+    assert np.flatnonzero(np.isnan(e)).tolist() == [0, 2]
+    assert e[1] == pytest.approx(-50.0, rel=1e-15)
 
 
 def test_relative_errors_shape_mismatch():
@@ -287,10 +288,10 @@ def test_parity_preserves_order_and_matches_relative_errors():
     truth = np.array([1.0e6, 8.0e5, 2.5e6, 4.0e5])
     pred = np.array([1.1e6, 7.0e5, 2.5e6, 6.0e5])
     t, p, errs = parity_series(pred, truth)
-    e, _ = relative_errors(pred, truth)
+    e = [(a - b) / b * 100.0 for a, b in zip(pred.tolist(), truth.tolist())]
     assert t.tolist() == truth.tolist()
     assert p.tolist() == pred.tolist()
-    assert errs.tolist() == e.tolist()
+    assert errs.tolist() == e == relative_errors(pred, truth).tolist()
 
 
 def test_parity_zero_truth_row_kept_with_nan():

@@ -1,5 +1,6 @@
 """Tests for the base+residual predictor composition."""
 
+import re
 from dataclasses import astuple, replace
 from unittest import mock
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from chfkit import fluid, hybrid
+from chfkit.channel import ChannelCase, rate_nodes
 from chfkit.correlations import (
     InletConditions,
     NoCriticalConditionError,
@@ -15,7 +17,6 @@ from chfkit.correlations import (
 from chfkit.hybrid import (
     ChfPredictor,
     build_residual_dataset,
-    node_chf,
     predict,
     predict_batch,
 )
@@ -288,25 +289,47 @@ def test_non_finite_network_output_fails_the_row(kind):
     assert str(pred.error(0)) == "non-finite network output (inf)"
     with pytest.raises(FloatingPointError, match=r"^non-finite network output \(inf\)$"):
         predict(p, BENNETT_LIKE)
-    h_fg = fluid.saturation_state(BENNETT_LIKE.pressure).h_fg
-    (chf,) = node_chf(p, [(BENNETT_LIKE, (1.0, 2.0))], {BENNETT_LIKE.pressure: h_fg})
+    ((*_, chf),) = rate_nodes([_case(BENNETT_LIKE, 2)], p)
     assert np.isnan(chf).all()
 
 
+def test_nonpositive_value_fails_the_row():
+    # a residual that drives the hybrid value below zero, and a pure_ml
+    # output of exactly zero
+    base = solve_hbm("bowring", BENNETT_LIKE).chf
+    for p, v in ((ChfPredictor(kind="hybrid_bowring", model=_const_model(-2.0 * base)),
+                  base + -2.0 * base),
+                 (ChfPredictor(kind="pure_ml",
+                               model=_const_model(0.0, mode="direct", base_model="none")),
+                  0.0)):
+        pred = predict_batch(p, [astuple(BENNETT_LIKE)])
+        assert pred.failed.tolist() == [True] and np.isnan(pred.value[0])
+        message = f"CHF prediction {v!r} W/m2 is not positive and finite"
+        assert str(pred.error(0)) == message
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            predict(p, BENNETT_LIKE)
+        ((*_, chf),) = rate_nodes([_case(BENNETT_LIKE, 2)], p)
+        assert np.isnan(chf[-1])  # the exit node is the whole tube
+
+
 # ---------------------------------------------------------------------------
-# node_chf: every node rated as the exit of a tube of its own length
+# rate_nodes: every node rated as the exit of a tube of its own length
 # ---------------------------------------------------------------------------
 
-def test_node_chf_is_the_prediction_at_each_node_length():
+def _case(c: InletConditions, n_axial: int) -> ChannelCase:
+    return ChannelCase(*astuple(c), wall_heat_flux=5.0e5, n_axial=n_axial)
+
+
+def test_rate_nodes_is_the_prediction_at_each_node_length():
     p = ChfPredictor(kind="hybrid_bowring", model=_const_model(2.0e5))
-    heights = (1.0, 3.0, BENNETT_LIKE.heated_length)
-    want = [predict(p, replace(BENNETT_LIKE, heated_length=z)) for z in heights]
-    h_fg = {BENNETT_LIKE.pressure: fluid.saturation_state(BENNETT_LIKE.pressure).h_fg,
-            UNSOLVABLE.pressure: fluid.saturation_state(UNSOLVABLE.pressure).h_fg}
-    chf, unsolvable = node_chf(p, [(BENNETT_LIKE, heights), (UNSOLVABLE, (1.0, 2.0))], h_fg)
+    (heights, _, _, chf), (_, _, _, unsolvable) = rate_nodes(
+        [_case(BENNETT_LIKE, 3), _case(UNSOLVABLE, 2)], p)
+    length = BENNETT_LIKE.heated_length
+    assert heights.tolist() == [0.5 * length / 3, 1.5 * length / 3, length]
+    want = [predict(p, replace(BENNETT_LIKE, heated_length=z)) for z in heights.tolist()]
     assert chf.tolist() == want
     assert unsolvable.shape == (2,) and np.isnan(unsolvable).all()
-    assert node_chf(p, [], h_fg) == []
+    assert list(rate_nodes([], p)) == []
 
 
 def test_trained_residual_model_roundtrip():

@@ -9,6 +9,7 @@ must keep its bytes.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -30,15 +31,21 @@ from test_prepare_bytes import _write_table
 def _per_row_cells(kind, model, features):
     """The predictions.csv cells of one row but its line and measured CHF."""
     if kind == "pure_ml":
-        return repr(forward(model, features) / 1e3), "", "", "", "ok"
-    try:
-        sol = solve_hbm("biasi" if kind.endswith("biasi") else "bowring",
-                        InletConditions(*features))
-    except NoCriticalConditionError as e:
-        return "", "", "", "", f"failed: {cli._csv_safe(e)}"
-    r = 0.0 if kind.startswith("base_") else forward(model, features)
-    return (repr((sol.chf + r) / 1e3), repr(sol.chf / 1e3), repr(r / 1e3),
-            str(int(sol.quality_excursion)), "ok")
+        value = forward(model, features)
+        cells = ("", "", "")
+    else:
+        try:
+            sol = solve_hbm("biasi" if kind.endswith("biasi") else "bowring",
+                            InletConditions(*features))
+        except NoCriticalConditionError as e:
+            return "", "", "", "", f"failed: {cli._csv_safe(e)}"
+        r = 0.0 if kind.startswith("base_") else forward(model, features)
+        value = sol.chf + r
+        cells = (repr(sol.chf / 1e3), repr(r / 1e3), str(int(sol.quality_excursion)))
+    if not 0.0 < value < math.inf:  # a CHF that is not positive and finite fails the row
+        message = f"CHF prediction {value!r} W/m2 is not positive and finite"
+        return "", "", "", "", f"failed: {cli._csv_safe(message)}"
+    return (repr(value / 1e3), *cells, "ok")
 
 
 def _per_row_predict(cfg):

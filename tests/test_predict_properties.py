@@ -35,12 +35,15 @@ def _ref_predict(p: ChfPredictor, c: InletConditions) -> tuple:
     feats = (c.diameter, c.heated_length, c.pressure, c.mass_flux, c.inlet_subcooling)
     if p.kind == "pure_ml":
         r = forward(p.model, feats)
-        return r, None, r, None
-    sol = solve_hbm("biasi" if p.kind.endswith("biasi") else "bowring", c)
-    if p.kind.startswith("base_"):
-        return sol.chf, sol.chf, 0.0, sol
-    r = forward(p.model, feats)
-    return sol.chf + r, sol.chf, r, sol
+        out = r, None, r, None
+    else:
+        sol = solve_hbm("biasi" if p.kind.endswith("biasi") else "bowring", c)
+        r = 0.0 if p.kind.startswith("base_") else forward(p.model, feats)
+        out = sol.chf + r, sol.chf, r, sol
+    # a CHF that is not positive and finite is a failed prediction
+    if not 0.0 < out[0] < math.inf:
+        raise FloatingPointError(f"CHF prediction {out[0]!r} W/m2 is not positive and finite")
+    return out
 
 
 def _outcome(result) -> str:
@@ -66,7 +69,7 @@ def _row_outcomes(out: Predictions) -> list[str]:
         value, r = out.value[i].item(), out.ml_residual[i].item()
         if failed:
             assert math.isnan(value)
-            rows.append(_outcome(out.base.error(i)))
+            rows.append(_outcome(out.error(i)))
         elif out.base is None:
             rows.append(_outcome((value, None, r, None)))
         else:

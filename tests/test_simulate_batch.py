@@ -1,10 +1,10 @@
 """``simulate`` rates the nodes of all its cases together.
 
 ``channel.rate_nodes`` rates every node of a run's cases in groups, and
-``hybrid.node_chf`` splits a group into calls of at most ``NODE_BATCH``
-node rows.  Neither may change a bit: each case's profile must be the
-one ``solve_channel`` gives the case rated alone, and a case that fails
-must fail alone.
+splits a group into ``hybrid.predict_batch`` calls of at most
+``NODE_BATCH`` node rows.  Neither may change a bit: each case's profile
+must be the one ``solve_channel`` gives the case rated alone, and a case
+that fails must fail alone.
 """
 
 import json
@@ -17,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chfkit import channel, cli, fluid, hybrid
-from chfkit.channel import MAX_AXIAL_NODES, solve_channel
-from chfkit.correlations import InletConditions
+from chfkit import channel, cli, fluid
+from chfkit.channel import MAX_AXIAL_NODES, ChannelCase, rate_nodes, solve_channel
 from chfkit.hybrid import PREDICTOR_KINDS, ChfPredictor
 from chfkit.mlp import load_model
 
@@ -90,7 +89,7 @@ _CASE_ROWS = st.lists(
 
 
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
-@pytest.mark.parametrize("node_batch", [hybrid.NODE_BATCH, 37])
+@pytest.mark.parametrize("node_batch", [channel.NODE_BATCH, 37])
 @settings(max_examples=20, deadline=None)
 @given(cases=_CASE_ROWS)
 def test_simulate_matches_per_case_solve_channel(models, kind, node_batch, cases):
@@ -98,7 +97,6 @@ def test_simulate_matches_per_case_solve_channel(models, kind, node_batch, cases
     rows = [",".join(map(repr, row)) for row in cases]
     # a small cap splits groups and node batches inside and between cases
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(hybrid, "NODE_BATCH", node_batch), \
             mock.patch.object(channel, "NODE_BATCH", node_batch):
         out = _simulate(Path(tmp), rows, [f"kind={kind}", *args])
         summary = _rows(out / "summary.csv")
@@ -125,26 +123,28 @@ def test_simulate_matches_per_case_solve_channel(models, kind, node_batch, cases
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_node_batches_at_the_cap_keep_every_bit(models, monkeypatch, kind, extra):
-    """Channels of NODE_BATCH - 1, NODE_BATCH and NODE_BATCH + 1 nodes in
-    all give each channel the node CHF it gets alone, in calls of at most
-    NODE_BATCH rows that cover every node once."""
-    pred, n = models[kind][1], hybrid.NODE_BATCH
+    """Cases of NODE_BATCH - 1, NODE_BATCH and NODE_BATCH + 1 nodes in all
+    give each case the node CHF it gets alone, in ``predict_batch`` calls
+    of at most NODE_BATCH rows that cover every node once."""
+    pred, n = models[kind][1], channel.NODE_BATCH
     sizes = [n // 3, n // 3 + 5, n - 2 * (n // 3) - 5 + extra]
-    channels = []
-    for (d, length, p, g, dh), size in zip(TUBES, sizes):
-        heights = np.linspace(length / size, length, size)
-        channels.append((InletConditions(d * 1e-3, length, p * 1e3, g, dh * 1e3), heights))
-    h_fg = {c.pressure: fluid.saturation_state(c.pressure).h_fg for c, _ in channels}
-    alone = [hybrid.node_chf(pred, [ch], h_fg)[0] for ch in channels]
+    cases = [ChannelCase(d * 1e-3, length, p * 1e3, g, dh * 1e3, 5.0e5, size)
+             for (d, length, p, g, dh), size in zip(TUBES, sizes)]
+    alone = [next(rate_nodes([case], pred)) for case in cases]
 
     calls = []
-    predictions = hybrid._predictions
-    monkeypatch.setattr(hybrid, "_predictions",
-                        lambda p, x, h: calls.append(len(x)) or predictions(p, x, h))
-    together = hybrid.node_chf(pred, channels, h_fg)
-    assert calls == ([n, 1] if extra == 1 else [n + extra])
+    predict_batch = channel.predict_batch
+    monkeypatch.setattr(channel, "predict_batch",
+                        lambda p, x: calls.append(x.copy()) or predict_batch(p, x))
+    together = [chf for *_, chf in rate_nodes(cases, pred)]
+    assert [len(x) for x in calls] == ([n, 1] if extra == 1 else [n + extra])
+    # every node once, in order: its case's inlet fields at its own height
+    want = [[c.diameter, z, c.pressure, c.mass_flux, c.inlet_subcooling]
+            for c, (heights, *_) in zip(cases, alone) for z in heights.tolist()]
+    assert np.concatenate(calls).tolist() == want
     assert [len(chf) for chf in together] == sizes
-    assert repr([chf.tolist() for chf in together]) == repr([chf.tolist() for chf in alone])
+    assert repr([chf.tolist() for chf in together]) == \
+        repr([chf.tolist() for *_, chf in alone])
     if kind != "pure_ml":  # the two-phase tube has nodes with no critical condition
         assert np.isnan(together[1]).any() and not np.isnan(together[0]).all()
 

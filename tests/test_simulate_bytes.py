@@ -8,7 +8,8 @@ through the column writer instead; for every predictor kind, on cases
 that take every branch (zero wall flux, flagged nodes of both kinds,
 default and fractional node counts, a pressure outside the fluid range,
 a wall flux so small that node CHF / flux overflows, a case with no node
-rated, and a bracket that misses), every file it writes, the manifest
+rated, nonpositive node CHF at zero and nonzero wall flux, and a bracket
+that misses), every file it writes, the manifest
 included, must keep its bytes.
 """
 
@@ -152,7 +153,11 @@ def test_simulate_writes_the_bytes_of_the_per_node_formatter(tmp_path, kind):
         assert int(summary[5][3]) > 0  # nodes without a critical condition
     if kind == "falling":  # some nodes nonpositive, some not
         assert 0 < int(summary[0][3]) < 40
-    assert {row[3] for row in _read_rows(want / "profile_4.csv")} == {"inf"}
+    # zero wall flux: +inf on every node, but 0 on a node with no positive
+    # finite CHF, which the falling residual gives the long nodes
+    zero_flux = _read_rows(want / "profile_4.csv")
+    assert {(row[3], row[5]) for row in zero_flux} == \
+        ({("inf", "0"), ("0.0", "1")} if kind == "falling" else {("inf", "0")})
     cp_statuses = [row[-1].split(":")[0] for row in _read_rows(want / "critical_power.csv")]
     assert "failed" in cp_statuses and (kind == "falling" or "ok" in cp_statuses)
 
