@@ -21,8 +21,9 @@ up to, where the minimum DNBR reaches 1 — is exactly the smallest node
 CHF: ``find_critical_power`` reads it from a profile's node CHF vector
 (NaN where the predictor failed) without re-rating the channel.  Every
 profile field is a float64 array.  ``rate_nodes`` rates the nodes of many
-cases together through ``hybrid.predict_batch`` (``simulate`` passes it
-all its cases), and ``solve_channel`` marches one case from its rating.
+cases together through ``hybrid.predict_batch`` (``simulate`` passes it all
+its cases and writes their profiles to one ``profiles.csv``, ``NODE_BATCH``
+nodes at a time), and ``solve_channel`` marches one case from its rating.
 """
 
 from __future__ import annotations

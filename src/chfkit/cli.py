@@ -2,7 +2,8 @@
 
 Subcommands cover the full workflow: ``prepare`` (ingest, split into
 tables in the file schema, which ``train``/``tune`` and ``predict`` read
-back), ``simulate`` (channel DNBR), ``evaluate`` (error metrics and plots
+back), ``simulate`` (channel DNBR: every marched case's axial profile in one
+``profiles.csv``, keyed by case), ``evaluate`` (error metrics and plots
 data), ``hullcheck`` (interpolation-domain verdicts) and ``verify-model``.
 
 Runs are driven by a plain-text ``key=value`` config file; command-line
@@ -34,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, channel
 from .channel import BracketError, ChannelCase, find_critical_power, rate_nodes, solve_channel
 from .data import (
     CSV_HEADER,
@@ -48,6 +49,7 @@ from .data import (
     split,
     write_columns,
     write_records,
+    write_rows,
 )
 from .evaluation import (
     compute_report,
@@ -598,6 +600,17 @@ def _parse_cases(path: str) -> list[tuple[int, ChannelCase | str]]:
     return out
 
 
+def _write_profiles(fh, held: list) -> None:
+    """Write the ``profiles.csv`` rows of the held (case index, profile)
+    pairs, each column formatted once across the cases."""
+    if held:
+        *cols, flagged = (np.concatenate(c) for c in zip(*(
+            (p.heights, p.enthalpies, p.qualities, p.dnbr, p.chf_local / 1e3,
+             np.bincount(p.flagged_nodes, minlength=len(p.heights)) > 0) for _, p in held)))
+        write_rows(fh, [[s for i, p in held for s in [str(i)] * len(p.heights)], *cols,
+                        np.where(flagged, "1", "0").tolist()])
+
+
 def cmd_simulate(cfg: _Config) -> dict:
     cases_path = cfg.path_in("cases")
     predictor = _load_predictor(cfg)
@@ -609,38 +622,41 @@ def cmd_simulate(cfg: _Config) -> dict:
         cfg.check("bracket_hi_kW_m2", bracket[1] > bracket[0],
                   f"above bracket_lo_kW_m2 ({cfg.resolved['bracket_lo_kW_m2']})")
 
-    summary, cp_rows = [], []
+    summary, cp_rows, held, n_held = [], [], [], 0
     parsed = _parse_cases(cases_path)
     ratings = rate_nodes([c for _, c in parsed if not isinstance(c, str)], predictor)
-    for i, case in parsed:
-        if not isinstance(case, str):
-            try:
-                rating = next(ratings)
-                if np.isnan(rating[3]).all():
-                    raise FloatingPointError("no node has a positive finite CHF")
-                profile = solve_channel(case, predictor, rating)
-            except FloatingPointError as e:
-                case = str(e)
-        if isinstance(case, str):  # failed before or in the march: blank rows
-            summary.append((str(i), "", "", "", f"failed: {_csv_safe(case)}"))
-            if critical:
-                cp_rows.append(summary[-1])
-            continue
-        flagged = np.bincount(profile.flagged_nodes, minlength=case.n_axial) > 0
-        write_columns(
-            cfg.out(f"profile_{i}.csv"), "z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged",
-            [profile.heights, profile.enthalpies, profile.qualities, profile.dnbr,
-             profile.chf_local / 1e3, np.where(flagged, "1", "0").tolist()])
-        summary.append((str(i), repr(profile.min_dnbr), str(profile.min_dnbr_node),
-                        str(len(profile.flagged_nodes)), "ok"))
-        if critical:
-            try:
-                r = find_critical_power(profile, bracket)
-            except BracketError as e:
-                cp_rows.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
+    with open(cfg.out("profiles.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("case,z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged\n")
+        for i, case in parsed:
+            if not isinstance(case, str):
+                try:
+                    rating = next(ratings)
+                    if np.isnan(rating[3]).all():
+                        raise FloatingPointError("no node has a positive finite CHF")
+                    profile = solve_channel(case, predictor, rating)
+                except FloatingPointError as e:
+                    case = str(e)
+            if isinstance(case, str):  # failed before or in the march: blank rows
+                summary.append((str(i), "", "", "", f"failed: {_csv_safe(case)}"))
+                if critical:
+                    cp_rows.append(summary[-1])
                 continue
-            cp_rows.append((str(i), repr(r.wall_heat_flux / 1e3), str(r.limiting_node),
-                            repr(r.min_dnbr), "ok"))
+            held.append((i, profile))
+            n_held += case.n_axial
+            if n_held >= channel.NODE_BATCH:  # memory stays bounded, as in rate_nodes
+                _write_profiles(fh, held)
+                held, n_held = [], 0
+            summary.append((str(i), repr(profile.min_dnbr), str(profile.min_dnbr_node),
+                            str(len(profile.flagged_nodes)), "ok"))
+            if critical:
+                try:
+                    r = find_critical_power(profile, bracket)
+                except BracketError as e:
+                    cp_rows.append((str(i), "", "", "", f"failed: {_csv_safe(e)}"))
+                    continue
+                cp_rows.append((str(i), repr(r.wall_heat_flux / 1e3), str(r.limiting_node),
+                                repr(r.min_dnbr), "ok"))
+        _write_profiles(fh, held)
     write_columns(cfg.out("summary.csv"), "case,min_dnbr,limiting_node,n_flagged,status",
                   [list(c) for c in zip(*summary)] or [[]] * 5)
     if critical:

@@ -299,11 +299,12 @@ def _branches(correlation: str, d: np.ndarray, g: np.ndarray, p_pa: np.ndarray,
         raise ValueError(f"unknown correlation {correlation!r}; expected 'biasi' or 'bowring'")
     # diameter enters in cm, pressure in bar; result in W/m2
     p_bar = p_pa / 1e5
-    scale = _pow(100.0 * d, np.where(d >= 0.01, -0.4, -0.6))
-    high = (15.048e7 * scale * _pow(g, -0.6) * _biasi_pressure_h(p_bar), 1.0, every)
-    g6 = _pow(g, -1.0 / 6.0)
-    low = (2.764e7 * scale * g6, 1.468 * _biasi_pressure_f(p_bar) * g6,
-           g > BIASI_LOW_FLOW_LIMIT)
+    with np.errstate(all="ignore"):  # an extreme D or G gives inf or nan here: a failed row
+        scale = _pow(100.0 * d, np.where(d >= 0.01, -0.4, -0.6))
+        high = (15.048e7 * scale * _pow(g, -0.6) * _biasi_pressure_h(p_bar), 1.0, every)
+        g6 = _pow(g, -1.0 / 6.0)
+        low = (2.764e7 * scale * g6, 1.468 * _biasi_pressure_f(p_bar) * g6,
+               g > BIASI_LOW_FLOW_LIMIT)
     return low, high
 
 
@@ -378,7 +379,6 @@ def _solve_columns(correlation: str, d: np.ndarray, length: np.ndarray, p: np.nd
     mass flux, inlet subcooling and h_fg at the row's pressure (SI); the
     caller validates the rows.  No row depends on another, so a one-row
     call gives the bits of the same row in a batch."""
-    gd = g * d
     branches = _branches(correlation, d, g, p, h_fg)
 
     def quality(q):
@@ -386,9 +386,10 @@ def _solve_columns(correlation: str, d: np.ndarray, length: np.ndarray, p: np.nd
         return 4.0 * q * length / (gd * h_fg) - dh_sub / h_fg
 
     q_lo, q_hi = HBM_FLUX_BRACKET
-    # a failed row, or a branch with a nonpositive slope, may divide by
-    # zero or overflow; such values are masked out below
+    # a failed row (a huge G D, say), or a branch with a nonpositive slope,
+    # may divide by zero or overflow; such values are masked out below
     with np.errstate(all="ignore"):
+        gd = g * d
         r_lo = q_lo - _flux(branches, quality(q_lo))
         r_hi = q_hi - _flux(branches, quality(q_hi))
         failed = ~(np.isfinite(r_lo) & np.isfinite(r_hi)) | (r_lo >= 0.0) | (r_hi <= 0.0)

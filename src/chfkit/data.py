@@ -28,7 +28,7 @@ carries the file line number and a reason.
 ``load_columns`` reads every numeric CSV input: numpy's C reader parses a
 table of finite numbers in one call, and any other table (a blank cell,
 say) takes a per-cell pass that splits a chunk of rows at once.
-``write_columns`` writes every CSV output a column and a chunk at a time.
+``write_rows`` writes every CSV output a column and a chunk at a time.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "load_columns",
     "write_columns",
     "write_records",
+    "write_rows",
     "split",
     "feature_matrix",
     "envelope_violations",
@@ -350,20 +351,25 @@ def _repr_column(values: np.ndarray, nan: str) -> list[str]:
     return cells
 
 
-def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],
-                  nan: str = "nan") -> str:
-    """Write a CSV file of ``columns``, each a list of cells or a float64 array
-    (its values' repr, ``nan`` for NaN), formatted a chunk of rows at a time;
-    columns that differ in length raise ValueError.  Returns ``path``."""
+def write_rows(fh, columns: Sequence[np.ndarray | list[str]], nan: str = "nan") -> None:
+    """Write ``columns`` to the open file ``fh`` as CSV rows, each a list of cells
+    or a float64 array (its values' repr, ``nan`` for NaN), formatted a chunk of
+    rows at a time; columns that differ in length raise ValueError."""
     lengths = sorted({len(c) for c in columns})
     if len(lengths) > 1:
-        raise ValueError(f"{path}: columns differ in length: {lengths}")
+        raise ValueError(f"{fh.name}: columns differ in length: {lengths}")
+    for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):
+        cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, list)
+                 else _repr_column(c[start:start + _CHUNK_ROWS], nan) for c in columns]
+        fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
+
+
+def write_columns(path: str, header: str, columns: Sequence[np.ndarray | list[str]],
+                  nan: str = "nan") -> str:
+    """Write ``header`` and the ``write_rows`` rows of ``columns`` to ``path``; returns it."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):
-            cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, list)
-                     else _repr_column(c[start:start + _CHUNK_ROWS], nan) for c in columns]
-            fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
+        write_rows(fh, columns, nan)
     return path
 
 

@@ -72,8 +72,7 @@ def test_traced_stages_give_strict_json_metrics(tmp_path):
                  "data.ingest.rows", "channel.flagged_nodes"):
         assert values[name] > 0, name
     # the channel hooks count every node marched, from the profile arrays
-    # (a case with no node rated is not marched and has no profile)
-    marched = sum(len(path.read_text().splitlines()) - 1
-                  for kind in ("base_biasi", "hybrid_bowring")
-                  for path in (tmp_path / kind).glob("profile_*.csv"))
+    # (a case with no node rated is not marched and has no profiles.csv rows)
+    marched = sum(len((tmp_path / kind / "profiles.csv").read_text().splitlines()) - 1
+                  for kind in ("base_biasi", "hybrid_bowring"))
     assert values["channel.solve_channel.nodes"] == marched

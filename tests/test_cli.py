@@ -626,10 +626,12 @@ def test_simulate_profiles_and_default_nodes(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", f"cases={cases}", "kind=base_bowring",
                  f"outdir={out}"]) == 0
+    header, all_rows = _read_csv(out / "profiles.csv")
+    assert header == ["case", "z_m", "enthalpy_J_kg", "quality", "dnbr",
+                      "chf_kW_m2", "flagged"]
+    assert [r[0] for r in all_rows] == ["0"] * 60 + ["1"] * 60
     for i in range(2):
-        header, rows = _read_csv(out / f"profile_{i}.csv")
-        assert header == ["z_m", "enthalpy_J_kg", "quality", "dnbr",
-                          "chf_kW_m2", "flagged"]
+        rows = [r[1:] for r in all_rows if r[0] == str(i)]
         assert len(rows) == 60
         assert float(rows[-1][0]) == pytest.approx(
             5.56 if i == 0 else 3.0, rel=1e-12)
@@ -650,7 +652,7 @@ def test_simulate_bad_case_logged_exit_zero(tmp_path):
     assert srows[0][-1] == "ok"
     assert srows[1][-1].startswith("failed:")
     assert _manifest(out)["counts"]["failed"] == 1
-    assert not (out / "profile_1.csv").exists()
+    assert {r[0] for r in _read_csv(out / "profiles.csv")[1]} == {"0"}
 
 
 def test_simulate_fractional_n_axial_is_failed_row(tmp_path):
@@ -664,8 +666,7 @@ def test_simulate_fractional_n_axial_is_failed_row(tmp_path):
     _, srows = _read_csv(out / "summary.csv")
     assert srows[0][-1].startswith("failed:") and "n_axial" in srows[0][-1]
     assert srows[1][-1] == "ok"
-    assert not (out / "profile_0.csv").exists()
-    assert len(_read_csv(out / "profile_1.csv")[1]) == 40
+    assert [r[0] for r in _read_csv(out / "profiles.csv")[1]] == ["1"] * 40
 
 
 def test_simulate_overflowing_flux_is_failed_row(tmp_path, capsys):
@@ -684,7 +685,7 @@ def test_simulate_overflowing_flux_is_failed_row(tmp_path, capsys):
         "failed: enthalpy march overflows: exit quality inf", "ok",
         f"failed: DNBR overflows: node CHF / wall flux {1e-320 * 1e3!r} W/m2"]
     assert _manifest(out)["counts"] == {"failed": 3}
-    assert sorted(p.name for p in out.glob("profile_*.csv")) == ["profile_2.csv"]
+    assert {r[0] for r in _read_csv(out / "profiles.csv")[1]} == {"2"}
     assert capsys.readouterr().err == ""
 
 

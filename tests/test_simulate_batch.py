@@ -2,13 +2,17 @@
 
 ``channel.rate_nodes`` rates every node of a run's cases in groups, and
 splits a group into ``hybrid.predict_batch`` calls of at most
-``NODE_BATCH`` node rows.  Neither may change a bit: each case's profile
-must be the one ``solve_channel`` gives the case rated alone, and a case
-that fails must fail alone.
+``NODE_BATCH`` node rows; ``simulate`` writes every case's profile to one
+``profiles.csv``, formatting the held cases' columns together once they
+reach ``NODE_BATCH`` nodes.  None of this may change a bit: each case's
+profile must be the one ``solve_channel`` gives the case rated alone, its
+``profiles.csv`` rows the ones it writes when simulated alone, and a case
+that fails must fail alone and have no rows.
 """
 
 import json
 import tempfile
+from itertools import groupby
 from pathlib import Path
 from unittest import mock
 
@@ -54,9 +58,23 @@ def _rows(path: Path) -> list[list[str]]:
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
+PROFILES_HEADER = "case,z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged"
+
+
+def profile_lines(out: Path) -> dict[int, list[str]]:
+    """Each profiled case's ``profiles.csv`` lines, its case cell dropped,
+    by case index; the rows of a case are contiguous and come in case order."""
+    header, *lines = (out / "profiles.csv").read_text().splitlines()
+    assert header == PROFILES_HEADER
+    cases = [(int(i), rest) for i, rest in (line.split(",", 1) for line in lines)]
+    runs = [(i, [rest for _, rest in run]) for i, run in groupby(cases, key=lambda c: c[0])]
+    assert [i for i, _ in runs] == sorted({i for i, _ in runs})  # contiguous, in order
+    return dict(runs)
+
+
 def _assert_profile_is_the_lone_rating(out: Path, i: int, ref) -> None:
-    """profile_<i>.csv and summary row i hold the bits of profile ``ref``."""
-    cols = list(zip(*_rows(out / f"profile_{i}.csv")))
+    """Case i's profiles.csv rows and summary row i hold the bits of profile ``ref``."""
+    cols = list(zip(*(line.split(",") for line in profile_lines(out)[i])))
     for col, want in zip(cols, (ref.heights, ref.enthalpies, ref.qualities, ref.dnbr,
                                 ref.chf_local / 1e3)):
         # repr keeps every bit, -0.0 against 0.0 included
@@ -111,7 +129,7 @@ def test_simulate_matches_per_case_solve_channel(models, kind, node_batch, cases
                     raise FloatingPointError("no node has a positive finite CHF")
             except FloatingPointError as e:  # a subnormal wall flux, say
                 assert summary[i][-1] == f"failed: {cli._csv_safe(e)}"
-                assert not (out / f"profile_{i}.csv").exists()
+                assert i not in profile_lines(out)
                 continue
             _assert_profile_is_the_lone_rating(out, i, ref)
 
@@ -180,12 +198,11 @@ def test_cases_the_march_cannot_hold_fail_alone(tmp_path, models):
     summary = _rows(mixed / "summary.csv")
     assert [summary[i][-1] for i in bad_at] == \
         [f"failed: {cli._csv_safe(message)}" for message in bad.values()]
+    lines_mixed, lines_alone = profile_lines(mixed), profile_lines(alone)
     for j, i in enumerate(valid_at):  # the valid cases keep their bytes
-        assert (mixed / f"profile_{i}.csv").read_bytes() == \
-            (alone / f"profile_{j}.csv").read_bytes()
+        assert lines_mixed[i] == lines_alone[j]
         assert summary[i][1:] == _rows(alone / "summary.csv")[j][1:]
-    assert sorted(p.name for p in mixed.glob("profile_*.csv")) == \
-        [f"profile_{i}.csv" for i in valid_at]
+    assert list(lines_mixed) == list(valid_at)
     cp_mixed, cp_alone = (_rows(out / "critical_power.csv") for out in (mixed, alone))
     assert [row[0] for row in cp_mixed] == [str(i) for i in range(len(mixed_rows))]
     assert [cp_mixed[i][1:] for i in valid_at] == [row[1:] for row in cp_alone]
@@ -209,11 +226,10 @@ def test_a_case_with_no_rated_node_fails_alone(tmp_path, kind, bad):
     failed = ["1", "", "", "", "failed: no node has a positive finite CHF"]
     summary, cp = _rows(mixed / "summary.csv"), _rows(mixed / "critical_power.csv")
     assert summary[1] == cp[1] == failed
-    assert sorted(p.name for p in mixed.glob("profile_*.csv")) == ["profile_0.csv",
-                                                                   "profile_2.csv"]
+    lines_mixed, lines_alone = profile_lines(mixed), profile_lines(alone)
+    assert list(lines_mixed) == [0, 2]
     for j, i in ((0, 0), (1, 2)):  # the valid cases keep their bytes
-        assert (mixed / f"profile_{i}.csv").read_bytes() == \
-            (alone / f"profile_{j}.csv").read_bytes()
+        assert lines_mixed[i] == lines_alone[j]
         assert summary[i][1:] == _rows(alone / "summary.csv")[j][1:]
         assert cp[i][1:] == _rows(alone / "critical_power.csv")[j][1:]
     counts = [json.loads((out / "manifest.json").read_text())["counts"]["failed"]
@@ -234,8 +250,75 @@ def test_an_overflowing_mass_flux_fails_no_other_case(tmp_path, models, kind):
                                            *valid[1:]], args)
     summary = _rows(mixed / "summary.csv")
     assert len(summary) == len(valid) + 1
+    lines_mixed, lines_alone = profile_lines(mixed), profile_lines(alone)
+    assert 1 not in lines_mixed
     for j in range(len(valid)):
         i = j + (j > 0)
-        assert (mixed / f"profile_{i}.csv").read_bytes() == \
-            (alone / f"profile_{j}.csv").read_bytes()
+        assert lines_mixed[i] == lines_alone[j]
         assert summary[i][1:] == _rows(alone / "summary.csv")[j][1:]
+
+
+# ---------------------------------------------------------------------------
+# One profiles.csv for the run
+# ---------------------------------------------------------------------------
+
+# cases that march, at zero wall flux too, and cases that fail before the
+# march (a rejected diameter), in it (a subnormal wall flux) or with no
+# node rated (Biasi's CHF is 0 at every node)
+BATCH = ["12.62,5.56,6895,1000,100,500,40", "-1.0,3.0,7000,1500,150,800,40",
+         "10.0,3.0,7000,1500,150,800,", "12.62,5.56,6895,1000,100,0,20",
+         "12.62,5.56,6895,1000,100,1e-320,20", "8.0,0.5,3000,5000,400,900,25",
+         "1e300,2,22000,1e6,1e-320,1000,20", "9.0,4.0,10000,2500,250,1200,30"]
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+def test_profiles_rows_are_the_bytes_each_case_writes_alone(tmp_path, models, kind):
+    args = [f"kind={kind}", *models[kind][0], "critical_power=true",
+            "bracket_lo_kW_m2=100", "bracket_hi_kW_m2=4000"]
+    (tmp_path / "batch").mkdir()
+    batch = _simulate(tmp_path / "batch", BATCH, args)
+    want, statuses = [PROFILES_HEADER], []
+    for i, row in enumerate(BATCH):
+        (tmp_path / str(i)).mkdir()
+        alone = _simulate(tmp_path / str(i), [row], args)
+        statuses.append(_rows(alone / "summary.csv")[0][-1])
+        lines = (alone / "profiles.csv").read_text().splitlines()[1:]
+        assert all(line.startswith("0,") for line in lines)
+        if statuses[-1] != "ok":  # a failed case has no rows
+            assert lines == []
+        want += [f"{i},{line[2:]}" for line in lines]
+    assert (batch / "profiles.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+    # the network rates case 6's nodes; every other kind fails it
+    assert [j for j, s in enumerate(statuses) if s != "ok"] == \
+        ([1, 4] if kind == "pure_ml" else [1, 4, 6])
+    assert sorted(p.name for p in batch.iterdir()) == [
+        "critical_power.csv", "manifest.json", "profiles.csv", "summary.csv"]
+    manifest = json.loads((batch / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["critical_power.csv", "profiles.csv", "summary.csv"]
+
+
+@pytest.mark.parametrize("node_batch", [1, 50])
+def test_profiles_file_does_not_depend_on_the_node_batch(tmp_path, models, monkeypatch,
+                                                         node_batch):
+    """The held cases are written once they reach NODE_BATCH nodes: at most
+    NODE_BATCH - 1 nodes plus one case's per write, and the same bytes."""
+    args = ["kind=hybrid_bowring", *models["hybrid_bowring"][0], "critical_power=true",
+            "bracket_lo_kW_m2=100", "bracket_hi_kW_m2=4000"]
+    _simulate(tmp_path, BATCH, args)
+    (tmp_path / "sim").rename(tmp_path / "want")
+    writes = []
+    write_rows = cli.write_rows
+    monkeypatch.setattr(cli, "write_rows",
+                        lambda fh, columns, *a: writes.append(len(columns[0])) or
+                        write_rows(fh, columns, *a))
+    monkeypatch.setattr(channel, "NODE_BATCH", node_batch)
+    out = _simulate(tmp_path, BATCH, args)
+    profiled = [len(lines) for lines in profile_lines(out).values()]
+    assert sum(writes) == sum(profiled)
+    assert max(writes) <= node_batch - 1 + max(profiled)
+    if node_batch == 1:  # every case on its own
+        assert writes == profiled
+    else:
+        assert 1 < len(writes) < len(profiled)
+    for name in sorted(p.name for p in (tmp_path / "want").iterdir()):
+        assert (out / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name

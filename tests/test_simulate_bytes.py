@@ -1,16 +1,17 @@
 """Byte identity of ``simulate`` against a per-node formatter.
 
 The oracle is the per-node march of ``channel_oracle``, each node
-formatted into its ``profile_<i>.csv`` line with ``repr`` and each case
-into its ``summary.csv`` and ``critical_power.csv`` lines as it comes.
-``simulate`` rates a case's nodes as arrays and writes its columns
-through the column writer instead; for every predictor kind, on cases
-that take every branch (zero wall flux, flagged nodes of both kinds,
-default and fractional node counts, a pressure outside the fluid range,
-a wall flux so small that node CHF / flux overflows, a case with no node
-rated, nonpositive node CHF at zero and nonzero wall flux, and a bracket
-that misses), every file it writes, the manifest
-included, must keep its bytes.
+formatted into its ``profiles.csv`` line (case index first) with
+``repr`` and each case into its ``summary.csv`` and ``critical_power.csv``
+lines as it comes.  ``simulate`` rates a case's nodes as arrays and
+writes the columns of many cases at once through the row writer instead;
+for every predictor kind, on cases that take every branch (zero wall
+flux, flagged nodes of both kinds, default and fractional node counts, a
+pressure outside the fluid range, a wall flux so small that node CHF /
+flux overflows, a case with no node rated, nonpositive node CHF at zero
+and nonzero wall flux, and a bracket that misses), every file it writes,
+the manifest included, must keep its bytes, also when it writes each
+case's ``profiles.csv`` rows on their own (``NODE_BATCH`` of 1).
 """
 
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import channel_oracle
-from chfkit import cli
+from chfkit import channel, cli
 from chfkit.channel import BracketError
 from chfkit.data import MODEL_FEATURES
 from chfkit.fluid import FluidRangeError
@@ -60,10 +61,13 @@ def _per_node_simulate(cfg):
     model_paths = [] if predictor.model is None else [cfg.resolved["model"]]
     bracket = (cfg.float_("bracket_lo_kW_m2") * 1e3, cfg.float_("bracket_hi_kW_m2") * 1e3)
     cfg.bool_("critical_power", "false")
-    outputs, n_failed, cp_lines = [], 0, []
+    n_failed, cp_lines = 0, []
     summary_path = os.path.join(outdir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    profiles_path = os.path.join(outdir, "profiles.csv")
+    with open(summary_path, "w", encoding="utf-8") as fh, \
+            open(profiles_path, "w", encoding="utf-8") as pf:
         fh.write("case,min_dnbr,limiting_node,n_flagged,status\n")
+        pf.write("case,z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged\n")
         for i, case in cli._parse_cases(cases_path):
             if not isinstance(case, str):
                 try:
@@ -77,16 +81,12 @@ def _per_node_simulate(cfg):
                 fh.write(f"{i},,,,failed: {cli._csv_safe(case)}\n")
                 cp_lines.append(f"{i},,,,failed: {cli._csv_safe(case)}\n")
                 continue
-            path = os.path.join(outdir, f"profile_{i}.csv")
-            with open(path, "w", encoding="utf-8") as pf:
-                pf.write("z_m,enthalpy_J_kg,quality,dnbr,chf_kW_m2,flagged\n")
-                for j, row in enumerate(zip(profile.heights, profile.enthalpies,
-                                            profile.qualities, profile.dnbr,
-                                            profile.chf_local)):
-                    z, h, x, dnbr, chf = row
-                    pf.write(f"{z!r},{h!r},{x!r},{dnbr!r},{chf / 1e3!r},"
-                             f"{int(j in profile.flagged_nodes)}\n")
-            outputs.append(path)
+            for j, row in enumerate(zip(profile.heights, profile.enthalpies,
+                                        profile.qualities, profile.dnbr,
+                                        profile.chf_local)):
+                z, h, x, dnbr, chf = row
+                pf.write(f"{i},{z!r},{h!r},{x!r},{dnbr!r},{chf / 1e3!r},"
+                         f"{int(j in profile.flagged_nodes)}\n")
             fh.write(f"{i},{profile.min_dnbr!r},{profile.min_dnbr_node},"
                      f"{len(profile.flagged_nodes)},ok\n")
             try:
@@ -101,7 +101,7 @@ def _per_node_simulate(cfg):
         fh.write("case,critical_flux_kW_m2,limiting_node,min_dnbr,status\n")
         fh.writelines(cp_lines)
     cli._write_manifest(outdir, "simulate", cfg.resolved, [cases_path, *model_paths],
-                        [*outputs, summary_path, cp_path], {"failed": n_failed})
+                        [profiles_path, summary_path, cp_path], {"failed": n_failed})
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _read_rows(path):
 
 
 @pytest.mark.parametrize("kind", [*PREDICTOR_KINDS, "falling"])
-def test_simulate_writes_the_bytes_of_the_per_node_formatter(tmp_path, kind):
+def test_simulate_writes_the_bytes_of_the_per_node_formatter(tmp_path, monkeypatch, kind):
     cases = tmp_path / "cases.csv"
     cases.write_text("\n".join([cli.CASE_HEADER, *CASES]) + "\n")
     model = (_falling_residual_args(tmp_path) if kind == "falling"
@@ -155,14 +155,21 @@ def test_simulate_writes_the_bytes_of_the_per_node_formatter(tmp_path, kind):
         assert 0 < int(summary[0][3]) < 40
     # zero wall flux: +inf on every node, but 0 on a node with no positive
     # finite CHF, which the falling residual gives the long nodes
-    zero_flux = _read_rows(want / "profile_4.csv")
-    assert {(row[3], row[5]) for row in zero_flux} == \
+    zero_flux = [row for row in _read_rows(want / "profiles.csv") if row[0] == "4"]
+    assert len(zero_flux) == 20
+    assert {(row[4], row[6]) for row in zero_flux} == \
         ({("inf", "0"), ("0.0", "1")} if kind == "falling" else {("inf", "0")})
     cp_statuses = [row[-1].split(":")[0] for row in _read_rows(want / "critical_power.csv")]
     assert "failed" in cp_statuses and (kind == "falling" or "ok" in cp_statuses)
 
     names = sorted(os.listdir(want))
-    assert names == sorted(os.listdir(out))
+    assert names == sorted(os.listdir(out)) == [
+        "critical_power.csv", "manifest.json", "profiles.csv", "summary.csv"]
     assert json.loads((want / "manifest.json").read_text())["counts"]["failed"] > 4
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    # a cap of 1 node writes each case's profile rows on their own
+    monkeypatch.setattr(channel, "NODE_BATCH", 1)
+    assert cli.main(["simulate", *argv]) == 0
     for name in names:
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
